@@ -50,6 +50,7 @@ SYM_TOL = 1e-10
 PSD_EIG_FLOOR = -1e-10
 MAX_CONDITION = 1e12
 SHAPE_TOL = 1e-9
+STRUCTURE_SAMPLES = 48
 
 
 def _maxabs(a) -> float:
@@ -776,15 +777,21 @@ def check_structure(kernel: DecayKernel, sample_times) -> tuple:
     """Decide whether the kernel is symmetric and commuting.
 
     Families with a closed-form answer return it directly; a sampled check
-    over ``sample_times`` backs it up (an analytic "yes" contradicted by a
-    sampled violation raises, since that indicates a numerical breakdown).
-    Other kernels are decided purely by sampling.
+    backs it up (an analytic "yes" contradicted by a sampled violation
+    raises, since that indicates a numerical breakdown).  Other kernels are
+    decided purely by sampling.  The sample is at most
+    ``STRUCTURE_SAMPLES`` (48) evenly spaced entries of ``sample_times``,
+    first and last included: the commutator check compares every pair of
+    sampled values, so its cost is quadratic in the sample size.
     """
     sample_times = np.asarray(sample_times, dtype=float)
     if sample_times.size == 0:
         raise ValueError("sample_times must be nonempty")
     if np.min(sample_times) < 0:
         raise ValueError("sample_times must be nonnegative")
+    if sample_times.size > STRUCTURE_SAMPLES:
+        picks = np.linspace(0, sample_times.size - 1, STRUCTURE_SAMPLES).round().astype(int)
+        sample_times = sample_times[picks]
     values = kernel.at_many(sample_times)
     sym_sampled, comm_sampled = _structure_sampled(values)
     analytic = _structure_analytic(kernel)
@@ -1046,10 +1053,7 @@ def check_shape_properties(
     rng = np.random.default_rng(seed)
     ts = np.linspace(0.0, t_max, n_samples)
     directions = _direction_set(kernel.dimension, n_directions, rng)
-    # pairwise commutator sampling is quadratic in the sample count; a
-    # coarse subgrid is plenty for the structure verdict
-    structure_ts = ts if n_samples <= 48 else ts[:: max(1, n_samples // 48)]
-    symmetric, commuting = check_structure(kernel, structure_ts)
+    symmetric, commuting = check_structure(kernel, ts)
 
     nonneg = noninc = convex = None
     if method == "auto":

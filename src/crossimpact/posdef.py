@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 
 from .grids import TimeGrid
 from .kernels import (
@@ -132,19 +133,28 @@ def _witness_from_gram(gram: GramMatrix) -> Optional[GramWitness]:
     )
 
 
+def _cholesky_succeeds(matrix: np.ndarray, shift: float) -> bool:
+    """Whether ``matrix + shift * I`` has a Cholesky factor.
+
+    For a symmetric matrix this holds exactly when every eigenvalue exceeds
+    ``-shift`` (up to roundoff), without computing the spectrum.
+    """
+    shifted = matrix.copy()
+    shifted.flat[:: matrix.shape[0] + 1] += shift
+    try:
+        scipy.linalg.cholesky(shifted, lower=True, overwrite_a=True, check_finite=False)
+        return True
+    except np.linalg.LinAlgError:
+        return False
+
+
 def _maybe_negative(gram: GramMatrix) -> bool:
     """Cheap test for eigenvalues below the witness threshold.
 
-    Cholesky of the Gram shifted up by the threshold succeeds exactly when
-    no eigenvalue sits below ``-1e-12 * ||Gram||``; only failures pay for a
-    full eigendecomposition.
+    Only Grams with an eigenvalue below ``-1e-12 * ||Gram||`` fail the
+    shifted Cholesky test and pay for a full eigendecomposition.
     """
-    shifted = gram.blocks + (WITNESS_REL_TOL * gram.norm) * np.eye(gram.blocks.shape[0])
-    try:
-        np.linalg.cholesky(shifted)
-        return False
-    except np.linalg.LinAlgError:
-        return True
+    return not _cholesky_succeeds(gram.blocks, WITNESS_REL_TOL * gram.norm)
 
 
 def _random_search_grid(rng, span_max: float, n_max: int, probe_boundary: bool) -> TimeGrid:

@@ -154,7 +154,7 @@ def estimate_expected_cost(
         x0 = target
     else:
         x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-        if _maxabs(x0 - target) > 1e-10:
+        if _maxabs(x0 - target) > 1e-10 * (1.0 + _maxabs(x0)):
             raise ValueError(
                 f"strategy liquidates {target}, not x0={x0}; the martingale "
                 "cancellation needs the trades to sum to -x0"

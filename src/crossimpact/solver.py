@@ -20,15 +20,15 @@ import scipy.linalg
 from .grids import TimeGrid, equidistant_grid
 from .kernels import (
     DecayKernel,
-    DiagCongruenceKernel,
     ExpDecay,
     MatrixExpKernel,
     MatrixFunctionKernel,
+    _EigenBasisKernel,
     _maxabs,
     check_shape_properties,
     check_structure,
 )
-from .posdef import PSD_REL_TOL, assemble_gram, classify_positive_definite
+from .posdef import PSD_REL_TOL, _cholesky_succeeds, assemble_gram, classify_positive_definite
 
 __all__ = [
     "Strategy",
@@ -161,7 +161,7 @@ def lagrange_residual(kernel: DecayKernel, grid: TimeGrid, strategy):
 def _check_result(kernel, grid, trades, lam, x0, unique, gram=None) -> SolveResult:
     """Wrap a solved strategy, enforcing the certificate tolerances."""
     colsum_err = _maxabs(trades.sum(axis=0) + x0)
-    if colsum_err > LIQUIDATION_TOL:
+    if colsum_err > LIQUIDATION_TOL * (1.0 + _maxabs(x0)):
         raise ArithmeticError(f"liquidation constraint violated by {colsum_err:.3e}")
     if gram is None:
         gram = assemble_gram(kernel, grid)
@@ -181,100 +181,109 @@ def _check_result(kernel, grid, trades, lam, x0, unique, gram=None) -> SolveResu
     )
 
 
-def _kkt_solve_gram(gram_blocks: np.ndarray, n: int, k: int, x0: np.ndarray, method: str):
+def _kkt_solve_gram(gram: np.ndarray, n: int, k: int, x0: np.ndarray):
     """Solve the equality-constrained quadratic program on an assembled Gram.
 
-    Stationarity and the liquidation constraint form one symmetric system
-    ``[[Gram, A^T], [A, 0]] [xi; -lam] = [0; -x0]`` with ``A`` summing the
-    trade vectors.  Strictly positive Grams go through an LU factorization
-    (plus one iterative-refinement pass); singular-but-PSD Grams get the
-    minimum-norm solution from a rank-revealing least-squares solve.
+    Minimizes ``1/2 xi . Gram . xi`` subject to ``A xi = -x0``, where ``A``
+    sums the N trade vectors, and returns ``(trades, lam, strict)``.  The
+    Gram is strict when a Cholesky factorization of ``Gram - tau I``
+    succeeds, ``tau = PSD_REL_TOL * (1 + max|Gram|)`` (the same decision as
+    ``eigvalsh(Gram)[0] > tau``).  A strict Gram is solved through its own
+    Cholesky factor: ``Y = Gram^-1 A^T`` (k right-hand sides), the k x k
+    Schur complement ``S = A Y`` (the sum of Y's N blocks),
+    ``lam = -S^-1 x0`` and ``xi = Y lam``.  Otherwise ``eigvalsh`` decides:
+    a negative eigenvalue raises :class:`UnboundedCostError` with its
+    eigenvector as the direction, and a singular-but-PSD Gram gets the
+    minimum-norm least-squares solution of the bordered system
+    ``[[Gram, A^T], [A, 0]] [xi; -lam] = [0; -x0]``.
     """
-    nk = n * k
-    eigs = np.linalg.eigvalsh(gram_blocks)
-    tol = PSD_REL_TOL * (1.0 + _maxabs(gram_blocks))
-    if eigs[0] < -tol:
-        vals, vecs = np.linalg.eigh(gram_blocks)
+    tol = PSD_REL_TOL * (1.0 + _maxabs(gram))
+    if _cholesky_succeeds(gram, -tol):
+        factor = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
+        Y = scipy.linalg.cho_solve(factor, np.tile(np.eye(k), (n, 1)), check_finite=False)
+        lam = -np.linalg.solve(Y.reshape(n, k, k).sum(axis=0), x0)
+        return (Y @ lam).reshape(n, k), lam, True
+
+    if np.linalg.eigvalsh(gram)[0] < -tol:
+        vals, vecs = np.linalg.eigh(gram)
         raise UnboundedCostError(
             f"Gram matrix has eigenvalue {vals[0]:.3e}: cost unbounded below on this grid",
             direction=vecs[:, 0].reshape(n, k),
             min_eig=float(vals[0]),
         )
-    strict = bool(eigs[0] > tol)
-
+    nk = n * k
     A = np.tile(np.eye(k), n)
     M = np.zeros((nk + k, nk + k))
-    M[:nk, :nk] = gram_blocks
+    M[:nk, :nk] = gram
     M[:nk, nk:] = A.T
     M[nk:, :nk] = A
     rhs = np.zeros(nk + k)
-    rhs[nk:] = -np.asarray(x0, dtype=float)
-
-    if method == "auto":
-        method = "factor" if strict else "lstsq"
-    if method == "factor":
-        lu = scipy.linalg.lu_factor(M)
-        sol = scipy.linalg.lu_solve(lu, rhs)
-        sol += scipy.linalg.lu_solve(lu, rhs - M @ sol)
-    elif method == "lstsq":
-        sol = np.linalg.lstsq(M, rhs, rcond=None)[0]
-    else:
-        raise ValueError("method must be 'auto', 'factor' or 'lstsq'")
-
-    trades = sol[:nk].reshape(n, k)
-    lam = -sol[nk:]
-    return trades, lam, strict
+    rhs[nk:] = -x0
+    sol = np.linalg.lstsq(M, rhs, rcond=None)[0]
+    return sol[:nk].reshape(n, k), -sol[nk:], False
 
 
-def solve_kkt(kernel: DecayKernel, grid: TimeGrid, x0, method: str = "auto") -> SolveResult:
+def solve_kkt(kernel: DecayKernel, grid: TimeGrid, x0) -> SolveResult:
     """Optimal liquidation of ``x0`` on a grid by solving the KKT system.
 
-    Raises :class:`UnboundedCostError` when the Gram is indefinite on the
-    grid.  On a PSD-but-singular Gram the returned strategy is the
-    minimum-norm optimizer and ``unique`` is False.
+    Assembles the Gram and solves it with :func:`_kkt_solve_gram`.  Raises
+    :class:`UnboundedCostError` when the Gram is indefinite on the grid.  On
+    a PSD-but-singular Gram the returned strategy is the minimum-norm
+    optimizer and ``unique`` is False.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (kernel.dimension,):
         raise ValueError(f"x0 must have {kernel.dimension} components")
     gram = assemble_gram(kernel, grid)
-    trades, lam, strict = _kkt_solve_gram(gram.blocks, grid.n, kernel.dimension, x0, method)
+    trades, lam, strict = _kkt_solve_gram(gram.blocks, grid.n, kernel.dimension, x0)
     return _check_result(kernel, grid, trades, lam, x0, unique=strict, gram=gram)
+
+
+def _exp_recursion(A: np.ndarray, x0: np.ndarray):
+    """Closed-form optimum for matrix-exponential decay.
+
+    ``A`` stacks the gap propagators ``A_n = exp(-(t_n - t_{n-1}) B)`` for
+    ``n = 2..N`` (1-based), shape (N-1, K, K).  Then
+    ``lam = -[2(I+A_2)^-1 + sum_{n>2} (I-A_n)(I+A_n)^-1]^-1 x0``,
+    ``xi_1 = (I+A_2)^-1 lam``,
+    ``xi_n = (I+A_n)^-1 lam - A_{n+1}(I+A_{n+1})^-1 lam`` and
+    ``xi_N = (I+A_N)^-1 lam``.  Returns ``(trades, lam)``.
+    """
+    eye = np.eye(A.shape[1])
+    lead = np.linalg.inv(eye + A)  # (I + A_n)^-1
+    lam = -np.linalg.solve(2.0 * lead[0] + np.sum((eye - A[1:]) @ lead[1:], axis=0), x0)
+    pushed = lead @ lam  # (I + A_n)^-1 lam
+    trades = np.empty((A.shape[0] + 1, A.shape[1]))
+    trades[0] = pushed[0]
+    trades[1:-1] = pushed[:-1] - np.einsum("jab,jb->ja", A[1:], pushed[1:])
+    trades[-1] = pushed[-1]
+    return trades, lam
 
 
 def solve_1d_exp(rate: float, grid: TimeGrid, y: float) -> np.ndarray:
     """Optimal single-asset liquidation of ``y`` under exponential decay.
 
-    Closed form: with ``a_n = exp(-rate * (t_n - t_{n-1}))``, the optimal
-    trades are ``eta_1 = lam / (1 + a_2)``,
+    The K = 1 case of the matrix-exponential closed form: with
+    ``a_n = exp(-rate * (t_n - t_{n-1}))``, the optimal trades are
+    ``eta_1 = lam / (1 + a_2)``,
     ``eta_n = (1/(1+a_n) - a_{n+1}/(1+a_{n+1})) lam`` in the interior, and
     ``eta_N = lam / (1 + a_N)``, where ``lam`` normalizes the total to -y.
     """
     if rate < 0:
         raise ValueError("rate must be nonnegative")
-    n = grid.n
-    if n < 2:
+    if grid.n < 2:
         raise ValueError("the closed form needs at least two trade times")
-    a = np.exp(-rate * np.diff(grid.times))  # a[j] = a_{j+2} in 1-based terms
-    denom = 2.0 / (1.0 + a[0]) + np.sum((1.0 - a[1:]) / (1.0 + a[1:]))
-    lam = -y / denom
-    eta = np.empty(n)
-    eta[0] = lam / (1.0 + a[0])
-    if n > 2:
-        eta[1:-1] = (1.0 / (1.0 + a[:-1]) - a[1:] / (1.0 + a[1:])) * lam
-    eta[-1] = lam / (1.0 + a[-1])
-    return eta
+    a = np.exp(-rate * np.diff(grid.times))
+    trades, _ = _exp_recursion(a[:, None, None], np.array([float(y)]))
+    return trades[:, 0]
 
 
 def solve_exp_closed_form(B, grid: TimeGrid, x0) -> SolveResult:
     """Optimal liquidation for the matrix-exponential kernel ``exp(-tB)``.
 
-    Implements the closed form with ``A_n = exp(-(t_n - t_{n-1}) B)``:
-    ``lam = -[2(I+A_2)^-1 + sum_n (I-A_n)(I+A_n)^-1]^-1 x0``,
-    ``xi_1 = (I+A_2)^-1 lam``,
-    ``xi_n = (I+A_n)^-1 lam - A_{n+1}(I+A_{n+1})^-1 lam``,
-    ``xi_N = (I+A_N)^-1 lam``.  On an equidistant grid the simplified form
-    ``lam = -(I+A)(N I - (N-2) A)^-1 x0`` with ``xi_i = (I-A) xi_1`` is used
-    and checked to coincide with the general formulas to 1e-12.
+    Evaluates the general closed-form recursion (see :func:`_exp_recursion`)
+    with ``A_n = exp(-(t_n - t_{n-1}) B)`` on any grid, equidistant or not,
+    and certifies the result like every other route.
     """
     B = np.asarray(B, dtype=float)
     kernel = MatrixExpKernel(B)  # validates symmetry and shape
@@ -283,56 +292,29 @@ def solve_exp_closed_form(B, grid: TimeGrid, x0) -> SolveResult:
             f"B must be strictly positive definite; smallest eigenvalue "
             f"{np.min(kernel.eigenvalues):.3e}"
         )
-    n, k = grid.n, kernel.dimension
-    if n < 2:
+    if grid.n < 2:
         raise ValueError("the closed form needs at least two trade times")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    eye = np.eye(k)
-
-    gaps = np.diff(grid.times)
-    A = [scipy.linalg.expm(-h * B) for h in gaps]  # A[j] = A_{j+2}
-    lead = [np.linalg.solve(eye + a, eye) for a in A]  # (I + A_n)^-1
-    coeff = 2.0 * lead[0]
-    for a, la in zip(A[1:], lead[1:]):
-        coeff += (eye - a) @ la
-    lam = -np.linalg.solve(coeff, x0)
-    trades = np.empty((n, k))
-    trades[0] = lead[0] @ lam
-    for j in range(1, n - 1):
-        trades[j] = lead[j - 1] @ lam - A[j] @ (lead[j] @ lam)
-    trades[-1] = lead[-1] @ lam
-
-    if np.max(np.abs(gaps - gaps[0])) <= 1e-12 * max(gaps[0], 1.0):
-        a = A[0]
-        xi1 = -np.linalg.solve(n * eye - (n - 2) * a, x0)
-        lam_eq = (eye + a) @ xi1
-        eq = np.empty_like(trades)
-        eq[0] = xi1
-        eq[1:-1] = ((eye - a) @ xi1)[None, :]
-        eq[-1] = xi1
-        gap = max(_maxabs(eq - trades), _maxabs(lam_eq - lam))
-        if gap > 1e-12 * (1.0 + _maxabs(trades)):
-            raise ArithmeticError(
-                f"equidistant and general closed forms disagree by {gap:.3e}"
-            )
-        trades, lam = eq, lam_eq
-
+    trades, lam = _exp_recursion(kernel.at_many(np.diff(grid.times)), x0)
     return _check_result(kernel, grid, trades, lam, x0, unique=True)
 
 
-def _diagonal_frame(kernel: DecayKernel, sample_times, seed: int):
-    """Rotation whose rows are common eigendirections, plus per-direction
-    exponential rates when the family provides them (else None)."""
-    if isinstance(kernel, MatrixExpKernel):
-        return kernel.eigvecs.T, kernel.eigenvalues
-    if isinstance(kernel, MatrixFunctionKernel) and isinstance(kernel.fn, ExpDecay):
-        return kernel.eigvecs.T, kernel.fn.rate * kernel.eigenvalues
-    if isinstance(kernel, DiagCongruenceKernel) and all(
-        isinstance(g, ExpDecay) for g in kernel.decays
-    ):
-        return kernel.O, np.array([g.rate for g in kernel.decays])
+def _diagonal_frame(kernel: DecayKernel, sample_times, seed: int) -> np.ndarray:
+    """Rotation whose rows are the kernel's common eigendirections."""
+    if isinstance(kernel, _EigenBasisKernel):
+        return kernel.eigvecs.T
     O, _ = simultaneous_diagonalize(kernel, sample_times, seed=seed)
-    return O, None
+    return O
+
+
+def _diagonal_grams(kernel: DecayKernel, grid: TimeGrid, O: np.ndarray) -> np.ndarray:
+    """Single-asset Grams of the K decays in the frame ``O``, shape (K, N, N).
+
+    Rotates the lag values into the frame and keeps only their diagonals.
+    """
+    n, k = grid.n, kernel.dimension
+    values = kernel.tilde_many(np.abs(grid.lags()).ravel())
+    return np.einsum("ij,tjk,ik->ti", O, values, O, optimize=True).T.reshape(k, n, n)
 
 
 def simultaneous_diagonalize(kernel: DecayKernel, sample_times, seed: int = 0):
@@ -377,28 +359,20 @@ def simultaneous_diagonalize(kernel: DecayKernel, sample_times, seed: int = 0):
     )
 
 
-def _solve_1d_gram(gram1d: np.ndarray, y: float):
-    """1D KKT solve on a scalar-kernel Gram; returns (eta, lam, strict)."""
-    n = gram1d.shape[0]
-    eta, lam, strict = _kkt_solve_gram(gram1d, n, 1, np.array([y]), "auto")
-    return eta[:, 0], float(lam[0]), strict
-
-
 def solve_commuting(kernel: DecayKernel, grid: TimeGrid, x0, seed: int = 0) -> SolveResult:
     """Optimal liquidation for a symmetric commuting kernel.
 
     Rotates the portfolio into the kernel's common eigenbasis, solves one
-    single-asset problem per direction (closed form when the decay is
-    exponential, a 1D KKT solve otherwise), and rotates back.  The cost is
-    the sum of the single-asset costs.
+    single-asset KKT problem per direction with :func:`_kkt_solve_gram`,
+    and rotates back.  An indefinite direction raises
+    :class:`UnboundedCostError` naming the component.  The reported cost is
+    the sum of the single-asset costs, so the route stays independent of
+    :func:`solve_kkt`.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n, k = grid.n, kernel.dimension
-    O, rates = _diagonal_frame(kernel, grid.times, seed)
-
-    lags = np.abs(grid.lags())
-    rotated = np.einsum("ij,tjk,lk->til", O, kernel.tilde_many(lags.ravel()), O)
-    diag = np.einsum("tii->ti", rotated).reshape(n, n, k)
+    O = _diagonal_frame(kernel, grid.times, seed)
+    grams = _diagonal_grams(kernel, grid, O)
 
     y = O @ x0
     trades_rot = np.empty((n, k))
@@ -406,26 +380,18 @@ def solve_commuting(kernel: DecayKernel, grid: TimeGrid, x0, seed: int = 0) -> S
     total_cost = 0.0
     unique = True
     for i in range(k):
-        gram1d = diag[:, :, i]
-        eigs = np.linalg.eigvalsh(gram1d)
-        tol = PSD_REL_TOL * (1.0 + _maxabs(gram1d))
-        if eigs[0] < -tol:
+        try:
+            eta, lam_i, strict = _kkt_solve_gram(grams[i], n, 1, y[i : i + 1])
+        except UnboundedCostError as exc:
             raise UnboundedCostError(
                 f"decay component {i} is not positive definite on this grid "
-                f"(eigenvalue {eigs[0]:.3e})",
-                min_eig=float(eigs[0]),
-            )
-        strict = bool(eigs[0] > tol)
-        if rates is not None and n >= 2:
-            eta = solve_1d_exp(float(rates[i]), grid, float(y[i]))
-            lam_i = float(
-                np.mean(gram1d @ eta)
-            )  # exact multiplier up to roundoff; certified below
-        else:
-            eta, lam_i, strict = _solve_1d_gram(gram1d, float(y[i]))
+                f"(eigenvalue {exc.min_eig:.3e})",
+                min_eig=exc.min_eig,
+            ) from exc
+        eta = eta[:, 0]
         trades_rot[:, i] = eta
-        lam_rot[i] = lam_i
-        total_cost += 0.5 * float(eta @ gram1d @ eta)
+        lam_rot[i] = lam_i[0]
+        total_cost += 0.5 * float(eta @ grams[i] @ eta)
         unique = unique and strict
 
     trades = trades_rot @ O
@@ -462,21 +428,12 @@ def basis_strategies(kernel: DecayKernel, grid: TimeGrid, seed: int = 0) -> Basi
             stacklevel=2,
         )
 
-    n, k = grid.n, kernel.dimension
-    O, rates = _diagonal_frame(kernel, grid.times, seed)
-    lags = np.abs(grid.lags())
-    rotated = np.einsum("ij,tjk,lk->til", O, kernel.tilde_many(lags.ravel()), O)
-    diag = np.einsum("tii->ti", rotated).reshape(n, n, k)
-
+    O = _diagonal_frame(kernel, grid.times, seed)
+    grams = _diagonal_grams(kernel, grid, O)
     strategies = []
-    for i in range(k):
-        if rates is not None and n >= 2:
-            eta = solve_1d_exp(float(rates[i]), grid, 1.0)
-        elif n == 1:
-            eta = np.array([-1.0])
-        else:
-            eta, _, _ = _solve_1d_gram(diag[:, :, i], 1.0)
-        strategies.append(Strategy(np.outer(eta, O[i]), grid))
+    for i, gram1d in enumerate(grams):
+        eta, _, _ = _kkt_solve_gram(gram1d, grid.n, 1, np.ones(1))
+        strategies.append(Strategy(np.outer(eta[:, 0], O[i]), grid))
     return BasisDecomposition(vectors=O.copy(), strategies=tuple(strategies), rotation=O)
 
 
@@ -487,8 +444,8 @@ def solve_best(
 
     Precedence: matrix-exponential closed form, then the commuting-kernel
     route, then the generic KKT solve.  With ``cross_check=True`` the chosen
-    route is verified against the KKT solve to 1e-8 in the max norm;
-    disagreement raises with both strategies attached.
+    route is verified against the KKT solve to ``1e-8 * (1 + max|xi_kkt|)``
+    in the max norm; disagreement raises with both strategies attached.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     result, route = None, "kkt"
@@ -516,7 +473,7 @@ def solve_best(
     if cross_check:
         reference = solve_kkt(kernel, grid, x0)
         gap = _maxabs(result.strategy.trades - reference.strategy.trades)
-        if gap > 1e-8:
+        if gap > 1e-8 * (1.0 + _maxabs(reference.strategy.trades)):
             err = ArithmeticError(
                 f"solver cross-check failed: {route} and kkt disagree by {gap:.3e}"
             )

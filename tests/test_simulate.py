@@ -160,6 +160,17 @@ class TestEstimateExpectedCost:
                 x0=-trades.sum(axis=0) + 0.5,
             )
 
+    def test_roundoff_gap_at_large_scale_accepted(self, rng):
+        """The x0 check is relative: a few ulps of a 1e7-share book pass."""
+        kernel = MatrixExpKernel(random_spd(rng, 2))
+        grid = equidistant_grid(1.0, 4)
+        trades = 1e7 * rng.standard_normal((4, 2))
+        report = estimate_expected_cost(
+            kernel, grid, trades, flat_model([1.0, 1.0]), 10, seed=0,
+            x0=-trades.sum(axis=0) + 1e-8,
+        )
+        assert report.stderr == 0.0
+
     def test_covariance_invariant_mean(self, rng):
         """The martingale part cancels in expectation: two covariances give
         compatible mean shortfalls."""

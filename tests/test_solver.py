@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from crossimpact import (
     Constant,
@@ -14,6 +15,7 @@ from crossimpact import (
     Strategy,
     TimeGrid,
     UnboundedCostError,
+    assemble_gram,
     basis_strategies,
     cost,
     equidistant_grid,
@@ -26,7 +28,19 @@ from crossimpact import (
     solve_exp_closed_form,
     solve_kkt,
 )
+from crossimpact.posdef import PSD_REL_TOL
+from crossimpact.solver import _kkt_solve_gram
 from conftest import random_admissible_kernel, random_grid, random_orthogonal, random_spd
+
+
+def bordered_kkt_reference(gram, n, k, x0):
+    """Minimum-norm solution of ``[[G, A^T], [A, 0]] [xi; -lam] = [0; -x0]``."""
+    nk = n * k
+    A = np.tile(np.eye(k), n)
+    M = np.block([[gram, A.T], [A, np.zeros((k, k))]])
+    rhs = np.concatenate([np.zeros(nk), -np.asarray(x0, dtype=float)])
+    sol = np.linalg.lstsq(M, rhs, rcond=None)[0]
+    return sol[:nk].reshape(n, k), -sol[nk:]
 
 
 class TestTimeGrid:
@@ -128,14 +142,36 @@ class TestSolveKKT:
         assert err.value.direction is not None
         assert err.value.min_eig < 0
 
-    def test_factor_and_lstsq_paths_agree(self, rng):
+    def test_core_matches_bordered_lstsq_reference(self, rng):
         for _ in range(10):
             kernel = MatrixExpKernel(random_spd(rng, 2))
             grid = random_grid(rng, n_max=9)
             x0 = rng.uniform(-5, 5, 2)
-            a = solve_kkt(kernel, grid, x0, method="factor")
-            b = solve_kkt(kernel, grid, x0, method="lstsq")
-            assert np.max(np.abs(a.strategy.trades - b.strategy.trades)) < 1e-10
+            trades, lam = bordered_kkt_reference(assemble_gram(kernel, grid).blocks, grid.n, 2, x0)
+            result = solve_kkt(kernel, grid, x0)
+            assert result.unique is True
+            assert np.max(np.abs(result.strategy.trades - trades)) < 1e-10
+            assert np.max(np.abs(result.lam - lam)) < 1e-10
+
+    def test_strictness_matches_spectral_test(self, rng):
+        """The Cholesky strictness test decides like ``eigvalsh(G)[0] > tau``
+        on the 190 Grams of the figures sweep and on a permanent kernel."""
+        cases = [
+            (MatrixFunctionKernel([[1.0, rho], [rho, 1.0]], GaussianSquared()),
+             equidistant_grid(float(horizon), 23))
+            for rho in [round(0.05 * i, 2) for i in range(1, 20)]
+            for horizon in range(1, 11)
+        ]
+        cases.append((PermanentKernel(random_spd(rng, 2)), equidistant_grid(1.0, 4)))
+        verdicts = []
+        for kernel, grid in cases:
+            gram = assemble_gram(kernel, grid).blocks
+            tau = PSD_REL_TOL * (1.0 + np.max(np.abs(gram)))
+            _, _, unique = _kkt_solve_gram(gram, grid.n, 2, np.array([10.0, 0.0]))
+            assert unique == bool(np.linalg.eigvalsh(gram)[0] > tau)
+            verdicts.append(unique)
+        assert any(verdicts[:-1]) and not all(verdicts[:-1])
+        assert verdicts[-1] is False
 
     def test_certificate_invariants(self, rng):
         for _ in range(10):
@@ -203,6 +239,23 @@ class TestExpClosedForm:
         assert np.allclose(result.strategy.trades[:, 0], expected, atol=1e-12)
         oracle = solve_kkt(MatrixExpKernel([[1.0]]), grid, x0)
         assert np.max(np.abs(result.strategy.trades - oracle.strategy.trades)) < 1e-10
+
+    def test_equidistant_simplified_form(self, rng):
+        """On an equidistant grid the recursion reduces to
+        ``xi_1 = xi_N = -(N I - (N-2) A)^-1 x0`` and ``xi_i = (I - A) xi_1``."""
+        for n in (3, 8, 65):
+            b = random_spd(rng, 3)
+            x0 = rng.uniform(-5, 5, 3)
+            grid = equidistant_grid(2.0, n)
+            a = scipy.linalg.expm(-(2.0 / (n - 1)) * b)
+            xi1 = -np.linalg.solve(n * np.eye(3) - (n - 2) * a, x0)
+            expected = np.tile((np.eye(3) - a) @ xi1, (n, 1))
+            expected[0] = expected[-1] = xi1
+            result = solve_exp_closed_form(b, grid, x0)
+            trades = result.strategy.trades
+            assert np.max(np.abs(trades - expected)) <= 1e-12 * (1.0 + np.max(np.abs(trades)))
+            lam = (np.eye(3) + a) @ xi1
+            assert np.max(np.abs(result.lam - lam)) <= 1e-12 * (1.0 + np.max(np.abs(lam)))
 
     def test_rejects_semidefinite(self):
         with pytest.raises(ValueError, match="strictly positive"):
@@ -344,6 +397,33 @@ class TestBasisStrategies:
         kernel = MatrixFunctionKernel(np.array([[1.0, 0.4], [0.4, 1.0]]), GaussianSquared())
         with pytest.raises(ValueError, match="convex"):
             basis_strategies(kernel, equidistant_grid(2.0, 5))
+
+
+class TestLargePortfolios:
+    """The certificate tolerances scale with the portfolio, so 1e7-share
+    books solve on every route like 1-share ones."""
+
+    def test_solve_best_cross_exp(self):
+        kernel = CrossExpKernel(1.0, 1.8, 0.3)
+        grid = equidistant_grid(5.0, 11)
+        result, route = solve_best(kernel, grid, [-5e7, 1e6], cross_check=True)
+        assert route == "commuting"
+        scaled = 1e6 * solve_kkt(kernel, grid, [-50.0, 1.0]).strategy.trades
+        gap = np.max(np.abs(result.strategy.trades - scaled))
+        assert gap <= 1e-9 * np.max(np.abs(scaled))
+
+    def test_exp_closed_form_n1025(self):
+        b = np.array([[1.0, 0.3], [0.3, 1.8]])
+        result = solve_exp_closed_form(b, equidistant_grid(5.0, 1025), [1e7, 2e7])
+        assert np.allclose(result.strategy.liquidates, [1e7, 2e7], rtol=1e-12, atol=0)
+
+    def test_commuting_n257(self):
+        kernel = CrossExpKernel(1.0, 1.8, 0.3)
+        grid = equidistant_grid(5.0, 257)
+        result = solve_commuting(kernel, grid, [-5e7, 1e6])
+        oracle = solve_kkt(kernel, grid, [-5e7, 1e6])
+        gap = np.max(np.abs(result.strategy.trades - oracle.strategy.trades))
+        assert gap <= 1e-8 * (1.0 + np.max(np.abs(oracle.strategy.trades)))
 
 
 class TestTransformationLaws:
