@@ -309,12 +309,16 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"simulation: missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"simulation: {exc}") from exc
-    report = estimate_expected_cost(kernel, grid, strategy, model, n_paths, seed)
+    try:
+        report = estimate_expected_cost(kernel, grid, strategy, model, n_paths, seed)
+    except ValueError as exc:
+        raise ConfigError(f"simulation: {exc}") from exc
     _emit(
         {
             "simulation": {
                 "mean_shortfall": report.mean_shortfall,
                 "stderr": report.stderr,
+                "analytic_stderr": report.analytic_stderr,
                 "n_paths": report.n_paths,
                 "seed": report.seed,
                 "analytic_cost": report.analytic_cost,

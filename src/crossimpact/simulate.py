@@ -15,7 +15,7 @@ import numpy as np
 
 from .grids import TimeGrid
 from .kernels import DecayKernel, _maxabs
-from .solver import Strategy, cost
+from .solver import _kernel_trades, cost
 
 __all__ = [
     "MartingaleModel",
@@ -25,6 +25,10 @@ __all__ = [
     "revenues",
     "estimate_expected_cost",
 ]
+
+# Standard normals drawn per block by ``estimate_expected_cost``: 2**22
+# doubles (32 MiB) bound its working memory whatever the path count.
+BLOCK_DOUBLES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -69,6 +73,7 @@ class SimulationReport:
     n_paths: int
     seed: int
     analytic_cost: float
+    analytic_stderr: float  # exact shortfall standard deviation / sqrt(n_paths)
 
 
 def sample_paths(model: MartingaleModel, grid: TimeGrid, n_paths: int, seed: int) -> np.ndarray:
@@ -99,17 +104,24 @@ def _impact_terms(kernel: DecayKernel, grid: TimeGrid, trades: np.ndarray) -> np
     return np.einsum("kl,klij,lj->ki", lower, values, trades)
 
 
+def _execution_shift(kernel: DecayKernel, grid: TimeGrid, trades: np.ndarray) -> np.ndarray:
+    """Path-independent part of the execution prices: the impact of earlier
+    trades plus half the trade's own (lag-0) impact."""
+    return _impact_terms(kernel, grid, trades) + 0.5 * trades @ kernel.at(0.0).T
+
+
 def impacted_price(
     kernel: DecayKernel, grid: TimeGrid, strategy, path: np.ndarray, k: int
 ) -> np.ndarray:
     """Price just before the trade at time index ``k``: the unaffected price
     plus the decayed impact of all strictly earlier trades."""
-    trades = strategy.trades if isinstance(strategy, Strategy) else np.asarray(strategy, float)
+    trades = _kernel_trades(kernel, grid, strategy)
     if not 0 <= k < grid.n:
         raise IndexError(f"trade index {k} out of range for {grid.n} times")
     price = np.asarray(path, dtype=float)[k].copy()
-    for ell in range(k):
-        price += kernel.at(grid.times[k] - grid.times[ell]) @ trades[ell]
+    if k:
+        lags = grid.times[k] - grid.times[:k]
+        price += np.einsum("lij,lj->i", kernel.at_many(lags), trades[:k])
     return price
 
 
@@ -120,12 +132,11 @@ def revenues(kernel: DecayKernel, grid: TimeGrid, strategy, path: np.ndarray) ->
     own (lag-0) impact, so temporary-impact jumps are priced consistently
     with the cost functional.
     """
-    trades = strategy.trades if isinstance(strategy, Strategy) else np.asarray(strategy, float)
-    if trades.ndim == 1:
-        trades = trades[:, None]
-    impact = _impact_terms(kernel, grid, trades)
-    g0 = kernel.at(0.0)
-    exec_prices = np.asarray(path, dtype=float) + impact + 0.5 * trades @ g0.T
+    trades = _kernel_trades(kernel, grid, strategy)
+    path = np.asarray(path, dtype=float)
+    if path.shape != trades.shape:
+        raise ValueError(f"path has shape {path.shape}, the trades {trades.shape}")
+    exec_prices = path + _execution_shift(kernel, grid, trades)
     return float(-np.sum(trades * exec_prices))
 
 
@@ -145,10 +156,25 @@ def estimate_expected_cost(
     strategy liquidates ``x0`` (the martingale part cancels).  ``x0``
     defaults to the strategy's own liquidation target and is validated
     against it otherwise.
+
+    The price paths are never built.  Summation by parts turns the price
+    part of a path's revenue into ``(sum_k xi_k).s0 + Z.w`` with
+    ``w_j = sqrt(dt_j) C^T R_j``, where ``R_j = sum_{k>=j} xi_k`` is the
+    trading still to come, ``C`` the covariance factor and ``Z`` the path's
+    (N-1)K normals.  The normals are drawn from ``default_rng(seed)`` in
+    blocks of at most ``BLOCK_DOUBLES`` values, which yields the same stream
+    as ``sample_paths(model, grid, n_paths, seed)``; the sampling then needs
+    32 MiB plus 8 bytes per path, whatever N and K.  ``analytic_stderr`` is
+    the exact ``|w| / sqrt(n_paths)`` that ``stderr`` estimates.
     """
-    trades = strategy.trades if isinstance(strategy, Strategy) else np.asarray(strategy, float)
-    if trades.ndim == 1:
-        trades = trades[:, None]
+    if n_paths < 1:
+        raise ValueError("need at least one path")
+    trades = _kernel_trades(kernel, grid, strategy)
+    if model.dimension != trades.shape[1]:
+        raise ValueError(
+            f"strategy trades {trades.shape[1]} assets but the price model has "
+            f"{model.dimension}"
+        )
     target = -trades.sum(axis=0)
     if x0 is None:
         x0 = target
@@ -160,18 +186,24 @@ def estimate_expected_cost(
                 "cancellation needs the trades to sum to -x0"
             )
 
-    paths = sample_paths(model, grid, n_paths, seed)
-    impact = _impact_terms(kernel, grid, trades)
-    g0 = kernel.at(0.0)
-    shift = impact + 0.5 * trades @ g0.T  # path-independent part of exec prices
-    per_path_revenue = -np.einsum("pki,ki->p", paths, trades) - float(np.sum(trades * shift))
-    shortfalls = float(x0 @ model.s0) - per_path_revenue
-    mean = float(np.mean(shortfalls))
-    stderr = float(np.std(shortfalls, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
+    remaining = np.cumsum(trades[::-1], axis=0)[::-1][1:]  # R_j for j = 1..N-1
+    weights = (np.sqrt(np.diff(grid.times))[:, None] * (remaining @ model._factor)).ravel()
+    rng = np.random.default_rng(seed)
+    rows = max(1, BLOCK_DOUBLES // max(weights.size, 1))
+    noise = np.empty(n_paths)  # the shortfall of each path minus its constant part
+    for start in range(0, n_paths, rows):
+        m = min(rows, n_paths - start)
+        noise[start : start + m] = rng.standard_normal((m, weights.size)) @ weights
+
+    shift = _execution_shift(kernel, grid, trades)
+    drift_revenue = -float(trades.sum(axis=0) @ model.s0) - float(np.sum(trades * shift))
+    mean = float(x0 @ model.s0) - drift_revenue + float(np.mean(noise))
+    stderr = float(np.std(noise, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
     return SimulationReport(
         mean_shortfall=mean,
         stderr=stderr,
         n_paths=n_paths,
         seed=seed,
         analytic_cost=cost(kernel, grid, trades),
+        analytic_stderr=float(np.linalg.norm(weights) / np.sqrt(n_paths)),
     )

@@ -133,11 +133,20 @@ def _as_trades(strategy, grid: TimeGrid) -> np.ndarray:
     return trades
 
 
-def cost(kernel: DecayKernel, grid: TimeGrid, strategy) -> float:
-    """Expected execution cost ``1/2 xi . Gram . xi`` of a strategy."""
+def _kernel_trades(kernel: DecayKernel, grid: TimeGrid, strategy) -> np.ndarray:
+    """``_as_trades``, also rejecting an asset count other than the kernel's."""
     trades = _as_trades(strategy, grid)
     if trades.shape[1] != kernel.dimension:
-        raise ValueError("strategy asset count does not match the kernel dimension")
+        raise ValueError(
+            f"strategy trades {trades.shape[1]} assets but the kernel is "
+            f"{kernel.dimension}-dimensional"
+        )
+    return trades
+
+
+def cost(kernel: DecayKernel, grid: TimeGrid, strategy) -> float:
+    """Expected execution cost ``1/2 xi . Gram . xi`` of a strategy."""
+    trades = _kernel_trades(kernel, grid, strategy)
     gram = assemble_gram(kernel, grid)
     return 0.5 * gram.quadratic_form(trades)
 

@@ -68,6 +68,7 @@ class TestSolve:
         sim = json.loads(stdout)["simulation"]
         # the 17-digit table round-trips exactly, so the analytic cost matches
         assert sim["analytic_cost"] == pytest.approx(solve_cost, abs=1e-10)
+        assert sim["stderr"] == pytest.approx(sim["analytic_stderr"], rel=0.1)
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         config = tmp_path / "fig2.json"
@@ -138,6 +139,19 @@ class TestErrors:
         code, _, stderr = run(capsys, "solve", "--config", str(config))
         assert code == 2
         assert "portfolio" in stderr
+
+    def test_simulate_strategy_dimension_mismatch_exit_2(self, tmp_path, capsys):
+        config = tmp_path / "fig2.json"
+        write_config(config)
+        table = tmp_path / "three_assets.csv"
+        rows = ["t,asset_1,asset_2,asset_3"] + [f"{t},1.0,-2.0,0.5" for t in range(5)]
+        table.write_text("\n".join(rows) + "\n")
+        code, stdout, stderr = run(
+            capsys, "simulate", "--config", str(config), "--strategy", str(table)
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "config error" in stderr and "2-dimensional" in stderr
 
     def test_numeric_failure_exit_4(self, tmp_path, capsys):
         # near-singular Gram whose certified solve fails its own tolerance
