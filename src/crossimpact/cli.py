@@ -301,7 +301,7 @@ def cmd_simulate(args) -> int:
             covariance=np.asarray(sim["covariance"], dtype=float),
             horizon=grid.span,
         )
-        n_paths = int(args.paths if args.paths else sim.get("paths", 10_000))
+        n_paths = int(args.paths if args.paths is not None else sim.get("paths", 10_000))
         seed = int(args.seed if args.seed is not None else sim.get("seed", 0))
     except ConfigError:
         raise
@@ -375,13 +375,26 @@ def cmd_figures(args) -> int:
     return 0
 
 
+_FLAGS = {
+    "--config": dict(required=True, help="model configuration (JSON)"),
+    "--out": dict(default=None, help="output path (figures: directory)"),
+    "--seed": dict(type=int, default=None, help="random seed"),
+    "--paths": dict(type=int, default=None, help="Monte Carlo paths"),
+    "--levels": dict(type=int, default=8, help="refinement levels"),
+    "--tmax": dict(type=float, default=20.0, help="property-check horizon"),
+    "--samples": dict(type=int, default=400, help="property-check lag samples"),
+    "--format": dict(choices=("csv", "json-like"), default="csv", help="table format"),
+    "--strategy": dict(default=None, help="strategy table to simulate"),
+}
+
+# each subcommand accepts exactly the flags its cmd_* function reads
 _COMMANDS = {
-    "solve": cmd_solve,
-    "check": cmd_check,
-    "gram": cmd_gram,
-    "refine": cmd_refine,
-    "simulate": cmd_simulate,
-    "figures": cmd_figures,
+    "solve": (cmd_solve, ("--config", "--out", "--seed", "--format")),
+    "check": (cmd_check, ("--config", "--out", "--seed", "--tmax", "--samples")),
+    "gram": (cmd_gram, ("--config", "--out")),
+    "refine": (cmd_refine, ("--config", "--out", "--seed", "--levels", "--format")),
+    "simulate": (cmd_simulate, ("--config", "--out", "--seed", "--paths", "--strategy")),
+    "figures": (cmd_figures, ("--out",)),
 }
 
 
@@ -391,20 +404,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Optimal liquidation under multivariate transient price impact.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func in _COMMANDS.items():
+    for name, (func, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
-        if name != "figures":
-            p.add_argument("--config", required=True, help="model configuration (JSON)")
-        p.add_argument("--out", default=None, help="output path (figures: directory)")
-        p.add_argument("--seed", type=int, default=None, help="random seed")
-        p.add_argument("--paths", type=int, default=None, help="Monte Carlo paths")
-        p.add_argument("--levels", type=int, default=8, help="refinement levels")
-        p.add_argument("--tmax", type=float, default=20.0, help="property-check horizon")
-        p.add_argument("--samples", type=int, default=400, help="property-check lag samples")
-        p.add_argument(
-            "--format", choices=("csv", "json-like"), default="csv", help="table format"
-        )
-        p.add_argument("--strategy", default=None, help="strategy table to simulate")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(func=func)
     return parser
 

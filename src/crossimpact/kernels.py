@@ -36,8 +36,6 @@ __all__ = [
     "LeftMultiplyKernel",
     "CongruenceKernel",
     "PlusTemporaryKernel",
-    "make_matrix_function_kernel",
-    "transform_kernel",
     "check_structure",
     "check_shape_properties",
     "analytic_shape_flags",
@@ -47,7 +45,6 @@ __all__ = [
 ]
 
 SYM_TOL = 1e-10
-PSD_EIG_FLOOR = -1e-10
 MAX_CONDITION = 1e12
 SHAPE_TOL = 1e-9
 STRUCTURE_SAMPLES = 48
@@ -77,12 +74,12 @@ def _check_symmetric(M: np.ndarray, name: str) -> None:
 def _symmetric_psd_eig(B: np.ndarray, name: str):
     """Eigendecomposition of a symmetric PSD matrix.
 
-    Rejects asymmetry beyond ``SYM_TOL`` and eigenvalues below
-    ``PSD_EIG_FLOOR``; surviving tiny negative eigenvalues are clamped to 0.
+    Rejects asymmetry and eigenvalues below ``-SYM_TOL * (1 + max|B|)``;
+    surviving tiny negative eigenvalues are clamped to 0.
     """
     _check_symmetric(B, name)
     vals, vecs = np.linalg.eigh(0.5 * (B + B.T))
-    if vals[0] < PSD_EIG_FLOOR:
+    if vals[0] < -SYM_TOL * (1.0 + _maxabs(B)):
         raise ValueError(
             f"{name} must be positive semidefinite; smallest eigenvalue {vals[0]:.3e}"
         )
@@ -624,7 +621,7 @@ class PlusTemporaryKernel(DecayKernel):
     def __init__(self, H0, inner: DecayKernel):
         H0 = _as_square(H0, "H0", inner.dimension)
         sym_eigs = np.linalg.eigvalsh(0.5 * (H0 + H0.T))
-        if sym_eigs[0] < PSD_EIG_FLOOR:
+        if sym_eigs[0] < -SYM_TOL * (1.0 + _maxabs(H0)):
             raise ValueError(
                 f"H0 must be a nonnegative matrix; symmetric part has eigenvalue {sym_eigs[0]:.3e}"
             )
@@ -642,38 +639,6 @@ class PlusTemporaryKernel(DecayKernel):
 
     def to_dict(self):
         return {"family": self.family, "H0": self.H0.tolist(), "inner": self.inner.to_dict()}
-
-
-def make_matrix_function_kernel(B, fn: ScalarFunction) -> MatrixFunctionKernel:
-    """Build ``G(t) = g(t B)`` from a symmetric PSD ``B`` and scalar profile."""
-    return MatrixFunctionKernel(B, fn)
-
-
-_TRANSFORM_MODES = {
-    "scalar_times_matrix",
-    "left_multiply",
-    "congruence",
-    "plus_temporary",
-}
-
-
-def transform_kernel(mode: str, args: dict, inner: Optional[DecayKernel] = None) -> DecayKernel:
-    """Wrap ``inner`` with one of the kernel transformations.
-
-    ``scalar_times_matrix`` stands alone (the result ignores ``inner``); the
-    other modes require it.
-    """
-    if mode not in _TRANSFORM_MODES:
-        raise ValueError(f"unknown transform mode {mode!r}")
-    if mode == "scalar_times_matrix":
-        return ScalarTimesMatrixKernel(args["g"], args["L"])
-    if inner is None:
-        raise ValueError(f"transform {mode!r} requires an inner kernel")
-    if mode == "left_multiply":
-        return LeftMultiplyKernel(args["L"], inner)
-    if mode == "congruence":
-        return CongruenceKernel(args["L"], inner)
-    return PlusTemporaryKernel(args["H0"], inner)
 
 
 _KERNEL_FAMILIES = {}

@@ -69,10 +69,15 @@ class GramMatrix:
     def norm(self) -> float:
         return _maxabs(self.blocks)
 
+    def impact(self, trades: np.ndarray) -> np.ndarray:
+        """Accumulated impact ``sum_l tilde(t_k - t_l) xi_l`` at every trade
+        time, shape (N, K), for trades of shape (N, K)."""
+        v = np.asarray(trades, dtype=float).reshape(-1)
+        return (self.blocks @ v).reshape(self.size, self.dimension)
+
     def quadratic_form(self, trades: np.ndarray) -> float:
         """``xi . Gram . xi`` for trades of shape (N, K)."""
-        v = np.asarray(trades, dtype=float).reshape(-1)
-        return float(v @ self.blocks @ v)
+        return float(np.vdot(trades, self.impact(trades)))
 
 
 @dataclass(frozen=True)
@@ -108,7 +113,7 @@ def assemble_gram(kernel: DecayKernel, grid: TimeGrid) -> GramMatrix:
     return GramMatrix(grid=grid, blocks=gram, dimension=k, size=n)
 
 
-def check_grid_pd(gram: GramMatrix, strict_tol: Optional[float] = None) -> GridPDResult:
+def check_grid_pd(gram: GramMatrix) -> GridPDResult:
     """Spectral PSD test with a relative tolerance on the smallest eigenvalue."""
     try:
         eigs = np.linalg.eigvalsh(gram.blocks)
@@ -116,9 +121,7 @@ def check_grid_pd(gram: GramMatrix, strict_tol: Optional[float] = None) -> GridP
         raise ArithmeticError(f"eigensolver failed on a {gram.blocks.shape} Gram") from exc
     min_eig = float(eigs[0])
     tol = PSD_REL_TOL * (1.0 + gram.norm)
-    if strict_tol is None:
-        strict_tol = tol
-    return GridPDResult(psd=min_eig >= -tol, strict=min_eig > strict_tol, min_eig=min_eig)
+    return GridPDResult(psd=min_eig >= -tol, strict=min_eig > tol, min_eig=min_eig)
 
 
 def _witness_from_gram(gram: GramMatrix) -> Optional[GramWitness]:
@@ -157,9 +160,9 @@ def _maybe_negative(gram: GramMatrix) -> bool:
     return not _cholesky_succeeds(gram.blocks, WITNESS_REL_TOL * gram.norm)
 
 
-def _random_search_grid(rng, span_max: float, n_max: int, probe_boundary: bool) -> TimeGrid:
+def _random_search_grid(rng, span_max: float, n_max: int) -> TimeGrid:
     n = int(rng.integers(1, n_max + 1))
-    if probe_boundary and rng.random() < 0.1:
+    if rng.random() < 0.1:
         # low-frequency defects live on the largest allowed grid
         return TimeGrid(np.linspace(0.0, span_max, n_max))
     if n == 1:
@@ -197,7 +200,7 @@ def search_violation(
         raise ValueError("n_max must be at least 2")
     rng = np.random.default_rng(seed)
     for _ in range(budget):
-        grid = _random_search_grid(rng, span_max, n_max, probe_boundary=True)
+        grid = _random_search_grid(rng, span_max, n_max)
         gram = assemble_gram(kernel, grid)
         if _maybe_negative(gram):
             witness = _witness_from_gram(gram)
@@ -206,12 +209,13 @@ def search_violation(
     return None
 
 
-def _spectral_evidence(kernel: DecayKernel, rng, n_grids: int = 20, n_cap: int = 12):
-    """Worst eigenvalue over random small grids; a witness if one goes negative."""
+def _spectral_evidence(kernel: DecayKernel, rng):
+    """Worst eigenvalue over 20 random grids of at most 12 times; a witness
+    if one goes negative."""
     worst = math.inf
     witness = None
-    for _ in range(n_grids):
-        n = int(rng.integers(1, n_cap + 1))
+    for _ in range(20):
+        n = int(rng.integers(1, 13))
         if n == 1:
             grid = TimeGrid(np.zeros(1))
         else:

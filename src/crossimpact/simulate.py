@@ -15,7 +15,8 @@ import numpy as np
 
 from .grids import TimeGrid
 from .kernels import DecayKernel, _maxabs
-from .solver import _kernel_trades, cost
+from .posdef import GramMatrix, assemble_gram
+from .solver import _kernel_trades
 
 __all__ = [
     "MartingaleModel",
@@ -94,20 +95,16 @@ def sample_paths(model: MartingaleModel, grid: TimeGrid, n_paths: int, seed: int
     return paths
 
 
-def _impact_terms(kernel: DecayKernel, grid: TimeGrid, trades: np.ndarray) -> np.ndarray:
-    """Accumulated impact just before each trade: sum_{l<k} G(t_k-t_l) xi_l."""
-    n, k = grid.n, trades.shape[1]
-    if n == 1:
-        return np.zeros_like(trades, dtype=float)
-    values = kernel.at_many(np.abs(grid.lags()).ravel()).reshape(n, n, k, k)
-    lower = np.tril(np.ones((n, n)), k=-1)
-    return np.einsum("kl,klij,lj->ki", lower, values, trades)
-
-
-def _execution_shift(kernel: DecayKernel, grid: TimeGrid, trades: np.ndarray) -> np.ndarray:
+def _execution_shift(kernel: DecayKernel, gram: GramMatrix, trades: np.ndarray) -> np.ndarray:
     """Path-independent part of the execution prices: the impact of earlier
-    trades plus half the trade's own (lag-0) impact."""
-    return _impact_terms(kernel, grid, trades) + 0.5 * trades @ kernel.at(0.0).T
+    trades, ``sum_{l<k} G(t_k - t_l) xi_l``, plus half the trade's own (lag-0)
+    impact.  The earlier impact is read from the Gram's strictly lower blocks,
+    which hold ``tilde(t_k - t_l) = G(t_k - t_l)`` for ``k > l``."""
+    n, k = trades.shape
+    blocks = gram.blocks.reshape(n, k, n, k)
+    lower = np.tril(np.ones((n, n)), k=-1)
+    earlier = np.einsum("kl,kilj,lj->ki", lower, blocks, trades, optimize=True)
+    return earlier + 0.5 * trades @ kernel.at(0.0).T
 
 
 def impacted_price(
@@ -136,7 +133,7 @@ def revenues(kernel: DecayKernel, grid: TimeGrid, strategy, path: np.ndarray) ->
     path = np.asarray(path, dtype=float)
     if path.shape != trades.shape:
         raise ValueError(f"path has shape {path.shape}, the trades {trades.shape}")
-    exec_prices = path + _execution_shift(kernel, grid, trades)
+    exec_prices = path + _execution_shift(kernel, assemble_gram(kernel, grid), trades)
     return float(-np.sum(trades * exec_prices))
 
 
@@ -195,7 +192,8 @@ def estimate_expected_cost(
         m = min(rows, n_paths - start)
         noise[start : start + m] = rng.standard_normal((m, weights.size)) @ weights
 
-    shift = _execution_shift(kernel, grid, trades)
+    gram = assemble_gram(kernel, grid)
+    shift = _execution_shift(kernel, gram, trades)
     drift_revenue = -float(trades.sum(axis=0) @ model.s0) - float(np.sum(trades * shift))
     mean = float(x0 @ model.s0) - drift_revenue + float(np.mean(noise))
     stderr = float(np.std(noise, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
@@ -204,6 +202,6 @@ def estimate_expected_cost(
         stderr=stderr,
         n_paths=n_paths,
         seed=seed,
-        analytic_cost=cost(kernel, grid, trades),
+        analytic_cost=0.5 * gram.quadratic_form(trades),
         analytic_stderr=float(np.linalg.norm(weights) / np.sqrt(n_paths)),
     )

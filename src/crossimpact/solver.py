@@ -28,7 +28,13 @@ from .kernels import (
     check_shape_properties,
     check_structure,
 )
-from .posdef import PSD_REL_TOL, _cholesky_succeeds, assemble_gram, classify_positive_definite
+from .posdef import (
+    PSD_REL_TOL,
+    GramMatrix,
+    _cholesky_succeeds,
+    assemble_gram,
+    classify_positive_definite,
+)
 
 __all__ = [
     "Strategy",
@@ -147,8 +153,7 @@ def _kernel_trades(kernel: DecayKernel, grid: TimeGrid, strategy) -> np.ndarray:
 def cost(kernel: DecayKernel, grid: TimeGrid, strategy) -> float:
     """Expected execution cost ``1/2 xi . Gram . xi`` of a strategy."""
     trades = _kernel_trades(kernel, grid, strategy)
-    gram = assemble_gram(kernel, grid)
-    return 0.5 * gram.quadratic_form(trades)
+    return 0.5 * assemble_gram(kernel, grid).quadratic_form(trades)
 
 
 def lagrange_residual(kernel: DecayKernel, grid: TimeGrid, strategy):
@@ -160,8 +165,7 @@ def lagrange_residual(kernel: DecayKernel, grid: TimeGrid, strategy):
     optimality for the portfolio the strategy liquidates.
     """
     trades = _as_trades(strategy, grid)
-    gram = assemble_gram(kernel, grid)
-    impact = (gram.blocks @ trades.ravel()).reshape(grid.n, -1)
+    impact = assemble_gram(kernel, grid).impact(trades)
     lambda_hat = impact.mean(axis=0)
     residual = float(np.max(np.abs(impact - lambda_hat))) if grid.n else 0.0
     return lambda_hat, residual
@@ -174,7 +178,7 @@ def _check_result(kernel, grid, trades, lam, x0, unique, gram=None) -> SolveResu
         raise ArithmeticError(f"liquidation constraint violated by {colsum_err:.3e}")
     if gram is None:
         gram = assemble_gram(kernel, grid)
-    impact = (gram.blocks @ trades.ravel()).reshape(grid.n, -1)
+    impact = gram.impact(trades)
     residual = float(np.max(np.abs(impact - lam)))
     if residual > RESIDUAL_REL_TOL * (1.0 + _maxabs(lam)):
         raise ArithmeticError(
@@ -184,7 +188,7 @@ def _check_result(kernel, grid, trades, lam, x0, unique, gram=None) -> SolveResu
     return SolveResult(
         strategy=strategy,
         lam=np.asarray(lam, dtype=float),
-        cost=0.5 * gram.quadratic_form(trades),
+        cost=0.5 * float(np.vdot(trades, impact)),
         unique=unique,
         residual=residual,
     )
@@ -316,14 +320,13 @@ def _diagonal_frame(kernel: DecayKernel, sample_times, seed: int) -> np.ndarray:
     return O
 
 
-def _diagonal_grams(kernel: DecayKernel, grid: TimeGrid, O: np.ndarray) -> np.ndarray:
+def _diagonal_grams(gram: GramMatrix, O: np.ndarray) -> np.ndarray:
     """Single-asset Grams of the K decays in the frame ``O``, shape (K, N, N).
 
-    Rotates the lag values into the frame and keeps only their diagonals.
+    Rotates every block of the Gram into the frame and keeps its diagonal.
     """
-    n, k = grid.n, kernel.dimension
-    values = kernel.tilde_many(np.abs(grid.lags()).ravel())
-    return np.einsum("ij,tjk,ik->ti", O, values, O, optimize=True).T.reshape(k, n, n)
+    blocks = gram.blocks.reshape(gram.size, gram.dimension, gram.size, gram.dimension)
+    return np.einsum("ia,kalb,ib->ikl", O, blocks, O, optimize=True)
 
 
 def simultaneous_diagonalize(kernel: DecayKernel, sample_times, seed: int = 0):
@@ -381,7 +384,8 @@ def solve_commuting(kernel: DecayKernel, grid: TimeGrid, x0, seed: int = 0) -> S
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n, k = grid.n, kernel.dimension
     O = _diagonal_frame(kernel, grid.times, seed)
-    grams = _diagonal_grams(kernel, grid, O)
+    gram = assemble_gram(kernel, grid)
+    grams = _diagonal_grams(gram, O)
 
     y = O @ x0
     trades_rot = np.empty((n, k))
@@ -405,7 +409,7 @@ def solve_commuting(kernel: DecayKernel, grid: TimeGrid, x0, seed: int = 0) -> S
 
     trades = trades_rot @ O
     lam = O.T @ lam_rot
-    result = _check_result(kernel, grid, trades, lam, x0, unique=unique)
+    result = _check_result(kernel, grid, trades, lam, x0, unique=unique, gram=gram)
     # the summed 1D costs and the full quadratic form agree to roundoff;
     # keep the summed value so the route stays independent of solve_kkt
     return SolveResult(result.strategy, result.lam, total_cost, result.unique, result.residual)
@@ -438,7 +442,7 @@ def basis_strategies(kernel: DecayKernel, grid: TimeGrid, seed: int = 0) -> Basi
         )
 
     O = _diagonal_frame(kernel, grid.times, seed)
-    grams = _diagonal_grams(kernel, grid, O)
+    grams = _diagonal_grams(assemble_gram(kernel, grid), O)
     strategies = []
     for i, gram1d in enumerate(grams):
         eta, _, _ = _kkt_solve_gram(gram1d, grid.n, 1, np.ones(1))

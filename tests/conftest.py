@@ -61,6 +61,15 @@ def random_admissible_kernel(rng):
     return CrossExpKernel(kappa, kappa_tilde, rho)
 
 
+def impact_loop(kernel, grid, trades):
+    """Reference accumulated impact ``sum_l tilde(t_k - t_l) xi_l``, one
+    kernel evaluation per pair of trade times."""
+    t = grid.times
+    return np.array(
+        [sum(kernel.tilde(tk - tl) @ xi for tl, xi in zip(t, trades)) for tk in t]
+    )
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

@@ -153,6 +153,24 @@ class TestErrors:
         assert stdout == ""
         assert "config error" in stderr and "2-dimensional" in stderr
 
+    def test_simulate_zero_paths_exit_2(self, tmp_path, capsys):
+        # --paths 0 is an explicit value, not "unset": it must not fall back
+        # to the config's path count
+        config = tmp_path / "fig2.json"
+        write_config(config)
+        code, stdout, stderr = run(capsys, "simulate", "--config", str(config), "--paths", "0")
+        assert code == 2
+        assert stdout == ""
+        assert "config error" in stderr and "path" in stderr
+
+    def test_flag_of_another_subcommand_rejected(self, tmp_path, capsys):
+        config = tmp_path / "fig2.json"
+        write_config(config)
+        with pytest.raises(SystemExit) as exc:
+            main(["gram", "--config", str(config), "--paths", "5"])
+        assert exc.value.code == 2
+        assert "--paths" in capsys.readouterr().err
+
     def test_numeric_failure_exit_4(self, tmp_path, capsys):
         # near-singular Gram whose certified solve fails its own tolerance
         config = tmp_path / "osc.json"

@@ -11,6 +11,7 @@ from crossimpact import (
     ExpDecay,
     GaussianSquared,
     JordanExpKernel,
+    LeftMultiplyKernel,
     LinearPolya,
     Linear2x2Kernel,
     MatrixExpKernel,
@@ -22,8 +23,6 @@ from crossimpact import (
     check_shape_properties,
     check_structure,
     kernel_from_dict,
-    make_matrix_function_kernel,
-    transform_kernel,
 )
 from conftest import random_admissible_kernel, random_orthogonal, random_spd
 
@@ -99,13 +98,13 @@ class TestEvalTilde:
 class TestMatrixFunction:
     def test_exp_decay_matches_matrix_exp(self, rng):
         b = random_spd(rng, 3)
-        mf = make_matrix_function_kernel(b, ExpDecay(1.0))
+        mf = MatrixFunctionKernel(b, ExpDecay(1.0))
         me = MatrixExpKernel(b)
         for t in (0.0, 0.5, 1.0, 2.0):
             assert np.allclose(mf.at(t), me.at(t), atol=1e-12, rtol=0)
 
     def test_zero_matrix_gives_constant(self):
-        mf = make_matrix_function_kernel(np.zeros((2, 2)), GaussianSquared())
+        mf = MatrixFunctionKernel(np.zeros((2, 2)), GaussianSquared())
         for t in (0.0, 1.0, 9.0):
             assert np.allclose(mf.at(t), np.eye(2), atol=0, rtol=0)
 
@@ -113,7 +112,7 @@ class TestMatrixFunction:
         # reference: exp(-(tB)^2) summed as a matrix power series
         rho = 0.4
         b = np.array([[1.0, rho], [rho, 1.0]])
-        mf = make_matrix_function_kernel(b, GaussianSquared())
+        mf = MatrixFunctionKernel(b, GaussianSquared())
         for t in (0.0, 0.3, 0.9, 1.7):
             m = -(t * b) @ (t * b)
             series = np.eye(2)
@@ -125,11 +124,11 @@ class TestMatrixFunction:
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
-            make_matrix_function_kernel([[1.0, 0.5], [0.0, 1.0]], ExpDecay(1.0))
+            MatrixFunctionKernel([[1.0, 0.5], [0.0, 1.0]], ExpDecay(1.0))
 
     def test_indefinite_rejected_with_eigenvalue(self):
         with pytest.raises(ValueError, match="eigenvalue"):
-            make_matrix_function_kernel([[1.0, 2.0], [2.0, 1.0]], ExpDecay(1.0))
+            MatrixFunctionKernel([[1.0, 2.0], [2.0, 1.0]], ExpDecay(1.0))
 
     def test_consistency_many_random_psd(self, rng):
         for _ in range(100):
@@ -137,10 +136,22 @@ class TestMatrixFunction:
             q = random_orthogonal(rng, k)
             b = q @ np.diag(rng.uniform(0.0, 4.0, k)) @ q.T
             b = 0.5 * (b + b.T)
-            mf = make_matrix_function_kernel(b, ExpDecay(1.0))
+            mf = MatrixFunctionKernel(b, ExpDecay(1.0))
             me = MatrixExpKernel(b)
             ts = rng.uniform(0.0, 6.0, 50)
             assert np.max(np.abs(mf.at_many(ts) - me.at_many(ts))) < 1e-12
+
+    def test_scaled_rank_deficient_psd_accepted(self, rng):
+        # the PSD floor scales with the matrix: a singular PSD generator stays
+        # admissible at any scale, while eigh's roundoff grows with the entries
+        inner = CrossExpKernel(1.0, 1.8, 0.3)
+        for scale in (1e6, 1e9):
+            for _ in range(20):
+                f = rng.standard_normal((3, 2))
+                b = scale * (f @ f.T)
+                MatrixExpKernel(b)
+                MatrixFunctionKernel(b, GaussianSquared())
+                PlusTemporaryKernel(scale * np.outer(f[:2, 0], f[:2, 0]), inner)
 
 
 class TestScalarFunctions:
@@ -174,12 +185,12 @@ class TestScalarFunctions:
 class TestTransforms:
     def test_identity_congruence(self, rng):
         inner = CrossExpKernel(1.0, 1.8, 0.3)
-        wrapped = transform_kernel("congruence", {"L": np.eye(2)}, inner)
+        wrapped = CongruenceKernel(np.eye(2), inner)
         ts = rng.uniform(0.0, 5.0, 20)
         assert np.max(np.abs(wrapped.at_many(ts) - inner.at_many(ts))) == 0.0
 
     def test_scalar_times_identity_equals_matrix_exp(self):
-        k1 = transform_kernel("scalar_times_matrix", {"g": ExpDecay(1.0), "L": np.eye(2)})
+        k1 = ScalarTimesMatrixKernel(ExpDecay(1.0), np.eye(2))
         k2 = MatrixExpKernel(np.eye(2))
         for t in (0.0, 0.4, 2.0):
             assert np.allclose(k1.at(t), k2.at(t), atol=1e-14)
@@ -187,7 +198,7 @@ class TestTransforms:
     def test_plus_temporary_jump_at_zero_only(self):
         inner = CrossExpKernel(1.0, 1.8, 0.3)
         h0 = np.array([[0.5, 0.1], [0.1, 0.4]])
-        wrapped = transform_kernel("plus_temporary", {"H0": h0}, inner)
+        wrapped = PlusTemporaryKernel(h0, inner)
         assert np.allclose(wrapped.tilde(0.0), inner.tilde(0.0) + h0, atol=0, rtol=0)
         assert np.array_equal(wrapped.tilde(0.1), inner.tilde(0.1))
         assert np.array_equal(wrapped.at(0.3), inner.at(0.3))
@@ -203,7 +214,7 @@ class TestTransforms:
     def test_left_multiply(self, rng):
         inner = MatrixExpKernel(random_spd(rng, 2))
         L = rng.standard_normal((2, 2))
-        wrapped = transform_kernel("left_multiply", {"L": L}, inner)
+        wrapped = LeftMultiplyKernel(L, inner)
         t = 0.8
         assert np.allclose(wrapped.at(t), L @ inner.at(t), atol=0, rtol=0)
 

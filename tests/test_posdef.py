@@ -24,7 +24,13 @@ from crossimpact import (
     cost,
     search_violation,
 )
-from conftest import random_admissible_kernel, random_grid, random_orthogonal, random_spd
+from conftest import (
+    impact_loop,
+    random_admissible_kernel,
+    random_grid,
+    random_orthogonal,
+    random_spd,
+)
 
 
 def gaussian_1d():
@@ -32,6 +38,22 @@ def gaussian_1d():
 
 
 class TestAssembleGram:
+    def test_impact_matches_pairwise_loop(self, rng):
+        kernels = [
+            Exp2x2Kernel(1.0, 0.4, 0.7, 1.2, 1.0, 1.3, 1.4, 1.1),
+            PlusTemporaryKernel([[0.6, 0.1], [0.3, 0.5]], CrossExpKernel(1.0, 1.8, 0.3)),
+        ]
+        for kernel in kernels:
+            for _ in range(5):
+                grid = random_grid(rng, n_max=9)
+                trades = rng.standard_normal((grid.n, 2))
+                gram = assemble_gram(kernel, grid)
+                expected = impact_loop(kernel, grid, trades)
+                assert np.allclose(gram.impact(trades), expected, rtol=0, atol=1e-13)
+                assert gram.quadratic_form(trades) == pytest.approx(
+                    np.vdot(trades, expected), rel=0, abs=1e-12
+                )
+
     def test_single_time(self, rng):
         k = PermanentKernel(rng.standard_normal((2, 2)))
         gram = assemble_gram(k, TimeGrid([0.0]))

@@ -148,6 +148,26 @@ class TestRevenues:
                 assert shortfall == pytest.approx(cost(kernel, grid, trades), abs=1e-10)
 
 
+    def test_matches_impacted_price_reference(self, rng):
+        """Each trade executes at ``impacted_price`` (its own ``at_many``
+        evaluation) plus half its lag-0 impact, on one and on many times."""
+        kernels = [
+            Exp2x2Kernel(1.0, 0.4, 0.7, 1.2, 1.0, 1.3, 1.4, 1.1),
+            PlusTemporaryKernel([[0.6, 0.1], [0.3, 0.5]], CrossExpKernel(1.0, 1.8, 0.3)),
+        ]
+        for kernel in kernels:
+            g0 = kernel.at(0.0)
+            for grid in (TimeGrid([0.0]), random_grid(rng, n_max=9)):
+                trades = rng.standard_normal((grid.n, 2))
+                path = rng.uniform(10.0, 20.0, (grid.n, 2))
+                prices = [
+                    impacted_price(kernel, grid, trades, path, k) + 0.5 * g0 @ trades[k]
+                    for k in range(grid.n)
+                ]
+                expected = -float(np.sum(trades * np.array(prices)))
+                got = revenues(kernel, grid, trades, path)
+                assert got == pytest.approx(expected, rel=0, abs=1e-12 * np.abs(trades).sum() * 20)
+
     def test_shape_mismatches_rejected(self, rng):
         kernel = MatrixExpKernel(random_spd(rng, 2))
         grid = equidistant_grid(1.0, 4)

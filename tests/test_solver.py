@@ -6,11 +6,13 @@ from crossimpact import (
     Constant,
     CrossExpKernel,
     DiagCongruenceKernel,
+    Exp2x2Kernel,
     ExpDecay,
     GaussianSquared,
     MatrixExpKernel,
     MatrixFunctionKernel,
     PermanentKernel,
+    PlusTemporaryKernel,
     ScalarTimesMatrixKernel,
     Strategy,
     TimeGrid,
@@ -30,7 +32,13 @@ from crossimpact import (
 )
 from crossimpact.posdef import PSD_REL_TOL
 from crossimpact.solver import _kkt_solve_gram
-from conftest import random_admissible_kernel, random_grid, random_orthogonal, random_spd
+from conftest import (
+    impact_loop,
+    random_admissible_kernel,
+    random_grid,
+    random_orthogonal,
+    random_spd,
+)
 
 
 def bordered_kkt_reference(gram, n, k, x0):
@@ -184,6 +192,20 @@ class TestSolveKKT:
 
 
 class TestLagrangeResidual:
+    def test_multiplier_is_mean_of_pairwise_impact(self, rng):
+        kernels = [
+            Exp2x2Kernel(1.0, 0.4, 0.7, 1.2, 1.0, 1.3, 1.4, 1.1),
+            PlusTemporaryKernel([[0.6, 0.1], [0.3, 0.5]], CrossExpKernel(1.0, 1.8, 0.3)),
+        ]
+        for kernel in kernels:
+            grid = random_grid(rng, n_max=9)
+            trades = rng.standard_normal((grid.n, 2))
+            impact = impact_loop(kernel, grid, trades)
+            lam_hat, residual = lagrange_residual(kernel, grid, trades)
+            assert np.allclose(lam_hat, impact.mean(axis=0), rtol=0, atol=1e-13)
+            deviation = np.max(np.abs(impact - impact.mean(axis=0)))
+            assert residual == pytest.approx(deviation, rel=0, abs=1e-13)
+
     def test_solver_output_certified(self, rng):
         kernel = MatrixExpKernel(random_spd(rng, 2))
         grid = equidistant_grid(2.0, 6)
