@@ -37,10 +37,6 @@ class TimeGrid:
     def span(self) -> float:
         return float(self.times[-1])
 
-    def lags(self) -> np.ndarray:
-        """Signed pairwise lag matrix ``t_k - t_l`` of shape (N, N)."""
-        return self.times[:, None] - self.times[None, :]
-
 
 def equidistant_grid(horizon: float, n: int) -> TimeGrid:
     """N equally spaced trade times on [0, horizon]."""

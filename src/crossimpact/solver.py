@@ -23,6 +23,7 @@ from .kernels import (
     ExpDecay,
     MatrixExpKernel,
     MatrixFunctionKernel,
+    RATE_FLOOR,
     _EigenBasisKernel,
     _maxabs,
     check_shape_properties,
@@ -31,7 +32,6 @@ from .kernels import (
 from .posdef import (
     PSD_REL_TOL,
     GramMatrix,
-    _cholesky_succeeds,
     assemble_gram,
     classify_positive_definite,
 )
@@ -56,6 +56,11 @@ __all__ = [
 
 RESIDUAL_REL_TOL = 1e-8
 LIQUIDATION_TOL = 1e-10
+# the preconditioned CG solve of a strict Gram stops once
+# max|A^T - Gram Y| <= PCG_RES_FACTOR * NK * eps * (1 + max|Gram|) * (1 + max|Y|),
+# and raises if that takes more than PCG_MAX_STEPS steps
+PCG_RES_FACTOR = 1.0
+PCG_MAX_STEPS = 50
 
 
 class UnboundedCostError(ValueError):
@@ -171,13 +176,25 @@ def lagrange_residual(kernel: DecayKernel, grid: TimeGrid, strategy):
     return lambda_hat, residual
 
 
-def _check_result(kernel, grid, trades, lam, x0, unique, gram=None) -> SolveResult:
+def _route_gram(kernel: DecayKernel, grid: TimeGrid, gram) -> GramMatrix:
+    """The Gram a route solves with: ``gram`` if given (checked against the
+    grid and the kernel's dimension), else a freshly assembled one."""
+    if gram is None:
+        return assemble_gram(kernel, grid)
+    if (
+        gram.size != grid.n
+        or gram.dimension != kernel.dimension
+        or not np.array_equal(gram.grid.times, grid.times)
+    ):
+        raise ValueError("the given Gram was not assembled on this grid and dimension")
+    return gram
+
+
+def _check_result(grid, trades, lam, x0, unique, gram: GramMatrix) -> SolveResult:
     """Wrap a solved strategy, enforcing the certificate tolerances."""
     colsum_err = _maxabs(trades.sum(axis=0) + x0)
     if colsum_err > LIQUIDATION_TOL * (1.0 + _maxabs(x0)):
         raise ArithmeticError(f"liquidation constraint violated by {colsum_err:.3e}")
-    if gram is None:
-        gram = assemble_gram(kernel, grid)
     impact = gram.impact(trades)
     residual = float(np.max(np.abs(impact - lam)))
     if residual > RESIDUAL_REL_TOL * (1.0 + _maxabs(lam)):
@@ -194,6 +211,39 @@ def _check_result(kernel, grid, trades, lam, x0, unique, gram=None) -> SolveResu
     )
 
 
+def _pcg_solve(gram: np.ndarray, factor, rhs: np.ndarray, gram_max: float) -> np.ndarray:
+    """Solve ``gram Y = rhs`` by conjugate gradients, one recurrence per
+    column, preconditioned with the Cholesky ``factor`` of ``gram - tau I``.
+
+    Starts from ``Y = factor^-1 rhs`` and stops on the true residual (see
+    ``PCG_RES_FACTOR``).  Plain refinement ``Y += factor^-1 (rhs - gram Y)``
+    contracts only by ``tau / (lambda_min - tau)`` and so diverges once
+    ``lambda_min < 2 tau``; CG converges for every strict Gram.
+    """
+    def solve(b):
+        return scipy.linalg.cho_solve(factor, b, check_finite=False)
+
+    floor = PCG_RES_FACTOR * gram.shape[0] * np.finfo(float).eps * (1.0 + gram_max)
+    Y = solve(rhs)
+    R = rhs - gram @ Y
+    P = rz_old = None
+    for step in range(PCG_MAX_STEPS + 1):
+        if _maxabs(R) <= floor * (1.0 + _maxabs(Y)):
+            return Y
+        if step == PCG_MAX_STEPS:
+            break
+        Z = solve(R)
+        rz = np.einsum("ij,ij->j", R, Z)
+        P = Z if P is None else Z + (rz / rz_old) * P
+        Y += (rz / np.einsum("ij,ij->j", P, gram @ P)) * P
+        R = rhs - gram @ Y
+        rz_old = rz
+    raise ArithmeticError(
+        f"preconditioned CG stalled after {PCG_MAX_STEPS} steps with residual "
+        f"{_maxabs(R):.3e}; the solve is unreliable"
+    )
+
+
 def _kkt_solve_gram(gram: np.ndarray, n: int, k: int, x0: np.ndarray):
     """Solve the equality-constrained quadratic program on an assembled Gram.
 
@@ -201,19 +251,29 @@ def _kkt_solve_gram(gram: np.ndarray, n: int, k: int, x0: np.ndarray):
     sums the N trade vectors, and returns ``(trades, lam, strict)``.  The
     Gram is strict when a Cholesky factorization of ``Gram - tau I``
     succeeds, ``tau = PSD_REL_TOL * (1 + max|Gram|)`` (the same decision as
-    ``eigvalsh(Gram)[0] > tau``).  A strict Gram is solved through its own
-    Cholesky factor: ``Y = Gram^-1 A^T`` (k right-hand sides), the k x k
-    Schur complement ``S = A Y`` (the sum of Y's N blocks),
-    ``lam = -S^-1 x0`` and ``xi = Y lam``.  Otherwise ``eigvalsh`` decides:
-    a negative eigenvalue raises :class:`UnboundedCostError` with its
-    eigenvector as the direction, and a singular-but-PSD Gram gets the
-    minimum-norm least-squares solution of the bordered system
+    ``eigvalsh(Gram)[0] > tau``).  That factor is the only factorization of
+    a strict Gram: it preconditions the CG solve of ``Gram Y = A^T`` (k
+    right-hand sides, :func:`_pcg_solve`), then the k x k Schur complement
+    ``S = A Y`` (the sum of Y's N blocks) gives ``lam = -S^-1 x0`` and
+    ``xi = Y lam``.  Otherwise ``eigvalsh`` decides: a negative eigenvalue
+    raises :class:`UnboundedCostError` with its eigenvector as the
+    direction, and a singular-but-PSD Gram gets the minimum-norm
+    least-squares solution of the bordered system
     ``[[Gram, A^T], [A, 0]] [xi; -lam] = [0; -x0]``.
     """
-    tol = PSD_REL_TOL * (1.0 + _maxabs(gram))
-    if _cholesky_succeeds(gram, -tol):
-        factor = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
-        Y = scipy.linalg.cho_solve(factor, np.tile(np.eye(k), (n, 1)), check_finite=False)
+    gram_max = _maxabs(gram)
+    tol = PSD_REL_TOL * (1.0 + gram_max)
+    # the factor is the one NK x NK copy: Fortran order lets LAPACK factor it in place
+    shifted = np.array(gram, order="F")
+    shifted[np.diag_indices_from(shifted)] -= tol
+    try:
+        factor = scipy.linalg.cho_factor(
+            shifted, lower=True, overwrite_a=True, check_finite=False
+        )
+    except np.linalg.LinAlgError:
+        del shifted  # not strict: free the failed factor before the spectral branch
+    else:
+        Y = _pcg_solve(gram, factor, np.tile(np.eye(k), (n, 1)), gram_max)
         lam = -np.linalg.solve(Y.reshape(n, k, k).sum(axis=0), x0)
         return (Y @ lam).reshape(n, k), lam, True
 
@@ -236,20 +296,20 @@ def _kkt_solve_gram(gram: np.ndarray, n: int, k: int, x0: np.ndarray):
     return sol[:nk].reshape(n, k), -sol[nk:], False
 
 
-def solve_kkt(kernel: DecayKernel, grid: TimeGrid, x0) -> SolveResult:
+def solve_kkt(kernel: DecayKernel, grid: TimeGrid, x0, *, gram=None) -> SolveResult:
     """Optimal liquidation of ``x0`` on a grid by solving the KKT system.
 
-    Assembles the Gram and solves it with :func:`_kkt_solve_gram`.  Raises
-    :class:`UnboundedCostError` when the Gram is indefinite on the grid.  On
-    a PSD-but-singular Gram the returned strategy is the minimum-norm
-    optimizer and ``unique`` is False.
+    Solves the Gram (``gram`` if given, else assembled) with
+    :func:`_kkt_solve_gram`.  Raises :class:`UnboundedCostError` when the
+    Gram is indefinite on the grid.  On a PSD-but-singular Gram the returned
+    strategy is the minimum-norm optimizer and ``unique`` is False.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (kernel.dimension,):
         raise ValueError(f"x0 must have {kernel.dimension} components")
-    gram = assemble_gram(kernel, grid)
+    gram = _route_gram(kernel, grid, gram)
     trades, lam, strict = _kkt_solve_gram(gram.blocks, grid.n, kernel.dimension, x0)
-    return _check_result(kernel, grid, trades, lam, x0, unique=strict, gram=gram)
+    return _check_result(grid, trades, lam, x0, unique=strict, gram=gram)
 
 
 def _exp_recursion(A: np.ndarray, x0: np.ndarray):
@@ -291,16 +351,16 @@ def solve_1d_exp(rate: float, grid: TimeGrid, y: float) -> np.ndarray:
     return trades[:, 0]
 
 
-def solve_exp_closed_form(B, grid: TimeGrid, x0) -> SolveResult:
+def solve_exp_closed_form(B, grid: TimeGrid, x0, *, gram=None) -> SolveResult:
     """Optimal liquidation for the matrix-exponential kernel ``exp(-tB)``.
 
     Evaluates the general closed-form recursion (see :func:`_exp_recursion`)
     with ``A_n = exp(-(t_n - t_{n-1}) B)`` on any grid, equidistant or not,
-    and certifies the result like every other route.
+    and certifies the result like every other route, on ``gram`` if given.
     """
     B = np.asarray(B, dtype=float)
     kernel = MatrixExpKernel(B)  # validates symmetry and shape
-    if np.min(kernel.eigenvalues) <= 1e-12:
+    if np.min(kernel.eigenvalues) <= RATE_FLOOR:
         raise ValueError(
             f"B must be strictly positive definite; smallest eigenvalue "
             f"{np.min(kernel.eigenvalues):.3e}"
@@ -308,8 +368,9 @@ def solve_exp_closed_form(B, grid: TimeGrid, x0) -> SolveResult:
     if grid.n < 2:
         raise ValueError("the closed form needs at least two trade times")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    gram = _route_gram(kernel, grid, gram)
     trades, lam = _exp_recursion(kernel.at_many(np.diff(grid.times)), x0)
-    return _check_result(kernel, grid, trades, lam, x0, unique=True)
+    return _check_result(grid, trades, lam, x0, unique=True, gram=gram)
 
 
 def _diagonal_frame(kernel: DecayKernel, sample_times, seed: int) -> np.ndarray:
@@ -371,20 +432,22 @@ def simultaneous_diagonalize(kernel: DecayKernel, sample_times, seed: int = 0):
     )
 
 
-def solve_commuting(kernel: DecayKernel, grid: TimeGrid, x0, seed: int = 0) -> SolveResult:
+def solve_commuting(
+    kernel: DecayKernel, grid: TimeGrid, x0, seed: int = 0, *, gram=None
+) -> SolveResult:
     """Optimal liquidation for a symmetric commuting kernel.
 
-    Rotates the portfolio into the kernel's common eigenbasis, solves one
-    single-asset KKT problem per direction with :func:`_kkt_solve_gram`,
-    and rotates back.  An indefinite direction raises
-    :class:`UnboundedCostError` naming the component.  The reported cost is
-    the sum of the single-asset costs, so the route stays independent of
-    :func:`solve_kkt`.
+    Rotates the Gram (``gram`` if given, else assembled) and the portfolio
+    into the kernel's common eigenbasis, solves one single-asset KKT
+    problem per direction with :func:`_kkt_solve_gram`, and rotates back.
+    An indefinite direction raises :class:`UnboundedCostError` naming the
+    component.  The reported cost is the sum of the single-asset costs, so
+    the route stays independent of :func:`solve_kkt`.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n, k = grid.n, kernel.dimension
     O = _diagonal_frame(kernel, grid.times, seed)
-    gram = assemble_gram(kernel, grid)
+    gram = _route_gram(kernel, grid, gram)
     grams = _diagonal_grams(gram, O)
 
     y = O @ x0
@@ -409,7 +472,7 @@ def solve_commuting(kernel: DecayKernel, grid: TimeGrid, x0, seed: int = 0) -> S
 
     trades = trades_rot @ O
     lam = O.T @ lam_rot
-    result = _check_result(kernel, grid, trades, lam, x0, unique=unique, gram=gram)
+    result = _check_result(grid, trades, lam, x0, unique=unique, gram=gram)
     # the summed 1D costs and the full quadratic form agree to roundoff;
     # keep the summed value so the route stays independent of solve_kkt
     return SolveResult(result.strategy, result.lam, total_cost, result.unique, result.residual)
@@ -458,9 +521,12 @@ def solve_best(
     Precedence: matrix-exponential closed form, then the commuting-kernel
     route, then the generic KKT solve.  With ``cross_check=True`` the chosen
     route is verified against the KKT solve to ``1e-8 * (1 + max|xi_kkt|)``
-    in the max norm; disagreement raises with both strategies attached.
+    in the max norm; disagreement raises with both strategies attached.  The
+    Gram is assembled once and shared by the route and the KKT reference,
+    which still computes its trades independently.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    gram = assemble_gram(kernel, grid)
     result, route = None, "kkt"
     if grid.n >= 2:
         B = None
@@ -468,8 +534,8 @@ def solve_best(
             B = kernel.B
         elif isinstance(kernel, MatrixFunctionKernel) and isinstance(kernel.fn, ExpDecay):
             B = kernel.fn.rate * kernel.B
-        if B is not None and np.linalg.eigvalsh(0.5 * (B + B.T))[0] > 1e-12:
-            result, route = solve_exp_closed_form(B, grid, x0), "closed_form"
+        if B is not None and np.linalg.eigvalsh(0.5 * (B + B.T))[0] > RATE_FLOOR:
+            result, route = solve_exp_closed_form(B, grid, x0, gram=gram), "closed_form"
     if result is None:
         try:
             sym, comm = check_structure(kernel, grid.times)
@@ -477,14 +543,17 @@ def solve_best(
             sym = comm = False
         if sym and comm:
             try:
-                result, route = solve_commuting(kernel, grid, x0, seed=seed), "commuting"
+                result, route = (
+                    solve_commuting(kernel, grid, x0, seed=seed, gram=gram),
+                    "commuting",
+                )
             except (ValueError, ArithmeticError):
                 result = None
     if result is None:
-        return solve_kkt(kernel, grid, x0), "kkt"
+        return solve_kkt(kernel, grid, x0, gram=gram), "kkt"
 
     if cross_check:
-        reference = solve_kkt(kernel, grid, x0)
+        reference = solve_kkt(kernel, grid, x0, gram=gram)
         gap = _maxabs(result.strategy.trades - reference.strategy.trades)
         if gap > 1e-8 * (1.0 + _maxabs(reference.strategy.trades)):
             err = ArithmeticError(

@@ -92,6 +92,24 @@ class TestAssembleGram:
             gram = assemble_gram(kernel, random_grid(rng, n_max=8))
             assert np.array_equal(gram.blocks, gram.blocks.T)
 
+    def test_matches_all_lag_evaluation(self, rng):
+        """Evaluating the lower block triangle only gives, bit for bit, the
+        blocks ``tilde(t_k - t_l)`` of all N^2 signed lags."""
+        kernels = [
+            random_admissible_kernel(rng),
+            MatrixExpKernel(random_spd(rng, 3)),
+            Exp2x2Kernel(1.0, 0.4, 0.7, 1.2, 1.0, 1.3, 1.4, 1.1),
+            JordanExpKernel(0.4),
+            PlusTemporaryKernel([[0.6, 0.1], [0.3, 0.5]], CrossExpKernel(1.0, 1.8, 0.3)),
+        ]
+        for kernel in kernels:
+            for grid in (TimeGrid([0.0]), random_grid(rng, n_max=9), random_grid(rng, n_max=40)):
+                n, k = grid.n, kernel.dimension
+                lags = grid.times[:, None] - grid.times[None, :]
+                expected = kernel.tilde_many(lags.ravel()).reshape(n, n, k, k)
+                blocks = assemble_gram(kernel, grid).blocks.reshape(n, k, n, k)
+                assert np.array_equal(blocks.transpose(0, 2, 1, 3), expected), kernel.family
+
 
 class TestCheckGridPD:
     def test_explicit_indefinite(self):

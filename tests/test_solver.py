@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -30,8 +32,9 @@ from crossimpact import (
     solve_exp_closed_form,
     solve_kkt,
 )
+from crossimpact import solver
 from crossimpact.posdef import PSD_REL_TOL
-from crossimpact.solver import _kkt_solve_gram
+from crossimpact.solver import _kkt_solve_gram, _pcg_solve
 from conftest import (
     impact_loop,
     random_admissible_kernel,
@@ -180,6 +183,67 @@ class TestSolveKKT:
             verdicts.append(unique)
         assert any(verdicts[:-1]) and not all(verdicts[:-1])
         assert verdicts[-1] is False
+
+    def test_barely_strict_figures_grams_certified(self):
+        """Two figures-sweep Grams with lambda_min < 2 tau, where refinement
+        with the factor of ``G - tau I`` would diverge, solve and certify."""
+        for rho, horizon in [(0.25, 9), (0.15, 8)]:
+            kernel = MatrixFunctionKernel([[1.0, rho], [rho, 1.0]], GaussianSquared())
+            grid = equidistant_grid(float(horizon), 23)
+            gram = assemble_gram(kernel, grid).blocks
+            tau = PSD_REL_TOL * (1.0 + np.max(np.abs(gram)))
+            assert tau < np.linalg.eigvalsh(gram)[0] < 2.0 * tau
+            result = solve_kkt(kernel, grid, [10.0, 0.0])
+            assert result.unique is True
+
+    def test_pcg_converges_where_refinement_diverges(self, rng):
+        n, k = 20, 2
+        nk = n * k
+        q = random_orthogonal(rng, nk)
+        eigs = np.geomspace(1e-3, 1.0, nk)
+        for _ in range(2):  # tau depends on max|G|, which barely depends on eigs[0]
+            gram = (q * eigs) @ q.T
+            gram = 0.5 * (gram + gram.T)
+            tau = PSD_REL_TOL * (1.0 + np.max(np.abs(gram)))
+            eigs[0] = 1.05 * tau
+        assert 1.0 < np.linalg.eigvalsh(gram)[0] / tau < 1.1
+        rhs = np.tile(np.eye(k), (n, 1))
+        factor = scipy.linalg.cho_factor(gram - tau * np.eye(nk), lower=True)
+        gram_max = np.max(np.abs(gram))
+
+        Y = _pcg_solve(gram, factor, rhs, gram_max)
+        bound = solver.PCG_RES_FACTOR * nk * np.finfo(float).eps * (1.0 + gram_max)
+        assert np.max(np.abs(rhs - gram @ Y)) <= bound * (1.0 + np.max(np.abs(Y)))
+
+        Y = scipy.linalg.cho_solve(factor, rhs)
+        start = np.max(np.abs(rhs - gram @ Y))
+        for _ in range(10):
+            Y = Y + scipy.linalg.cho_solve(factor, rhs - gram @ Y)
+        assert np.max(np.abs(rhs - gram @ Y)) > 1e6 * start
+
+        trades, lam, strict = _kkt_solve_gram(gram, n, k, np.array([3.0, -1.0]))
+        assert strict is True
+        assert np.allclose(trades.sum(axis=0), [-3.0, 1.0], rtol=0, atol=1e-9)
+        impact = (gram @ trades.ravel()).reshape(n, k)
+        assert np.max(np.abs(impact - lam)) <= 1e-8 * (1.0 + np.max(np.abs(lam)))
+
+    def test_pcg_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(solver, "PCG_MAX_STEPS", 0)
+        with pytest.raises(ArithmeticError, match="stalled"):
+            solve_kkt(CrossExpKernel(1.0, 1.8, 0.3), equidistant_grid(5.0, 11), [-50.0, 1.0])
+
+    def test_solve_memory_within_one_factor(self):
+        """A strict solve holds the Gram's factor and no other NK x NK copy."""
+        gram = assemble_gram(CrossExpKernel(1.0, 1.8, 0.3), equidistant_grid(5.0, 1025)).blocks
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _, _, strict = _kkt_solve_gram(gram, 1025, 2, np.array([-50.0, 1.0]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert strict is True
+        assert peak - base <= 1.2 * gram.nbytes
 
     def test_certificate_invariants(self, rng):
         for _ in range(10):
@@ -539,6 +603,42 @@ class TestSolveBest:
         assert route == "closed_form"
         oracle = solve_kkt(kernel, grid, [1.0, -2.0])
         assert np.max(np.abs(result.strategy.trades - oracle.strategy.trades)) < 1e-8
+
+    def test_one_gram_per_solve(self, rng, monkeypatch):
+        """The route and the KKT cross-check share one assembled Gram."""
+        calls = []
+
+        def counting(kernel, grid):
+            calls.append(grid.n)
+            return assemble_gram(kernel, grid)
+
+        monkeypatch.setattr(solver, "assemble_gram", counting)
+        grid = equidistant_grid(2.0, 6)
+        for kernel, expected in [
+            (MatrixExpKernel(random_spd(rng, 2)), "closed_form"),
+            (CrossExpKernel(1.0, 1.8, 0.3), "commuting"),
+            (JordanLike(), "kkt"),
+        ]:
+            calls.clear()
+            _, route = solve_best(kernel, grid, [1.0, 2.0], cross_check=True)
+            assert route == expected
+            assert calls == [grid.n]
+
+    def test_gram_from_another_grid_rejected(self):
+        kernel = CrossExpKernel(1.0, 1.8, 0.3)
+        grid = equidistant_grid(2.0, 6)
+        others = [
+            assemble_gram(kernel, equidistant_grid(3.0, 6)),
+            assemble_gram(kernel, equidistant_grid(2.0, 7)),
+            assemble_gram(ScalarTimesMatrixKernel(ExpDecay(1.0), np.eye(3)), grid),
+        ]
+        for gram in others:
+            with pytest.raises(ValueError, match="Gram"):
+                solve_kkt(kernel, grid, [1.0, 2.0], gram=gram)
+            with pytest.raises(ValueError, match="Gram"):
+                solve_commuting(kernel, grid, [1.0, 2.0], gram=gram)
+            with pytest.raises(ValueError, match="Gram"):
+                solve_exp_closed_form(np.eye(2), grid, [1.0, 2.0], gram=gram)
 
     def test_cross_check_runs(self, rng):
         result, route = solve_best(
