@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 
 from .grids import TimeGrid
 from .kernels import (
@@ -35,6 +35,7 @@ from .kernels import (
     ScalarTimesMatrixKernel,
     _isclose,
     _maxabs,
+    _tril_indices,
     check_shape_properties,
 )
 
@@ -114,7 +115,7 @@ def assemble_gram(kernel: DecayKernel, grid: TimeGrid) -> GramMatrix:
     same as evaluating all N^2 lags, at half the kernel evaluations.
     """
     n, k = grid.n, kernel.dimension
-    rows, cols = np.tril_indices(n)
+    rows, cols = _tril_indices(n)
     values = kernel.tilde_many(grid.times[rows] - grid.times[cols])
     gram = np.empty((n, k, n, k))
     start = 0
@@ -155,13 +156,14 @@ def _cholesky_succeeds(matrix: np.ndarray, shift: float) -> bool:
     For a symmetric matrix this holds exactly when every eigenvalue exceeds
     ``-shift`` (up to roundoff), without computing the spectrum.
     """
-    shifted = matrix.copy()
+    # matrix.T in Fortran order is a straight copy, which LAPACK factors in
+    # place; it is the same matrix because the caller's Gram is symmetric
+    shifted = np.array(matrix.T, order="F")
     shifted.flat[:: matrix.shape[0] + 1] += shift
-    try:
-        scipy.linalg.cholesky(shifted, lower=True, overwrite_a=True, check_finite=False)
-        return True
-    except np.linalg.LinAlgError:
-        return False
+    _, info = scipy.linalg.lapack.dpotrf(shifted, lower=1, overwrite_a=1, clean=0)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK dpotrf")
+    return info == 0
 
 
 def _maybe_negative(gram: GramMatrix) -> bool:

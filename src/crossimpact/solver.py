@@ -61,6 +61,14 @@ LIQUIDATION_TOL = 1e-10
 # and raises if that takes more than PCG_MAX_STEPS steps
 PCG_RES_FACTOR = 1.0
 PCG_MAX_STEPS = 50
+# solve_best's cross-check: the route's trades may differ from the KKT
+# reference by CROSS_CHECK_REL_TOL * (1 + max|xi_kkt|) in the max norm
+CROSS_CHECK_REL_TOL = 1e-8
+# refine: a finer level may exceed the coarser cost by this fraction of it
+REFINE_MONOTONE_SLACK = 1e-10
+# simultaneous_diagonalize: largest off-diagonal leakage of a rotated sample,
+# relative to 1 + max|G(t)|
+DIAGONAL_LEAK_TOL = 1e-9
 
 
 class UnboundedCostError(ValueError):
@@ -263,8 +271,12 @@ def _kkt_solve_gram(gram: np.ndarray, n: int, k: int, x0: np.ndarray):
     """
     gram_max = _maxabs(gram)
     tol = PSD_REL_TOL * (1.0 + gram_max)
-    # the factor is the one NK x NK copy: Fortran order lets LAPACK factor it in place
-    shifted = np.array(gram, order="F")
+    # the factor is the one NK x NK copy: gram.T in Fortran order is a straight
+    # copy that LAPACK factors in place.  It is the same matrix for an
+    # assembled Gram, which is exactly symmetric; of a rotated Gram from
+    # _diagonal_grams, symmetric to roundoff only, LAPACK reads the upper
+    # triangle
+    shifted = np.array(gram.T, order="F")
     shifted[np.diag_indices_from(shifted)] -= tol
     try:
         factor = scipy.linalg.cho_factor(
@@ -419,7 +431,7 @@ def simultaneous_diagonalize(kernel: DecayKernel, sample_times, seed: int = 0):
         rotated = np.einsum("ij,tjk,lk->til", O, values, O)
         off = rotated - rotated * np.eye(kernel.dimension)
         gaps = np.max(np.abs(off), axis=(1, 2))
-        tols = 1e-9 * (1.0 + norms)
+        tols = DIAGONAL_LEAK_TOL * (1.0 + norms)
         if np.all(gaps <= tols):
             gs = np.einsum("tii->it", rotated)
             return O, gs
@@ -520,10 +532,11 @@ def solve_best(
 
     Precedence: matrix-exponential closed form, then the commuting-kernel
     route, then the generic KKT solve.  With ``cross_check=True`` the chosen
-    route is verified against the KKT solve to ``1e-8 * (1 + max|xi_kkt|)``
-    in the max norm; disagreement raises with both strategies attached.  The
-    Gram is assembled once and shared by the route and the KKT reference,
-    which still computes its trades independently.
+    route is verified against the KKT solve to
+    ``CROSS_CHECK_REL_TOL * (1 + max|xi_kkt|)`` in the max norm; disagreement
+    raises with both strategies attached.  The Gram is assembled once and
+    shared by the route and the KKT reference, which still computes its
+    trades independently.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     gram = assemble_gram(kernel, grid)
@@ -555,7 +568,7 @@ def solve_best(
     if cross_check:
         reference = solve_kkt(kernel, grid, x0, gram=gram)
         gap = _maxabs(result.strategy.trades - reference.strategy.trades)
-        if gap > 1e-8 * (1.0 + _maxabs(reference.strategy.trades)):
+        if gap > CROSS_CHECK_REL_TOL * (1.0 + _maxabs(reference.strategy.trades)):
             err = ArithmeticError(
                 f"solver cross-check failed: {route} and kkt disagree by {gap:.3e}"
             )
@@ -599,7 +612,7 @@ def refine(
         finest, _ = solve_best(kernel, grid, x0, seed=seed)
         levels.append((grid.n, finest.cost))
         if previous is not None:
-            if finest.cost > previous + 1e-10 * abs(previous):
+            if finest.cost > previous + REFINE_MONOTONE_SLACK * abs(previous):
                 raise ArithmeticError(
                     f"cost increased under refinement: {previous!r} -> {finest.cost!r}"
                 )

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from crossimpact import (
     ClampedExpKernel,
@@ -63,10 +64,8 @@ class TestEvalTilde:
     def test_symmetric_kernel_even(self, rng):
         k = MatrixExpKernel(random_spd(rng, 3))
         for t in rng.uniform(0.1, 5.0, 10):
-            # reflection is exact; evenness only up to the kernel's own
-            # floating-point asymmetry (one transpose)
             assert np.array_equal(k.tilde(-t), k.tilde(t).T)
-            assert np.allclose(k.tilde(t), k.tilde(-t), rtol=0, atol=1e-15)
+            assert np.array_equal(k.tilde(t), k.tilde(-t))
             assert np.array_equal(k.tilde(t), k.at(t))
 
     def test_symmetrized_at_zero(self):
@@ -152,6 +151,43 @@ class TestMatrixFunction:
                 MatrixExpKernel(b)
                 MatrixFunctionKernel(b, GaussianSquared())
                 PlusTemporaryKernel(scale * np.outer(f[:2, 0], f[:2, 0]), inner)
+
+
+def eigenbasis_kernels(rng, k):
+    """One kernel of each eigenbasis family on a random K-dimensional basis."""
+    decays = [ExpDecay(0.5), GaussianSquared(), LinearPolya(2.0, 0.3), Constant(0.7)]
+    return [
+        MatrixExpKernel(random_spd(rng, k)),
+        MatrixFunctionKernel(random_spd(rng, k), GaussianSquared()),
+        DiagCongruenceKernel(random_orthogonal(rng, k), [decays[j % 4] for j in range(k)]),
+    ]
+
+
+class TestEigenBasisValues:
+    LAGS = np.array([0.0, 1e-300, 1e-12, 1e-6, 0.3, 1.7, 9.0, 40.0, 1e3])
+
+    def test_exactly_symmetric(self, rng):
+        for k in range(1, 9):
+            for kernel in eigenbasis_kernels(rng, k):
+                values = kernel.at_many(self.LAGS)
+                assert np.array_equal(values, values.transpose(0, 2, 1)), (kernel.family, k)
+
+    def test_matches_per_term_sum(self, rng):
+        ts = rng.uniform(0.0, 6.0, 40)
+        for k in range(1, 9):
+            for kernel in eigenbasis_kernels(rng, k):
+                U, d = kernel.eigvecs, kernel._diagonals(ts)
+                for t, got in enumerate(kernel.at_many(ts)):
+                    want = sum(d[t, j] * np.outer(U[:, j], U[:, j]) for j in range(k))
+                    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_matrix_exp_matches_expm(self, rng):
+        for k in range(1, 9):
+            b = random_spd(rng, k)
+            kernel = MatrixExpKernel(b)
+            for t in (0.0, 1e-6, 0.2, 0.9, 2.5):
+                want = scipy.linalg.expm(-t * b)
+                assert np.max(np.abs(kernel.at(t) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestScalarFunctions:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,8 +24,10 @@ from crossimpact import (
     check_grid_pd,
     classify_positive_definite,
     cost,
+    equidistant_grid,
     search_violation,
 )
+from crossimpact.posdef import _cholesky_succeeds
 from conftest import (
     impact_loop,
     random_admissible_kernel,
@@ -238,6 +242,24 @@ class TestSearchViolation:
             search_violation(gaussian_1d(), span_max=20.0, n_max=12, budget=10_000, seed=0)
             is None
         )
+
+    def test_cholesky_probe_decides_by_shifted_spectrum(self):
+        m = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues -1 and 3
+        assert _cholesky_succeeds(m, 0.0) is False
+        assert _cholesky_succeeds(m, 1.5) is True
+
+    def test_cholesky_probe_holds_one_copy(self):
+        """The probe factors one straight copy of the Gram in place."""
+        gram = assemble_gram(CrossExpKernel(1.0, 1.8, 0.3), equidistant_grid(5.0, 1025)).blocks
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            succeeds = _cholesky_succeeds(gram, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert succeeds is True
+        assert peak - base <= 1.2 * gram.nbytes
 
     def test_validation(self):
         with pytest.raises(ValueError):

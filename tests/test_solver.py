@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from crossimpact import (
     Constant,
@@ -647,6 +648,28 @@ class TestSolveBest:
         )
         assert route == "closed_form"
         assert result.residual < 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    eigenvalues=st.lists(st.floats(0.2, 5.0), min_size=1, max_size=4),
+    gaps=st.lists(st.floats(1e-2, 3.0), min_size=1, max_size=29),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_closed_form_agrees_with_kkt(eigenvalues, gaps, seed):
+    """On any SPD generator and any grid, the closed form's trades agree with
+    the KKT solve's within the cross-check tolerance of ``solve_best``."""
+    rng = np.random.default_rng(seed)
+    k = len(eigenvalues)
+    q = random_orthogonal(rng, k)
+    b = q @ np.diag(eigenvalues) @ q.T
+    b = 0.5 * (b + b.T)
+    grid = TimeGrid(np.concatenate([[0.0], np.cumsum(gaps)]))
+    x0 = rng.uniform(-10.0, 10.0, k)
+    closed = solve_exp_closed_form(b, grid, x0).strategy.trades
+    reference = solve_kkt(MatrixExpKernel(b), grid, x0).strategy.trades
+    gap = np.max(np.abs(closed - reference))
+    assert gap <= solver.CROSS_CHECK_REL_TOL * (1.0 + np.max(np.abs(reference)))
 
 
 def JordanLike():
