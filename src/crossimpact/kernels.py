@@ -50,6 +50,13 @@ SHAPE_TOL = 1e-9
 STRUCTURE_SAMPLES = 48
 # decay rates (eigenvalues of a generator B) at or below this count as zero
 RATE_FLOOR = 1e-12
+# closed-form parameters this close (math.isclose) count as equal
+CLOSE_REL_TOL = 1e-12
+CLOSE_ABS_TOL = 1e-14
+# largest max|O O^T - I| of a matrix accepted as orthogonal
+ORTHOGONAL_TOL = 1e-9
+# a located shape violation must exceed this, relative to 1 + max|G(t)|
+SHAPE_WITNESS_FLOOR = 1e-13
 
 
 def _maxabs(a) -> float:
@@ -76,8 +83,16 @@ def _as_square(M, name: str, k: Optional[int] = None) -> np.ndarray:
     return M
 
 
+def _isclose(x, y) -> bool:
+    return math.isclose(x, y, rel_tol=CLOSE_REL_TOL, abs_tol=CLOSE_ABS_TOL)
+
+
+def _is_symmetric(M: np.ndarray) -> bool:
+    return _maxabs(M - M.T) <= SYM_TOL * (1.0 + _maxabs(M))
+
+
 def _check_symmetric(M: np.ndarray, name: str) -> None:
-    if _maxabs(M - M.T) > SYM_TOL * (1.0 + _maxabs(M)):
+    if not _is_symmetric(M):
         raise ValueError(f"{name} must be symmetric")
 
 
@@ -113,7 +128,6 @@ class ScalarFunction:
     tag: str
     nonincreasing: bool
     convex: bool
-    nonconstant: bool
     positive_definite: Optional[bool]
     strictly_positive_definite: bool
 
@@ -122,6 +136,12 @@ class ScalarFunction:
 
     def to_dict(self) -> dict:
         raise NotImplementedError
+
+    def pd_class(self) -> Optional[str]:
+        """``"strict_pd"``, ``"pd"`` or None (unknown) for ``t -> g(|t|)``."""
+        if not self.positive_definite:
+            return None
+        return "strict_pd" if self.strictly_positive_definite else "pd"
 
 
 @dataclass(frozen=True)
@@ -132,7 +152,6 @@ class ExpDecay(ScalarFunction):
     tag = "exp_decay"
     nonincreasing = True
     convex = True
-    nonconstant = True
     positive_definite = True
     strictly_positive_definite = True
 
@@ -154,7 +173,6 @@ class GaussianSquared(ScalarFunction):
     tag = "gaussian_sq"
     nonincreasing = True
     convex = False
-    nonconstant = True
     positive_definite = True
     strictly_positive_definite = True
 
@@ -175,7 +193,6 @@ class LinearPolya(ScalarFunction):
     tag = "linear_polya"
     nonincreasing = True
     convex = True
-    nonconstant = True
     positive_definite = True
     strictly_positive_definite = True
 
@@ -199,7 +216,6 @@ class Constant(ScalarFunction):
     tag = "constant"
     nonincreasing = True
     convex = True
-    nonconstant = False
     positive_definite = True
     strictly_positive_definite = False
 
@@ -227,7 +243,6 @@ class PowerCapped(ScalarFunction):
     tag = "power_capped"
     nonincreasing = True
     convex = False
-    nonconstant = True
     positive_definite = None
     strictly_positive_definite = False
 
@@ -237,9 +252,8 @@ class PowerCapped(ScalarFunction):
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):
-            raw = np.where(x > 0, x, np.inf) ** (-self.exponent)
-        return np.minimum(raw, self.cap)
+        with np.errstate(divide="ignore"):  # 0 ** -exponent is inf: the cap
+            return np.minimum(x ** (-self.exponent), self.cap)
 
     def to_dict(self):
         return {"tag": self.tag, "exponent": self.exponent, "cap": self.cap}
@@ -312,6 +326,22 @@ class DecayKernel:
     def to_dict(self) -> dict:
         raise NotImplementedError
 
+    def structure(self) -> Optional[tuple]:
+        """Closed-form ``(symmetric, commuting)``, or None."""
+        return None
+
+    def shape_flags(self) -> Optional[dict]:
+        """Closed-form nonnegative/nonincreasing/convex flags of the
+        quadratic forms ``x^T G(t) x``, or None."""
+        return None
+
+    def pd_class(self) -> Optional[str]:
+        """The family's positive definiteness criterion, or None if it has
+        none: ``"strict_pd"``, ``"pd"``, ``"not_pd"`` (violations show on
+        grids within the class's ``violation_box = (span_max, n_max)``) or
+        ``"undetermined"`` (the criterion does not apply)."""
+        return None
+
     def __repr__(self):
         return f"{type(self).__name__}(K={self.dimension})"
 
@@ -333,10 +363,20 @@ class PermanentKernel(DecayKernel):
     def to_dict(self):
         return {"family": self.family, "G0": self.G0.tolist()}
 
+    def structure(self):
+        return _is_symmetric(self.G0), True
+
 
 class _EigenBasisKernel(DecayKernel):
     """Kernels of the form ``G(t) = sum_i g_i(t) u_i u_i^T`` with
-    orthonormal ``u_i`` (stored as columns of ``eigvecs``)."""
+    orthonormal ``u_i`` (stored as columns of ``eigvecs``).
+
+    Simultaneously diagonalizable: the shape properties and (strict)
+    positive definiteness hold exactly when every decay ``g_i`` has them.
+    Subclasses give the decays of the nonconstant directions
+    (``_active_decays``) and every direction's ``pd_class``
+    (``_decay_classes``).
+    """
 
     eigvecs: np.ndarray  # (K, K), columns are the common eigenvectors
 
@@ -361,25 +401,23 @@ class _EigenBasisKernel(DecayKernel):
         k = self.dimension
         return np.take(pairs, self._pair_index, axis=1).reshape(ts.size, k, k)
 
+    def structure(self):
+        return True, True
 
-class MatrixExpKernel(_EigenBasisKernel):
-    """``G(t) = exp(-t B)`` for symmetric positive semidefinite ``B``."""
+    def shape_flags(self):
+        # the constant (zero-rate) directions have all three properties
+        decays = self._active_decays()
+        return {
+            "nonnegative": True,
+            "nonincreasing": all(g.nonincreasing for g in decays),
+            "convex": all(g.convex for g in decays),
+        }
 
-    family = "matrix_exp"
-
-    def __init__(self, B):
-        B = _as_square(B, "B")
-        self.eigenvalues, eigvecs = _symmetric_psd_eig(B, "B")
-        self._set_eigvecs(eigvecs)
-        B.setflags(write=False)
-        self.B = B
-        self.dimension = B.shape[0]
-
-    def _diagonals(self, ts):
-        return np.exp(-np.outer(ts, self.eigenvalues))
-
-    def to_dict(self):
-        return {"family": self.family, "B": self.B.tolist()}
+    def pd_class(self):
+        classes = self._decay_classes()
+        if None in classes:
+            return None
+        return "strict_pd" if all(c == "strict_pd" for c in classes) else "pd"
 
 
 class MatrixFunctionKernel(_EigenBasisKernel):
@@ -403,8 +441,34 @@ class MatrixFunctionKernel(_EigenBasisKernel):
     def _diagonals(self, ts):
         return self.fn(np.outer(ts, self.eigenvalues))
 
+    def _active_decays(self):
+        # zero-rate eigendirections hold the constant g(0)
+        return [self.fn] if np.any(self.eigenvalues > RATE_FLOOR) else []
+
+    def _decay_classes(self):
+        base = self.fn.pd_class()
+        return [base if base is None or rho > RATE_FLOOR else "pd" for rho in self.eigenvalues]
+
     def to_dict(self):
         return {"family": self.family, "B": self.B.tolist(), "scalar_fn": self.fn.to_dict()}
+
+
+class MatrixExpKernel(MatrixFunctionKernel):
+    """``G(t) = exp(-t B)`` for symmetric positive semidefinite ``B``: the
+    matrix function of ``ExpDecay(1.0)``."""
+
+    family = "matrix_exp"
+
+    def __init__(self, B):
+        super().__init__(B, ExpDecay(1.0))
+
+    def _diagonals(self, ts):
+        # the same values as the inherited ExpDecay(1.0) call, since
+        # -1.0 * x == -x, with a lower measured peak memory
+        return np.exp(-np.outer(ts, self.eigenvalues))
+
+    def to_dict(self):
+        return {"family": self.family, "B": self.B.tolist()}
 
 
 class DiagCongruenceKernel(_EigenBasisKernel):
@@ -415,7 +479,7 @@ class DiagCongruenceKernel(_EigenBasisKernel):
     def __init__(self, O, decays: Sequence[ScalarFunction]):
         O = _as_square(O, "O")
         k = O.shape[0]
-        if _maxabs(O @ O.T - np.eye(k)) > 1e-9:
+        if _maxabs(O @ O.T - np.eye(k)) > ORTHOGONAL_TOL:
             raise ValueError("O must be orthogonal")
         if len(decays) != k:
             raise ValueError(f"need {k} scalar decays, got {len(decays)}")
@@ -428,6 +492,12 @@ class DiagCongruenceKernel(_EigenBasisKernel):
     def _diagonals(self, ts):
         return np.stack([g(ts) for g in self.decays], axis=1)
 
+    def _active_decays(self):
+        return self.decays
+
+    def _decay_classes(self):
+        return [g.pd_class() for g in self.decays]
+
     def to_dict(self):
         return {
             "family": self.family,
@@ -436,37 +506,73 @@ class DiagCongruenceKernel(_EigenBasisKernel):
         }
 
 
-class Exp2x2Kernel(DecayKernel):
-    """Coordinate-wise exponential 2x2 kernel ``G_ij(t) = a_ij exp(-b_ij t)``."""
+class _Entrywise2x2Kernel(DecayKernel):
+    """2x2 kernel whose entry (i, j) starts at ``a_ij`` and decays at rate
+    ``b_ij``."""
 
-    family = "exp2x2"
+    param_names = ("a11", "a12", "a21", "a22", "b11", "b12", "b21", "b22")
 
     def __init__(self, a11, a12, a21, a22, b11, b12, b21, b22):
         a = np.array([[a11, a12], [a21, a22]], dtype=float)
         b = np.array([[b11, b12], [b21, b22]], dtype=float)
         if not (np.all(a > 0) and np.all(b > 0) and np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise ValueError("exp2x2 parameters must all be positive reals")
+            raise ValueError(f"{self.family} parameters must all be positive reals")
         a.setflags(write=False)
         b.setflags(write=False)
         self.a = a
         self.b = b
         self.dimension = 2
 
+    def to_dict(self):
+        values = [*self.a.flat, *self.b.flat]
+        return {"family": self.family, **dict(zip(self.param_names, values))}
+
+
+class Exp2x2Kernel(_Entrywise2x2Kernel):
+    """Coordinate-wise exponential 2x2 kernel ``G_ij(t) = a_ij exp(-b_ij t)``."""
+
+    family = "exp2x2"
+
     def _values(self, ts):
         return self.a * np.exp(-ts[:, None, None] * self.b)
 
-    def to_dict(self):
+    def structure(self):
         a, b = self.a, self.b
+        symmetric = _isclose(a[0, 1], a[1, 0]) and _isclose(b[0, 1], b[1, 0])
+        all_rates_equal = all(_isclose(b.flat[0], x) for x in b.flat[1:])
+        commuting = all_rates_equal or (
+            _isclose(b[0, 0], b[1, 1])
+            and _isclose(b[0, 1], b[1, 0])
+            and _isclose(a[0, 0], a[1, 1])
+        )
+        return symmetric, commuting
+
+    def shape_flags(self):
+        a, b = self.a, self.b
+        rates_ok = min(b[0, 1], b[1, 0]) >= 0.5 * (b[0, 0] + b[1, 1])
         return {
-            "family": self.family,
-            "a11": a[0, 0], "a12": a[0, 1], "a21": a[1, 0], "a22": a[1, 1],
-            "b11": b[0, 0], "b12": b[0, 1], "b21": b[1, 0], "b22": b[1, 1],
+            "nonnegative": rates_ok
+            and 0.25 * (a[0, 1] + a[1, 0]) ** 2 <= a[0, 0] * a[1, 1],
+            "nonincreasing": rates_ok
+            and 0.25 * (a[0, 1] * b[0, 1] + a[1, 0] * b[1, 0]) ** 2
+            <= a[0, 0] * b[0, 0] * a[1, 1] * b[1, 1],
+            "convex": rates_ok
+            and 0.25 * (a[0, 1] * b[0, 1] ** 2 + a[1, 0] * b[1, 0] ** 2) ** 2
+            <= a[0, 0] * b[0, 0] ** 2 * a[1, 1] * b[1, 1] ** 2,
         }
 
+    def pd_class(self):
+        # nonincreasing forms with a symmetric cross impact imply PD
+        if self.shape_flags()["nonincreasing"] and _isclose(self.a[0, 1], self.a[1, 0]):
+            return "pd"
+        return "undetermined"
 
-class CrossExpKernel(DecayKernel):
+
+class CrossExpKernel(Exp2x2Kernel):
     """Symmetric 2x2 kernel with own-impact rate ``kappa`` and cross-impact
-    ``rho * exp(-kappa_tilde * t)`` off the diagonal."""
+    ``rho * exp(-kappa_tilde * t)`` off the diagonal: the exp2x2 kernel with
+    ``a = [[1, rho], [rho, 1]]`` and ``b = [[kappa, kappa_tilde],
+    [kappa_tilde, kappa]]``."""
 
     family = "cross_exp"
 
@@ -477,9 +583,11 @@ class CrossExpKernel(DecayKernel):
         self.kappa = float(kappa)
         self.kappa_tilde = float(kappa_tilde)
         self.rho = float(rho)
-        self.dimension = 2
+        super().__init__(1.0, self.rho, self.rho, 1.0,
+                         self.kappa, self.kappa_tilde, self.kappa_tilde, self.kappa)
 
     def _values(self, ts):
+        # two exps per lag where exp2x2 takes four
         own = np.exp(-self.kappa * ts)
         cross = self.rho * np.exp(-self.kappa_tilde * ts)
         out = np.empty((ts.size, 2, 2))
@@ -498,32 +606,65 @@ class CrossExpKernel(DecayKernel):
         }
 
 
-class Linear2x2Kernel(DecayKernel):
+class Linear2x2Kernel(_Entrywise2x2Kernel):
     """Coordinate-wise linear decay ``G_ij(t) = max(a_ij - b_ij t, 0)``."""
 
     family = "linear2x2"
-
-    def __init__(self, a11, a12, a21, a22, b11, b12, b21, b22):
-        a = np.array([[a11, a12], [a21, a22]], dtype=float)
-        b = np.array([[b11, b12], [b21, b22]], dtype=float)
-        if not (np.all(a > 0) and np.all(b > 0) and np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise ValueError("linear2x2 parameters must all be positive reals")
-        a.setflags(write=False)
-        b.setflags(write=False)
-        self.a = a
-        self.b = b
-        self.dimension = 2
+    violation_box = (40.0, 48)
 
     def _values(self, ts):
         return np.maximum(self.a - ts[:, None, None] * self.b, 0.0)
 
-    def to_dict(self):
+    @staticmethod
+    def _ratios_ok(ratios):
+        """Whether no cross entry outlives a diagonal one: ``a_ij / b_ij``
+        (i != j) at most ``a_ii / b_ii``, up to rounding."""
+        off, diag = max(ratios[0, 1], ratios[1, 0]), min(ratios[0, 0], ratios[1, 1])
+        return np.logical_or(off <= diag, _isclose(off, diag))
+
+    def shape_flags(self):
         a, b = self.a, self.b
+        ratios = a / b
+        ratios_ok = self._ratios_ok(ratios)
+        # The quadratic form t -> x^T G(t) x is piecewise linear with a
+        # slope jump of sum b_ij x_i x_j at each kink a_ij / b_ij, so
+        # convexity holds iff at every distinct kink location the jump
+        # matrix is nonnegative.
+        groups = {}
+        for i in range(2):
+            for j in range(2):
+                for r in groups:
+                    if _isclose(ratios[i, j], r):
+                        groups[r][i, j] += b[i, j]
+                        break
+                else:
+                    m = np.zeros((2, 2))
+                    m[i, j] = b[i, j]
+                    groups[ratios[i, j]] = m
         return {
-            "family": self.family,
-            "a11": a[0, 0], "a12": a[0, 1], "a21": a[1, 0], "a22": a[1, 1],
-            "b11": b[0, 0], "b12": b[0, 1], "b21": b[1, 0], "b22": b[1, 1],
+            "nonnegative": ratios_ok
+            and 0.25 * (a[0, 1] + a[1, 0]) ** 2 <= a[0, 0] * a[1, 1],
+            "nonincreasing": ratios_ok
+            and 0.25 * (b[0, 1] + b[1, 0]) ** 2 <= b[0, 0] * b[1, 1],
+            "convex": all(
+                np.linalg.eigvalsh(0.5 * (m + m.T))[0] >= 0.0 for m in groups.values()
+            ),
         }
+
+    def pd_class(self):
+        # with a symmetric cross impact that runs out first, the family is
+        # PD exactly in the proportional case
+        a, b = self.a, self.b
+        ratios = a / b
+        if not (_isclose(a[0, 1], a[1, 0]) and self._ratios_ok(ratios)):
+            return "undetermined"
+        proportional = (
+            _isclose(b[0, 1], b[1, 0])
+            and _isclose(ratios[0, 0], ratios[0, 1])
+            and _isclose(ratios[0, 0], ratios[1, 1])
+            and b[0, 1] * b[1, 0] <= b[0, 0] * b[1, 1]
+        )
+        return "pd" if proportional else "not_pd"
 
 
 class ClampedExpKernel(DecayKernel):
@@ -535,6 +676,8 @@ class ClampedExpKernel(DecayKernel):
     """
 
     family = "clamped_exp"
+    # the defect needs about 370 unit-spaced trades to show
+    violation_box = (400.0, 400)
 
     def __init__(self):
         self.dimension = 2
@@ -552,12 +695,20 @@ class ClampedExpKernel(DecayKernel):
     def to_dict(self):
         return {"family": self.family}
 
+    def structure(self):
+        return False, False
+
+    def pd_class(self):
+        # nonincreasing and convex, yet not positive definite
+        return "not_pd"
+
 
 class JordanExpKernel(DecayKernel):
     """``G(t) = exp(-t J)`` for the nonsymmetric Jordan block
     ``J = [[b, 1], [0, b]]``: equals ``exp(-tb) * [[1, -t], [0, 1]]``."""
 
     family = "jordan_exp"
+    violation_box = (50.0, 64)
 
     def __init__(self, b):
         if not (b > 0 and math.isfinite(b)):
@@ -575,6 +726,13 @@ class JordanExpKernel(DecayKernel):
 
     def to_dict(self):
         return {"family": self.family, "b": self.b}
+
+    def structure(self):
+        # exp(-tJ) matrices are upper-triangular Toeplitz, hence commute
+        return False, True
+
+    def pd_class(self):
+        return "pd" if self.b >= 0.5 else "not_pd"
 
 
 class ScalarTimesMatrixKernel(DecayKernel):
@@ -594,6 +752,20 @@ class ScalarTimesMatrixKernel(DecayKernel):
 
     def to_dict(self):
         return {"family": self.family, "g": self.g.to_dict(), "L": self.L.tolist()}
+
+    def structure(self):
+        return _is_symmetric(self.L), True
+
+    def pd_class(self):
+        # (strictly) PD when g(|t|) is and L is symmetric PSD (PD)
+        L, base = self.L, self.g.pd_class()
+        if base is None or not _is_symmetric(L):
+            return None
+        tol = SYM_TOL * (1.0 + _maxabs(L))
+        low = np.linalg.eigvalsh(0.5 * (L + L.T))[0]
+        if low < -tol:
+            return None
+        return "strict_pd" if base == "strict_pd" and low > tol else "pd"
 
 
 class LeftMultiplyKernel(DecayKernel):
@@ -666,9 +838,6 @@ class PlusTemporaryKernel(DecayKernel):
         return {"family": self.family, "H0": self.H0.tolist(), "inner": self.inner.to_dict()}
 
 
-_KERNEL_FAMILIES = {}
-
-
 def kernel_from_dict(d: dict) -> DecayKernel:
     """Rebuild a kernel from its serialized description."""
     try:
@@ -679,69 +848,32 @@ def kernel_from_dict(d: dict) -> DecayKernel:
     return factory(d)
 
 
-_KERNEL_FAMILIES.update(
-    {
-        "permanent": lambda d: PermanentKernel(d["G0"]),
-        "matrix_exp": lambda d: MatrixExpKernel(d["B"]),
-        "matrix_function": lambda d: MatrixFunctionKernel(
-            d["B"], scalar_function_from_dict(d["scalar_fn"])
-        ),
-        "diag_congruence": lambda d: DiagCongruenceKernel(
-            d["O"], [scalar_function_from_dict(g) for g in d["decays"]]
-        ),
-        "exp2x2": lambda d: Exp2x2Kernel(
-            d["a11"], d["a12"], d["a21"], d["a22"], d["b11"], d["b12"], d["b21"], d["b22"]
-        ),
-        "cross_exp": lambda d: CrossExpKernel(d["kappa"], d["kappa_tilde"], d["rho"]),
-        "linear2x2": lambda d: Linear2x2Kernel(
-            d["a11"], d["a12"], d["a21"], d["a22"], d["b11"], d["b12"], d["b21"], d["b22"]
-        ),
-        "clamped_exp": lambda d: ClampedExpKernel(),
-        "jordan_exp": lambda d: JordanExpKernel(d["b"]),
-        "scalar_times_matrix": lambda d: ScalarTimesMatrixKernel(
-            scalar_function_from_dict(d["g"]), d["L"]
-        ),
-        "left_multiply": lambda d: LeftMultiplyKernel(d["L"], kernel_from_dict(d["inner"])),
-        "congruence": lambda d: CongruenceKernel(d["L"], kernel_from_dict(d["inner"])),
-        "plus_temporary": lambda d: PlusTemporaryKernel(d["H0"], kernel_from_dict(d["inner"])),
-    }
-)
+_KERNEL_FAMILIES = {
+    "permanent": lambda d: PermanentKernel(d["G0"]),
+    "matrix_exp": lambda d: MatrixExpKernel(d["B"]),
+    "matrix_function": lambda d: MatrixFunctionKernel(
+        d["B"], scalar_function_from_dict(d["scalar_fn"])
+    ),
+    "diag_congruence": lambda d: DiagCongruenceKernel(
+        d["O"], [scalar_function_from_dict(g) for g in d["decays"]]
+    ),
+    "exp2x2": lambda d: Exp2x2Kernel(*(d[p] for p in _Entrywise2x2Kernel.param_names)),
+    "cross_exp": lambda d: CrossExpKernel(d["kappa"], d["kappa_tilde"], d["rho"]),
+    "linear2x2": lambda d: Linear2x2Kernel(*(d[p] for p in _Entrywise2x2Kernel.param_names)),
+    "clamped_exp": lambda d: ClampedExpKernel(),
+    "jordan_exp": lambda d: JordanExpKernel(d["b"]),
+    "scalar_times_matrix": lambda d: ScalarTimesMatrixKernel(
+        scalar_function_from_dict(d["g"]), d["L"]
+    ),
+    "left_multiply": lambda d: LeftMultiplyKernel(d["L"], kernel_from_dict(d["inner"])),
+    "congruence": lambda d: CongruenceKernel(d["L"], kernel_from_dict(d["inner"])),
+    "plus_temporary": lambda d: PlusTemporaryKernel(d["H0"], kernel_from_dict(d["inner"])),
+}
 
 
 # ---------------------------------------------------------------------------
 # structure checks: symmetry and the commuting property
 # ---------------------------------------------------------------------------
-
-
-def _isclose(x, y) -> bool:
-    return math.isclose(x, y, rel_tol=1e-12, abs_tol=1e-14)
-
-
-def _structure_analytic(kernel: DecayKernel):
-    """(symmetric, commuting) where known in closed form, else None."""
-    if isinstance(kernel, (CrossExpKernel, MatrixExpKernel, MatrixFunctionKernel, DiagCongruenceKernel)):
-        return True, True
-    if isinstance(kernel, Exp2x2Kernel):
-        a, b = kernel.a, kernel.b
-        symmetric = _isclose(a[0, 1], a[1, 0]) and _isclose(b[0, 1], b[1, 0])
-        all_rates_equal = all(_isclose(b.flat[0], x) for x in b.flat[1:])
-        commuting = all_rates_equal or (
-            _isclose(b[0, 0], b[1, 1])
-            and _isclose(b[0, 1], b[1, 0])
-            and _isclose(a[0, 0], a[1, 1])
-        )
-        return symmetric, commuting
-    if isinstance(kernel, PermanentKernel):
-        return _maxabs(kernel.G0 - kernel.G0.T) <= SYM_TOL * (1.0 + _maxabs(kernel.G0)), True
-    if isinstance(kernel, JordanExpKernel):
-        # exp(-tJ) matrices are upper-triangular Toeplitz, hence commute
-        return False, True
-    if isinstance(kernel, ClampedExpKernel):
-        return False, False
-    if isinstance(kernel, ScalarTimesMatrixKernel):
-        sym = _maxabs(kernel.L - kernel.L.T) <= SYM_TOL * (1.0 + _maxabs(kernel.L))
-        return sym, True
-    return None
 
 
 def _structure_sampled(values: np.ndarray):
@@ -784,7 +916,7 @@ def check_structure(kernel: DecayKernel, sample_times) -> tuple:
         sample_times = sample_times[picks]
     values = kernel.at_many(sample_times)
     sym_sampled, comm_sampled = _structure_sampled(values)
-    analytic = _structure_analytic(kernel)
+    analytic = kernel.structure()
     if analytic is None:
         return sym_sampled, comm_sampled
     sym, comm = analytic
@@ -863,27 +995,18 @@ def _sampled_shape_verdicts(kernel, ts, directions):
     forms = np.einsum("di,tij,dj->dt", directions, values, directions)
     tol = SHAPE_TOL * (1.0 + np.max(np.abs(forms), axis=1))
 
-    diffs = np.diff(forms, axis=1)
-    viol = diffs > tol[:, None]
-    if np.any(viol):
-        d, t = np.unravel_index(np.argmax(diffs - tol[:, None]), diffs.shape)
-        noninc = Verdict(
-            False, "sampled", ShapeWitness((float(ts[t]), float(ts[t + 1])), directions[d])
-        )
-    else:
-        noninc = Verdict(True, "sampled")
-
-    second = np.diff(forms, n=2, axis=1)
-    viol = second < -tol[:, None]
-    if np.any(viol):
-        d, t = np.unravel_index(np.argmin(second + tol[:, None]), second.shape)
-        convex = Verdict(
-            False,
-            "sampled",
-            ShapeWitness((float(ts[t]), float(ts[t + 1]), float(ts[t + 2])), directions[d]),
-        )
-    else:
-        convex = Verdict(True, "sampled")
+    # monotonicity keeps minus the first differences, convexity the second
+    # differences, above -tol; a violation's witness spans 2 or 3 lags
+    verdicts = []
+    for margin, width in ((-np.diff(forms, axis=1), 2), (np.diff(forms, n=2, axis=1), 3)):
+        slack = margin + tol[:, None]
+        if np.any(slack < 0):
+            d, t = np.unravel_index(np.argmin(slack), slack.shape)
+            witness = ShapeWitness(tuple(float(x) for x in ts[t : t + width]), directions[d])
+            verdicts.append(Verdict(False, "sampled", witness))
+        else:
+            verdicts.append(Verdict(True, "sampled"))
+    noninc, convex = verdicts
 
     ranges = np.max(forms, axis=1) - np.min(forms, axis=1)
     flat = ranges <= tol
@@ -904,109 +1027,31 @@ def _search_shape_witness(kernel, prop: str, t_max: float) -> Optional[ShapeWitn
     visible in double precision is found.  Returns None if the violation
     lies beyond floating-point range.
     """
-    floor = 1e-13
     for span in (t_max, 4.0 * t_max, 32.0 * t_max, 256.0 * t_max):
         ts = np.linspace(0.0, span, 4097)
         values = kernel.at_many(ts)
         sym = 0.5 * (values + np.transpose(values, (0, 2, 1)))
+        # matrices whose forms the property keeps nonnegative, one per run
+        # of `width` consecutive lags
         if prop == "nonnegative":
-            eigs = np.linalg.eigvalsh(sym)
-            i = int(np.argmin(eigs[:, 0]))
-            if eigs[i, 0] < -floor * (1.0 + _maxabs(values[i])):
-                vec = np.linalg.eigh(sym[i])[1][:, 0]
-                return ShapeWitness((float(ts[i]),), vec)
+            mats, width = sym, 1
         elif prop == "nonincreasing":
-            d = sym[1:] - sym[:-1]
-            eigs = np.linalg.eigvalsh(d)
-            i = int(np.argmax(eigs[:, -1]))
-            if eigs[i, -1] > floor * (1.0 + _maxabs(values[i])):
-                vec = np.linalg.eigh(d[i])[1][:, -1]
-                return ShapeWitness((float(ts[i]), float(ts[i + 1])), vec)
-        elif prop == "convex":
-            d2 = sym[:-2] - 2.0 * sym[1:-1] + sym[2:]
-            eigs = np.linalg.eigvalsh(d2)
-            i = int(np.argmin(eigs[:, 0]))
-            if eigs[i, 0] < -floor * (1.0 + _maxabs(values[i])):
-                vec = np.linalg.eigh(d2[i])[1][:, 0]
-                return ShapeWitness((float(ts[i]), float(ts[i + 1]), float(ts[i + 2])), vec)
+            mats, width = sym[:-1] - sym[1:], 2
+        else:
+            mats, width = sym[:-2] - 2.0 * sym[1:-1] + sym[2:], 3
+        eigs = np.linalg.eigvalsh(mats)
+        i = int(np.argmin(eigs[:, 0]))
+        if eigs[i, 0] < -SHAPE_WITNESS_FLOOR * (1.0 + _maxabs(values[i])):
+            vec = np.linalg.eigh(mats[i])[1][:, 0]
+            return ShapeWitness(tuple(float(t) for t in ts[i : i + width]), vec)
     return None
 
 
 def analytic_shape_flags(kernel: DecayKernel) -> Optional[dict]:
-    """Closed-form nonnegative/nonincreasing/convex answers, when available.
-
-    Covers the coordinate-wise exponential and linear 2x2 families and the
-    simultaneously diagonalizable families (whose shape properties hold
-    exactly when every scalar decay on the diagonal has them).  Returns None
-    for kernels that have to be sampled.
-    """
-    if isinstance(kernel, (Exp2x2Kernel, CrossExpKernel)):
-        if isinstance(kernel, CrossExpKernel):
-            a = np.array([[1.0, kernel.rho], [kernel.rho, 1.0]])
-            b = np.array(
-                [[kernel.kappa, kernel.kappa_tilde], [kernel.kappa_tilde, kernel.kappa]]
-            )
-        else:
-            a, b = kernel.a, kernel.b
-        rates_ok = min(b[0, 1], b[1, 0]) >= 0.5 * (b[0, 0] + b[1, 1])
-        return {
-            "nonnegative": rates_ok
-            and 0.25 * (a[0, 1] + a[1, 0]) ** 2 <= a[0, 0] * a[1, 1],
-            "nonincreasing": rates_ok
-            and 0.25 * (a[0, 1] * b[0, 1] + a[1, 0] * b[1, 0]) ** 2
-            <= a[0, 0] * b[0, 0] * a[1, 1] * b[1, 1],
-            "convex": rates_ok
-            and 0.25 * (a[0, 1] * b[0, 1] ** 2 + a[1, 0] * b[1, 0] ** 2) ** 2
-            <= a[0, 0] * b[0, 0] ** 2 * a[1, 1] * b[1, 1] ** 2,
-        }
-
-    if isinstance(kernel, Linear2x2Kernel):
-        a, b = kernel.a, kernel.b
-        ratios = a / b
-        ratios_ok = max(ratios[0, 1], ratios[1, 0]) <= min(ratios[0, 0], ratios[1, 1])
-        # The quadratic form t -> x^T G(t) x is piecewise linear with a
-        # slope jump of sum b_ij x_i x_j at each kink a_ij / b_ij, so
-        # convexity holds iff at every distinct kink location the jump
-        # matrix is nonnegative.
-        groups = {}
-        for i in range(2):
-            for j in range(2):
-                for r in groups:
-                    if _isclose(ratios[i, j], r):
-                        groups[r][i, j] += b[i, j]
-                        break
-                else:
-                    m = np.zeros((2, 2))
-                    m[i, j] = b[i, j]
-                    groups[ratios[i, j]] = m
-        return {
-            "nonnegative": ratios_ok
-            and 0.25 * (a[0, 1] + a[1, 0]) ** 2 <= a[0, 0] * a[1, 1],
-            "nonincreasing": ratios_ok
-            and 0.25 * (b[0, 1] + b[1, 0]) ** 2 <= b[0, 0] * b[1, 1],
-            "convex": all(
-                np.linalg.eigvalsh(0.5 * (m + m.T))[0] >= 0.0 for m in groups.values()
-            ),
-        }
-
-    if isinstance(kernel, MatrixExpKernel):
-        return {"nonnegative": True, "nonincreasing": True, "convex": True}
-    if isinstance(kernel, MatrixFunctionKernel):
-        # zero-rate eigendirections contribute constants, which have all
-        # three properties regardless of the profile
-        active = bool(np.any(kernel.eigenvalues > RATE_FLOOR))
-        return {
-            "nonnegative": True,
-            "nonincreasing": kernel.fn.nonincreasing or not active,
-            "convex": kernel.fn.convex or not active,
-        }
-    if isinstance(kernel, DiagCongruenceKernel):
-        return {
-            "nonnegative": True,
-            "nonincreasing": all(g.nonincreasing for g in kernel.decays),
-            "convex": all(g.convex for g in kernel.decays),
-        }
-    return None
+    """Closed-form nonnegative/nonincreasing/convex answers, when available
+    (see :meth:`DecayKernel.shape_flags`); None for kernels that have to be
+    sampled."""
+    return kernel.shape_flags()
 
 
 def _flags_to_verdicts(kernel, flags, t_max):
@@ -1029,10 +1074,11 @@ def check_shape_properties(
 ) -> PropertyReport:
     """Check nonnegativity, monotonicity, convexity and nonconstancy.
 
-    The three coordinate-wise 2x2 families get exact analytic verdicts (with
-    a numerically located witness when a property fails); everything else is
-    decided by sampling on an equidistant lag grid over ``[0, t_max]`` with
-    the direction set of the report.  Sampled verdicts are falsifiable only:
+    Families with closed-form flags (:meth:`DecayKernel.shape_flags`) get
+    exact analytic verdicts (with a numerically located witness when a
+    property fails); everything else is decided by sampling on an
+    equidistant lag grid over ``[0, t_max]`` with the direction set of the
+    report.  Sampled verdicts are falsifiable only:
     ``True`` means "no violation found".  ``method="sampled"`` forces the
     sampled path for any family.
     """
@@ -1047,7 +1093,7 @@ def check_shape_properties(
 
     nonneg = noninc = convex = None
     if method == "auto":
-        flags = analytic_shape_flags(kernel)
+        flags = kernel.shape_flags()
         if flags is not None:
             nonneg, noninc, convex = _flags_to_verdicts(kernel, flags, t_max)
     elif method != "sampled":

@@ -19,21 +19,11 @@ import scipy.linalg.lapack
 
 from .grids import TimeGrid
 from .kernels import (
-    ClampedExpKernel,
+    SYM_TOL,
     CongruenceKernel,
-    CrossExpKernel,
     DecayKernel,
-    DiagCongruenceKernel,
-    Exp2x2Kernel,
-    JordanExpKernel,
-    Linear2x2Kernel,
-    MatrixExpKernel,
-    MatrixFunctionKernel,
     PermanentKernel,
     PlusTemporaryKernel,
-    RATE_FLOOR,
-    ScalarTimesMatrixKernel,
-    _isclose,
     _maxabs,
     _tril_indices,
     check_shape_properties,
@@ -52,6 +42,8 @@ __all__ = [
 
 PSD_REL_TOL = 1e-9
 WITNESS_REL_TOL = 1e-12
+# random evidence grids with two times closer than this become equidistant
+EVIDENCE_MIN_GAP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -169,7 +161,7 @@ def _cholesky_succeeds(matrix: np.ndarray, shift: float) -> bool:
 def _maybe_negative(gram: GramMatrix) -> bool:
     """Cheap test for eigenvalues below the witness threshold.
 
-    Only Grams with an eigenvalue below ``-1e-12 * ||Gram||`` fail the
+    Only Grams with an eigenvalue below ``-WITNESS_REL_TOL * ||Gram||`` fail the
     shifted Cholesky test and pay for a full eigendecomposition.
     """
     return not _cholesky_succeeds(gram.blocks, WITNESS_REL_TOL * gram.norm)
@@ -206,7 +198,7 @@ def search_violation(
     ``span_max``, mixing equidistant with geometric spacing and occasional
     probes of the maximal grid (long coarse grids expose low-frequency
     defects, short ones high-frequency defects).  Returns the first witness
-    whose quadratic form falls below ``-1e-12 * ||Gram||``, or None once the
+    whose quadratic form falls below ``-WITNESS_REL_TOL * ||Gram||``, or None once the
     budget is exhausted.
     """
     if not span_max > 0:
@@ -237,7 +229,7 @@ def _spectral_evidence(kernel: DecayKernel, rng):
             span = 10.0 ** rng.uniform(-1.0, 1.7)
             times = np.sort(rng.uniform(0.0, span, size=n - 1))
             times = np.concatenate([[0.0], times])
-            if np.min(np.diff(times)) < 1e-9:
+            if np.min(np.diff(times)) < EVIDENCE_MIN_GAP:
                 times = np.linspace(0.0, span, n)
             grid = TimeGrid(times)
         gram = assemble_gram(kernel, grid)
@@ -249,38 +241,11 @@ def _spectral_evidence(kernel: DecayKernel, rng):
     return worst, witness
 
 
-def _scalar_pd_class(fn) -> Optional[str]:
-    """'strict', 'pd' or None (unknown) for t -> fn(|t|)."""
-    if fn.positive_definite is None:
-        return None
-    if fn.strictly_positive_definite:
-        return "strict"
-    return "pd" if fn.positive_definite else None
-
-
-def _diagonal_pd_class(kernel) -> Optional[str]:
-    """PD class of a simultaneously diagonalizable kernel from its scalar
-    decays: positive definite iff every diagonal decay is, strictly iff
-    every one is strictly."""
-    if isinstance(kernel, MatrixExpKernel):
-        classes = ["strict" if rho > RATE_FLOOR else "pd" for rho in kernel.eigenvalues]
-    elif isinstance(kernel, MatrixFunctionKernel):
-        base = _scalar_pd_class(kernel.fn)
-        if base is None:
-            return None
-        classes = [base if rho > RATE_FLOOR else "pd" for rho in kernel.eigenvalues]
-    elif isinstance(kernel, DiagCongruenceKernel):
-        classes = [_scalar_pd_class(g) for g in kernel.decays]
-        if any(c is None for c in classes):
-            return None
-    else:
-        return None
-    return "strict" if all(c == "strict" for c in classes) else "pd"
-
-
-def _searched_not_pd(kernel, span_max, n_max, seed, rng) -> PosDefReport:
-    """NotPD backed by a searched witness; degrades to undetermined if the
-    violation cannot be exhibited within the search budget."""
+def _searched_not_pd(kernel, seed, rng) -> PosDefReport:
+    """NotPD backed by a witness searched for within the family's
+    ``violation_box``; degrades to undetermined if the violation cannot be
+    exhibited within the search budget."""
+    span_max, n_max = kernel.violation_box
     witness = search_violation(kernel, span_max=span_max, n_max=n_max, budget=4000, seed=seed)
     if witness is not None:
         return PosDefReport("not_pd", witness.value, witness, "analytic_family")
@@ -291,11 +256,13 @@ def _searched_not_pd(kernel, span_max, n_max, seed, rng) -> PosDefReport:
 def classify_positive_definite(kernel: DecayKernel, seed: int = 0) -> PosDefReport:
     """Classify a kernel as strictly PD / PD / not PD / undetermined.
 
-    Applies, in order: closed-form family criteria, the shape theorem
-    (symmetric + nonnegative + nonincreasing + convex implies PD, strictly
-    when every quadratic form is nonconstant), and finally spectral evidence
-    on random grids.  Sampling alone never yields a PD verdict; it can only
-    falsify (with a witness) or leave the kernel undetermined.
+    Applies, in order: the family's closed-form criterion
+    (:meth:`DecayKernel.pd_class`), the congruence and temporary-impact
+    rules on the inner kernel, the shape theorem (symmetric + nonnegative +
+    nonincreasing + convex implies PD; it would be strict if every quadratic
+    form were nonconstant, which is only ever sampled), and finally spectral
+    evidence on random grids.  Sampling alone never yields a PD verdict; it
+    can only falsify (with a witness) or leave the kernel undetermined.
     """
     rng = np.random.default_rng(seed)
 
@@ -309,64 +276,11 @@ def classify_positive_definite(kernel: DecayKernel, seed: int = 0) -> PosDefRepo
             return PosDefReport("not_pd", float(vals[0]), witness, "analytic_family")
         return PosDefReport("pd", float(vals[0]), None, "analytic_family")
 
-    if isinstance(kernel, JordanExpKernel):
-        if kernel.b >= 0.5:
-            return PosDefReport("pd", None, None, "analytic_family")
-        return _searched_not_pd(kernel, span_max=50.0, n_max=64, seed=seed, rng=rng)
-
-    if isinstance(kernel, ClampedExpKernel):
-        # convex and nonincreasing yet not positive definite; the defect is
-        # at low frequencies and needs ~370+ unit-spaced trades to show
-        return _searched_not_pd(kernel, span_max=400.0, n_max=400, seed=seed, rng=rng)
-
-    if isinstance(kernel, (Exp2x2Kernel, CrossExpKernel)):
-        report = check_shape_properties(kernel, t_max=10.0, seed=seed)
-        if isinstance(kernel, CrossExpKernel):
-            symmetric_cross = True
-        else:
-            symmetric_cross = _isclose(kernel.a[0, 1], kernel.a[1, 0])
-        if report.nonincreasing.value and symmetric_cross:
-            return PosDefReport("pd", None, None, "analytic_family")
-        worst, witness = _spectral_evidence(kernel, rng)
-        if witness is not None:
-            return PosDefReport("not_pd", worst, witness, "search")
-        return PosDefReport("undetermined", worst, None, "spectral")
-
-    if isinstance(kernel, Linear2x2Kernel):
-        a, b = kernel.a, kernel.b
-        ratios = a / b
-        precondition = _isclose(a[0, 1], a[1, 0]) and max(ratios[0, 1], ratios[1, 0]) <= min(
-            ratios[0, 0], ratios[1, 1]
-        )
-        if precondition:
-            proportional = (
-                _isclose(b[0, 1], b[1, 0])
-                and _isclose(ratios[0, 0], ratios[0, 1])
-                and _isclose(ratios[0, 0], ratios[1, 1])
-                and b[0, 1] * b[1, 0] <= b[0, 0] * b[1, 1]
-            )
-            if proportional:
-                return PosDefReport("pd", None, None, "analytic_family")
-            return _searched_not_pd(kernel, span_max=40.0, n_max=48, seed=seed, rng=rng)
-        worst, witness = _spectral_evidence(kernel, rng)
-        if witness is not None:
-            return PosDefReport("not_pd", worst, witness, "search")
-        return PosDefReport("undetermined", worst, None, "spectral")
-
-    if isinstance(kernel, ScalarTimesMatrixKernel):
-        L = kernel.L
-        if _maxabs(L - L.T) <= 1e-10 * (1.0 + _maxabs(L)):
-            eigs = np.linalg.eigvalsh(0.5 * (L + L.T))
-            pd_class = _scalar_pd_class(kernel.g)
-            if eigs[0] >= -1e-10 * (1.0 + _maxabs(L)) and pd_class is not None:
-                if pd_class == "strict" and eigs[0] > 1e-10 * (1.0 + _maxabs(L)):
-                    return PosDefReport("strict_pd", None, None, "analytic_family")
-                return PosDefReport("pd", None, None, "analytic_family")
-
-    pd_class = _diagonal_pd_class(kernel)
-    if pd_class is not None:
-        verdict = "strict_pd" if pd_class == "strict" else "pd"
-        return PosDefReport(verdict, None, None, "analytic_family")
+    pd_class = kernel.pd_class()
+    if pd_class in ("strict_pd", "pd"):
+        return PosDefReport(pd_class, None, None, "analytic_family")
+    if pd_class == "not_pd":
+        return _searched_not_pd(kernel, seed, rng)
 
     if isinstance(kernel, CongruenceKernel):
         # congruence by an invertible matrix preserves (strict) positive
@@ -389,19 +303,18 @@ def classify_positive_definite(kernel: DecayKernel, seed: int = 0) -> PosDefRepo
         inner = classify_positive_definite(kernel.inner, seed=seed)
         if inner.verdict in ("strict_pd", "pd"):
             h_eigs = np.linalg.eigvalsh(0.5 * (kernel.H0 + kernel.H0.T))
-            if h_eigs[0] > 1e-10 * (1.0 + _maxabs(kernel.H0)):
+            if h_eigs[0] > SYM_TOL * (1.0 + _maxabs(kernel.H0)):
                 return PosDefReport("strict_pd", inner.min_eig, None, inner.method)
             return PosDefReport(inner.verdict, inner.min_eig, None, inner.method)
 
-    report = check_shape_properties(kernel, t_max=10.0, seed=seed)
-    analytic_shape = all(
-        v.value is True and v.method == "analytic"
-        for v in (report.nonnegative, report.nonincreasing, report.convex)
-    )
-    if report.symmetric and analytic_shape:
-        if report.nonconstant_forms.value and report.nonconstant_forms.method == "analytic":
-            return PosDefReport("strict_pd", None, None, "analytic_theorem")
-        return PosDefReport("pd", None, None, "analytic_theorem")
+    if pd_class is None:
+        report = check_shape_properties(kernel, t_max=10.0, seed=seed)
+        analytic_shape = all(
+            v.value is True and v.method == "analytic"
+            for v in (report.nonnegative, report.nonincreasing, report.convex)
+        )
+        if report.symmetric and analytic_shape:
+            return PosDefReport("pd", None, None, "analytic_theorem")
 
     worst, witness = _spectral_evidence(kernel, rng)
     if witness is not None:

@@ -14,9 +14,9 @@ from typing import Optional
 import numpy as np
 
 from .grids import TimeGrid
-from .kernels import DecayKernel, _maxabs
+from .kernels import SYM_TOL, DecayKernel, _maxabs
 from .posdef import GramMatrix, assemble_gram
-from .solver import _kernel_trades
+from .solver import LIQUIDATION_TOL, _kernel_trades
 
 __all__ = [
     "MartingaleModel",
@@ -50,10 +50,10 @@ class MartingaleModel:
         cov = np.asarray(self.covariance, dtype=float)
         if cov.shape != (s0.size, s0.size):
             raise ValueError("covariance must be KxK for K initial prices")
-        if _maxabs(cov - cov.T) > 1e-10 * (1.0 + _maxabs(cov)):
+        if _maxabs(cov - cov.T) > SYM_TOL * (1.0 + _maxabs(cov)):
             raise ValueError("covariance must be symmetric")
         eigs, vecs = np.linalg.eigh(0.5 * (cov + cov.T))
-        if eigs[0] < -1e-10 * (1.0 + _maxabs(cov)):
+        if eigs[0] < -SYM_TOL * (1.0 + _maxabs(cov)):
             raise ValueError(f"covariance must be PSD; eigenvalue {eigs[0]:.3e}")
         factor = vecs * np.sqrt(np.maximum(eigs, 0.0))
         for arr in (s0, cov, factor):
@@ -177,7 +177,7 @@ def estimate_expected_cost(
         x0 = target
     else:
         x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-        if _maxabs(x0 - target) > 1e-10 * (1.0 + _maxabs(x0)):
+        if _maxabs(x0 - target) > LIQUIDATION_TOL * (1.0 + _maxabs(x0)):
             raise ValueError(
                 f"strategy liquidates {target}, not x0={x0}; the martingale "
                 "cancellation needs the trades to sum to -x0"

@@ -543,10 +543,8 @@ def solve_best(
     result, route = None, "kkt"
     if grid.n >= 2:
         B = None
-        if isinstance(kernel, MatrixExpKernel):
-            B = kernel.B
-        elif isinstance(kernel, MatrixFunctionKernel) and isinstance(kernel.fn, ExpDecay):
-            B = kernel.fn.rate * kernel.B
+        if isinstance(kernel, MatrixFunctionKernel) and isinstance(kernel.fn, ExpDecay):
+            B = kernel.fn.rate * kernel.B  # MatrixExpKernel included, at rate 1
         if B is not None and np.linalg.eigvalsh(0.5 * (B + B.T))[0] > RATE_FLOOR:
             result, route = solve_exp_closed_form(B, grid, x0, gram=gram), "closed_form"
     if result is None:

@@ -1,0 +1,143 @@
+"""Closed-form family facts (``structure``, ``shape_flags``, ``pd_class``)
+held against sampling and spectral evidence."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from crossimpact import (
+    Constant,
+    CrossExpKernel,
+    DiagCongruenceKernel,
+    Exp2x2Kernel,
+    ExpDecay,
+    GaussianSquared,
+    JordanExpKernel,
+    Linear2x2Kernel,
+    LinearPolya,
+    MatrixExpKernel,
+    MatrixFunctionKernel,
+    PermanentKernel,
+    PowerCapped,
+    ScalarTimesMatrixKernel,
+    assemble_gram,
+    check_grid_pd,
+    check_shape_properties,
+    classify_positive_definite,
+)
+from crossimpact.kernels import _structure_sampled
+from conftest import random_grid, random_orthogonal, random_spd
+
+# a / b equal in every entry, but the four ratios differ in the last bit
+ULP_PROPORTIONAL = Linear2x2Kernel(
+    0.9945189522393865, 0.2144426684415924, 0.2144426684415924, 1.3235410285073086,
+    0.5886036103198524, 0.1269173690125536, 0.1269173690125536, 0.7833345217118929,
+)
+
+
+def test_proportional_linear2x2_despite_rounded_ratios():
+    assert ULP_PROPORTIONAL.shape_flags() == {
+        "nonnegative": True, "nonincreasing": True, "convex": True
+    }
+    report = check_shape_properties(ULP_PROPORTIONAL, t_max=10.0)
+    for verdict in (report.nonnegative, report.nonincreasing, report.convex):
+        assert verdict.value and verdict.method == "analytic"
+    assert classify_positive_definite(ULP_PROPORTIONAL).verdict == "pd"
+
+
+def test_specialized_values_match_the_general_family():
+    ts = np.linspace(0.0, 7.0, 301)
+    b = random_spd(np.random.default_rng(3), 3)
+    assert np.array_equal(
+        MatrixExpKernel(b).at_many(ts), MatrixFunctionKernel(b, ExpDecay(1.0)).at_many(ts)
+    )
+    cross = CrossExpKernel(0.8, 1.7, 0.4)
+    assert np.array_equal(cross.at_many(ts), Exp2x2Kernel._values(cross, ts))
+
+
+def test_power_capped_starts_at_the_cap():
+    # x ** -exponent is infinite at x = 0, so the profile is capped there,
+    # as the nonincreasing flag requires
+    g = PowerCapped(0.5, 2.0)
+    values = g(np.array([0.0, 1e-300, 0.1, 0.25, 1.0, 4.0]))
+    assert values[0] == 2.0
+    assert np.all(np.diff(values) <= 0.0)
+
+
+def _scalar(rng):
+    pick = int(rng.integers(5))
+    if pick == 0:
+        return ExpDecay(float(rng.uniform(0.2, 3.0)))
+    if pick == 1:
+        return GaussianSquared()
+    if pick == 2:
+        return LinearPolya(float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.1, 1.0)))
+    if pick == 3:
+        return Constant(float(rng.uniform(0.0, 2.0)))
+    return PowerCapped(float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.5, 3.0)))
+
+
+def _psd(rng, k):
+    """Symmetric PSD; singular (rank one, or zero) three times in ten."""
+    if rng.random() < 0.3:
+        v = random_orthogonal(rng, k)[:, :1] if k > 1 else np.zeros((1, 1))
+        return v @ v.T
+    return random_spd(rng, k)
+
+
+def _kernel(family, rng):
+    k = int(rng.integers(1, 4))
+    if family == "matrix_exp":
+        return MatrixExpKernel(_psd(rng, k))
+    if family == "matrix_function":
+        return MatrixFunctionKernel(_psd(rng, k), _scalar(rng))
+    if family == "diag_congruence":
+        return DiagCongruenceKernel(random_orthogonal(rng, k), [_scalar(rng) for _ in range(k)])
+    if family == "scalar_times_matrix":
+        L = _psd(rng, k) if rng.random() < 0.7 else rng.uniform(-1.0, 1.0, (k, k))
+        return ScalarTimesMatrixKernel(_scalar(rng), L)
+    if family == "jordan_exp":
+        return JordanExpKernel(float(rng.uniform(0.1, 2.0)))
+    if family == "permanent":
+        G0 = _psd(rng, k) if rng.random() < 0.5 else rng.uniform(-1.0, 1.0, (k, k))
+        return PermanentKernel(G0)
+    if family == "exp2x2":
+        a, b = rng.uniform(0.1, 3.0, 4), rng.uniform(0.1, 3.0, 4)
+        if rng.random() < 0.5:
+            a[2] = a[1]
+        return Exp2x2Kernel(*a, *b)
+    # linear2x2, proportional: a = c * b with a symmetric cross impact
+    b = rng.uniform(0.1, 3.0, 4)
+    b[2] = b[1]
+    return Linear2x2Kernel(*(float(rng.uniform(0.3, 3.0)) * b), *b)
+
+
+FAMILIES = [
+    "matrix_exp", "matrix_function", "diag_congruence", "scalar_times_matrix",
+    "jordan_exp", "permanent", "exp2x2", "linear2x2",
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=st.sampled_from(FAMILIES), seed=st.integers(0, 2**32 - 1))
+def test_closed_forms_never_contradicted(family, seed):
+    """A closed-form "yes" survives sampling: the structure on sampled
+    values, a shape flag on the sampled shape check, and a PD class on the
+    Gram of a random grid."""
+    rng = np.random.default_rng(seed)
+    kernel = _kernel(family, rng)
+    t_max = float(rng.uniform(1.0, 20.0))
+
+    structure = kernel.structure()
+    if structure is not None:
+        sampled = _structure_sampled(kernel.at_many(np.linspace(0.0, t_max, 48)))
+        assert all(s for closed, s in zip(structure, sampled) if closed)
+
+    flags = kernel.shape_flags()
+    if flags is not None:
+        report = check_shape_properties(kernel, t_max=t_max, method="sampled", seed=seed % 1000)
+        for prop, closed in flags.items():
+            assert not closed or getattr(report, prop).value is not False, prop
+
+    if kernel.pd_class() in ("strict_pd", "pd"):
+        grid = random_grid(rng, n_max=16)
+        assert check_grid_pd(assemble_gram(kernel, grid)).psd
