@@ -201,9 +201,12 @@ def cmd_solve(args) -> int:
 def cmd_check(args) -> int:
     config = load_config(args.config)
     kernel = _build_kernel(config)
-    report = check_shape_properties(
-        kernel, t_max=args.tmax, n_samples=args.samples, seed=args.seed or 0
-    )
+    try:
+        report = check_shape_properties(
+            kernel, t_max=args.tmax, n_samples=args.samples, seed=args.seed or 0
+        )
+    except ValueError as exc:  # --tmax or --samples out of range
+        raise ConfigError(f"check: {exc}") from exc
     pd_report = classify_positive_definite(kernel, seed=args.seed or 0)
     doc = {
         "properties": {
@@ -235,12 +238,11 @@ def cmd_gram(args) -> int:
     kernel = _build_kernel(config)
     grid = _build_grid(config)
     gram = assemble_gram(kernel, grid)
-    eigs = np.sort(np.linalg.eigvalsh(gram.blocks))
     res = check_grid_pd(gram)
     _emit(
         {
             "gram": {
-                "eigenvalues": eigs.tolist(),
+                "eigenvalues": res.eigenvalues.tolist(),
                 "min_eig": res.min_eig,
                 "psd": res.psd,
                 "strict": res.strict,
@@ -257,7 +259,14 @@ def cmd_refine(args) -> int:
     config = load_config(args.config)
     kernel = _build_kernel(config)
     grid_spec = config.get("grid", {})
-    horizon = float(grid_spec.get("horizon", 1.0))
+    try:
+        horizon = float(grid_spec.get("horizon", 1.0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"grid.horizon: {exc}") from exc
+    if not horizon > 0:
+        raise ConfigError(f"grid.horizon: must be positive, got {horizon!r}")
+    if args.levels < 1:
+        raise ConfigError(f"--levels: need at least one refinement level, got {args.levels}")
     x0 = _build_portfolio(config, kernel.dimension)
     result = refine(kernel, horizon, x0, max_levels=args.levels, seed=args.seed or 0)
     if args.out:

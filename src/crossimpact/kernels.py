@@ -48,6 +48,8 @@ SYM_TOL = 1e-10
 MAX_CONDITION = 1e12
 SHAPE_TOL = 1e-9
 STRUCTURE_SAMPLES = 48
+# random unit directions the sampled shape check adds to the axes and pairs
+SHAPE_RANDOM_DIRECTIONS = 16
 # decay rates (eigenvalues of a generator B) at or below this count as zero
 RATE_FLOOR = 1e-12
 # closed-form parameters this close (math.isclose) count as equal
@@ -959,8 +961,9 @@ class PropertyReport:
     nonconstant_forms: Verdict
 
 
-def _direction_set(k: int, n_directions: int, rng) -> np.ndarray:
-    """Axes, all (e_i +- e_j)/sqrt(2) pairs, and random unit directions."""
+def _direction_set(k: int, rng) -> np.ndarray:
+    """Axes, all (e_i +- e_j)/sqrt(2) pairs, and ``SHAPE_RANDOM_DIRECTIONS``
+    random unit directions."""
     rows = [np.eye(k)]
     for i in range(k):
         for j in range(i + 1, k):
@@ -969,10 +972,8 @@ def _direction_set(k: int, n_directions: int, rng) -> np.ndarray:
                 v[i] = 1.0
                 v[j] = sign
                 rows.append((v / np.sqrt(2.0))[None, :])
-    if n_directions > 0:
-        x = rng.standard_normal((n_directions, k))
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-        rows.append(x)
+    x = rng.standard_normal((SHAPE_RANDOM_DIRECTIONS, k))
+    rows.append(x / np.linalg.norm(x, axis=1, keepdims=True))
     return np.vstack(rows)
 
 
@@ -1068,7 +1069,6 @@ def check_shape_properties(
     kernel: DecayKernel,
     t_max: float,
     n_samples: int = 400,
-    n_directions: int = 16,
     seed: int = 0,
     method: str = "auto",
 ) -> PropertyReport:
@@ -1088,7 +1088,7 @@ def check_shape_properties(
         raise ValueError("need at least 3 lag samples")
     rng = np.random.default_rng(seed)
     ts = np.linspace(0.0, t_max, n_samples)
-    directions = _direction_set(kernel.dimension, n_directions, rng)
+    directions = _direction_set(kernel.dimension, rng)
     symmetric, commuting = check_structure(kernel, ts)
 
     nonneg = noninc = convex = None

@@ -26,7 +26,6 @@ from .kernels import (
     PlusTemporaryKernel,
     _maxabs,
     _tril_indices,
-    check_shape_properties,
 )
 
 __all__ = [
@@ -42,8 +41,9 @@ __all__ = [
 
 PSD_REL_TOL = 1e-9
 WITNESS_REL_TOL = 1e-12
-# random evidence grids with two times closer than this become equidistant
-EVIDENCE_MIN_GAP = 1e-9
+# largest span and size of the spectral evidence's random grids
+EVIDENCE_SPAN = 50.0
+EVIDENCE_N_MAX = 12
 
 
 @dataclass(frozen=True)
@@ -79,6 +79,7 @@ class GridPDResult:
     psd: bool
     strict: bool
     min_eig: float
+    eigenvalues: np.ndarray  # the Gram's spectrum, ascending
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,9 @@ def check_grid_pd(gram: GramMatrix) -> GridPDResult:
         raise ArithmeticError(f"eigensolver failed on a {gram.blocks.shape} Gram") from exc
     min_eig = float(eigs[0])
     tol = PSD_REL_TOL * (1.0 + gram.norm)
-    return GridPDResult(psd=min_eig >= -tol, strict=min_eig > tol, min_eig=min_eig)
+    return GridPDResult(
+        psd=min_eig >= -tol, strict=min_eig > tol, min_eig=min_eig, eigenvalues=eigs
+    )
 
 
 def _witness_from_gram(gram: GramMatrix) -> Optional[GramWitness]:
@@ -142,29 +145,19 @@ def _witness_from_gram(gram: GramMatrix) -> Optional[GramWitness]:
     )
 
 
-def _cholesky_succeeds(matrix: np.ndarray, shift: float) -> bool:
-    """Whether ``matrix + shift * I`` has a Cholesky factor.
-
-    For a symmetric matrix this holds exactly when every eigenvalue exceeds
-    ``-shift`` (up to roundoff), without computing the spectrum.
-    """
-    # matrix.T in Fortran order is a straight copy, which LAPACK factors in
-    # place; it is the same matrix because the caller's Gram is symmetric
+def _shifted_cholesky(matrix: np.ndarray, shift: float):
+    """``(factor, True)`` for ``scipy.linalg.cho_solve`` with the Cholesky
+    factor of ``matrix + shift * I``, or None if that is not positive definite
+    (for a symmetric matrix: some eigenvalue is at most ``-shift``, up to
+    roundoff).  The factor is the one copy: ``matrix.T`` in Fortran order, a
+    straight copy that LAPACK factors in place, reading ``matrix``'s upper
+    triangle."""
     shifted = np.array(matrix.T, order="F")
     shifted.flat[:: matrix.shape[0] + 1] += shift
-    _, info = scipy.linalg.lapack.dpotrf(shifted, lower=1, overwrite_a=1, clean=0)
+    factor, info = scipy.linalg.lapack.dpotrf(shifted, lower=1, overwrite_a=1, clean=0)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK dpotrf")
-    return info == 0
-
-
-def _maybe_negative(gram: GramMatrix) -> bool:
-    """Cheap test for eigenvalues below the witness threshold.
-
-    Only Grams with an eigenvalue below ``-WITNESS_REL_TOL * ||Gram||`` fail the
-    shifted Cholesky test and pay for a full eigendecomposition.
-    """
-    return not _cholesky_succeeds(gram.blocks, WITNESS_REL_TOL * gram.norm)
+    return (factor, True) if info == 0 else None
 
 
 def _random_search_grid(rng, span_max: float, n_max: int) -> TimeGrid:
@@ -209,7 +202,8 @@ def search_violation(
     for _ in range(budget):
         grid = _random_search_grid(rng, span_max, n_max)
         gram = assemble_gram(kernel, grid)
-        if _maybe_negative(gram):
+        # only Grams that fail the probe pay for an eigendecomposition
+        if _shifted_cholesky(gram.blocks, WITNESS_REL_TOL * gram.norm) is None:
             witness = _witness_from_gram(gram)
             if witness is not None:
                 return witness
@@ -217,22 +211,12 @@ def search_violation(
 
 
 def _spectral_evidence(kernel: DecayKernel, rng):
-    """Worst eigenvalue over 20 random grids of at most 12 times; a witness
-    if one goes negative."""
+    """Worst eigenvalue over 20 random search grids (see
+    :func:`_random_search_grid`); a witness if one goes negative."""
     worst = math.inf
     witness = None
     for _ in range(20):
-        n = int(rng.integers(1, 13))
-        if n == 1:
-            grid = TimeGrid(np.zeros(1))
-        else:
-            span = 10.0 ** rng.uniform(-1.0, 1.7)
-            times = np.sort(rng.uniform(0.0, span, size=n - 1))
-            times = np.concatenate([[0.0], times])
-            if np.min(np.diff(times)) < EVIDENCE_MIN_GAP:
-                times = np.linspace(0.0, span, n)
-            grid = TimeGrid(times)
-        gram = assemble_gram(kernel, grid)
+        gram = assemble_gram(kernel, _random_search_grid(rng, EVIDENCE_SPAN, EVIDENCE_N_MAX))
         res = check_grid_pd(gram)
         if res.min_eig < worst:
             worst = res.min_eig
@@ -258,11 +242,12 @@ def classify_positive_definite(kernel: DecayKernel, seed: int = 0) -> PosDefRepo
 
     Applies, in order: the family's closed-form criterion
     (:meth:`DecayKernel.pd_class`), the congruence and temporary-impact
-    rules on the inner kernel, the shape theorem (symmetric + nonnegative +
-    nonincreasing + convex implies PD; it would be strict if every quadratic
-    form were nonconstant, which is only ever sampled), and finally spectral
-    evidence on random grids.  Sampling alone never yields a PD verdict; it
-    can only falsify (with a witness) or leave the kernel undetermined.
+    rules on the inner kernel, the shape theorem on closed-form facts
+    (symmetric + nonnegative + nonincreasing + convex implies PD; it would be
+    strict if every quadratic form were nonconstant, which is only ever
+    sampled), and finally spectral evidence on random grids.  Sampling alone
+    never yields a PD verdict; it can only falsify (with a witness) or leave
+    the kernel undetermined.
     """
     rng = np.random.default_rng(seed)
 
@@ -308,12 +293,10 @@ def classify_positive_definite(kernel: DecayKernel, seed: int = 0) -> PosDefRepo
             return PosDefReport(inner.verdict, inner.min_eig, None, inner.method)
 
     if pd_class is None:
-        report = check_shape_properties(kernel, t_max=10.0, seed=seed)
-        analytic_shape = all(
-            v.value is True and v.method == "analytic"
-            for v in (report.nonnegative, report.nonincreasing, report.convex)
-        )
-        if report.symmetric and analytic_shape:
+        flags, structure = kernel.shape_flags(), kernel.structure()
+        if flags is not None and structure is not None and structure[0] and all(
+            flags[p] for p in ("nonnegative", "nonincreasing", "convex")
+        ):
             return PosDefReport("pd", None, None, "analytic_theorem")
 
     worst, witness = _spectral_evidence(kernel, rng)

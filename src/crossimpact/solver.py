@@ -32,6 +32,7 @@ from .kernels import (
 from .posdef import (
     PSD_REL_TOL,
     GramMatrix,
+    _shifted_cholesky,
     assemble_gram,
     classify_positive_definite,
 )
@@ -140,7 +141,8 @@ class RefineResult:
     finest: SolveResult
 
 
-def _as_trades(strategy, grid: TimeGrid) -> np.ndarray:
+def _kernel_trades(kernel: DecayKernel, grid: TimeGrid, strategy) -> np.ndarray:
+    """A strategy's (N, K) trades, checked against the grid and the kernel."""
     if isinstance(strategy, Strategy):
         trades = strategy.trades
     else:
@@ -149,12 +151,6 @@ def _as_trades(strategy, grid: TimeGrid) -> np.ndarray:
             trades = trades[:, None]
     if trades.shape[0] != grid.n:
         raise ValueError("strategy and grid sizes do not match")
-    return trades
-
-
-def _kernel_trades(kernel: DecayKernel, grid: TimeGrid, strategy) -> np.ndarray:
-    """``_as_trades``, also rejecting an asset count other than the kernel's."""
-    trades = _as_trades(strategy, grid)
     if trades.shape[1] != kernel.dimension:
         raise ValueError(
             f"strategy trades {trades.shape[1]} assets but the kernel is "
@@ -177,7 +173,7 @@ def lagrange_residual(kernel: DecayKernel, grid: TimeGrid, strategy):
     maximum deviation from it; a residual of (numerical) zero certifies
     optimality for the portfolio the strategy liquidates.
     """
-    trades = _as_trades(strategy, grid)
+    trades = _kernel_trades(kernel, grid, strategy)
     impact = assemble_gram(kernel, grid).impact(trades)
     lambda_hat = impact.mean(axis=0)
     residual = float(np.max(np.abs(impact - lambda_hat))) if grid.n else 0.0
@@ -271,20 +267,10 @@ def _kkt_solve_gram(gram: np.ndarray, n: int, k: int, x0: np.ndarray):
     """
     gram_max = _maxabs(gram)
     tol = PSD_REL_TOL * (1.0 + gram_max)
-    # the factor is the one NK x NK copy: gram.T in Fortran order is a straight
-    # copy that LAPACK factors in place.  It is the same matrix for an
-    # assembled Gram, which is exactly symmetric; of a rotated Gram from
-    # _diagonal_grams, symmetric to roundoff only, LAPACK reads the upper
-    # triangle
-    shifted = np.array(gram.T, order="F")
-    shifted[np.diag_indices_from(shifted)] -= tol
-    try:
-        factor = scipy.linalg.cho_factor(
-            shifted, lower=True, overwrite_a=True, check_finite=False
-        )
-    except np.linalg.LinAlgError:
-        del shifted  # not strict: free the failed factor before the spectral branch
-    else:
+    # the factor reads the upper triangle, all of an assembled Gram and of a
+    # rotated one from _diagonal_grams (symmetric to roundoff only)
+    factor = _shifted_cholesky(gram, -tol)
+    if factor is not None:
         Y = _pcg_solve(gram, factor, np.tile(np.eye(k), (n, 1)), gram_max)
         lam = -np.linalg.solve(Y.reshape(n, k, k).sum(axis=0), x0)
         return (Y @ lam).reshape(n, k), lam, True
@@ -614,7 +600,8 @@ def refine(
                 raise ArithmeticError(
                     f"cost increased under refinement: {previous!r} -> {finest.cost!r}"
                 )
-            drop = previous - finest.cost
+            # a roundoff rise is no drop: rel_tol = 0 never stops early
+            drop = max(previous - finest.cost, 0.0)
             if drop < rel_tol * max(abs(previous), 1e-300):
                 break
         previous = finest.cost

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import crossimpact
+from crossimpact import cli, kernels, posdef, simulate, solver
 from crossimpact import (
     CrossExpKernel,
     DiagCongruenceKernel,
@@ -59,6 +61,22 @@ def random_admissible_kernel(rng):
     # rho below kappa^2/kappa_tilde^2 keeps the kernel convex as well
     rho = float(rng.uniform(0.05, 0.95) * (kappa / kappa_tilde) ** 2)
     return CrossExpKernel(kappa, kappa_tilde, rho)
+
+
+def count_calls(monkeypatch, module, name):
+    """Record the positional arguments of every call of ``module.name``, also
+    through the crossimpact modules that imported it by name."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for owner in (module, crossimpact, cli, kernels, posdef, simulate, solver):
+        if getattr(owner, name, None) is original:
+            monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 def impact_loop(kernel, grid, trades):

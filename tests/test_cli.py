@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from crossimpact.cli import main, read_strategy_table
+from conftest import count_calls
 
 
 FIG2_KERNEL = {"family": "cross_exp", "kappa": 1.0, "kappa_tilde": 1.8, "rho": 0.3}
@@ -163,6 +164,36 @@ class TestErrors:
         assert stdout == ""
         assert "config error" in stderr and "path" in stderr
 
+    @pytest.mark.parametrize(
+        "argv, grid",
+        [
+            (("check", "--tmax", "0"), None),
+            (("check", "--samples", "2"), None),
+            (("refine", "--levels", "0"), None),
+            (("refine",), {"horizon": "abc", "count": 3}),
+            (("refine",), {"horizon": -1.0, "count": 3}),
+        ],
+        ids=["tmax_0", "samples_2", "levels_0", "horizon_abc", "horizon_negative"],
+    )
+    def test_invalid_value_exit_2(self, tmp_path, capsys, argv, grid):
+        config = tmp_path / "fig2.json"
+        write_config(config, **({} if grid is None else {"grid": grid}))
+        code, stdout, stderr = run(capsys, argv[0], "--config", str(config), *argv[1:])
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("config error")
+
+    def test_refine_not_pd_exit_3(self, tmp_path, capsys):
+        config = tmp_path / "indefinite.json"
+        write_config(
+            config,
+            kernel={"family": "permanent", "G0": [[1.0, 0.0], [0.0, -1.0]]},
+            portfolio=[1.0, 1.0],
+        )
+        code, _, stderr = run(capsys, "refine", "--config", str(config), "--levels", "2")
+        assert code == 3
+        assert "not positive definite" in json.loads(stderr)["error"]
+
     def test_flag_of_another_subcommand_rejected(self, tmp_path, capsys):
         config = tmp_path / "fig2.json"
         write_config(config)
@@ -249,6 +280,15 @@ class TestGram:
         eigs = doc["eigenvalues"]
         assert eigs == sorted(eigs)
         assert all(e > 0 for e in eigs)
+
+    def test_one_spectrum(self, tmp_path, capsys, monkeypatch):
+        config = tmp_path / "fig2.json"
+        write_config(config)
+        calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        code, stdout, _ = run(capsys, "gram", "--config", str(config))
+        assert code == 0
+        assert len(calls) == 1
+        assert len(json.loads(stdout)["gram"]["eigenvalues"]) == 22
 
 
 class TestRefine:

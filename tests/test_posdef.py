@@ -13,11 +13,13 @@ from crossimpact import (
     ExpDecay,
     GaussianSquared,
     JordanExpKernel,
+    LeftMultiplyKernel,
     Linear2x2Kernel,
     MatrixExpKernel,
     MatrixFunctionKernel,
     PermanentKernel,
     PlusTemporaryKernel,
+    PowerCapped,
     ScalarTimesMatrixKernel,
     TimeGrid,
     assemble_gram,
@@ -27,8 +29,10 @@ from crossimpact import (
     equidistant_grid,
     search_violation,
 )
-from crossimpact.posdef import _cholesky_succeeds
+from crossimpact import kernels, posdef
+from crossimpact.posdef import EVIDENCE_N_MAX, EVIDENCE_SPAN, _shifted_cholesky
 from conftest import (
+    count_calls,
     impact_loop,
     random_admissible_kernel,
     random_grid,
@@ -228,6 +232,36 @@ class TestClassify:
             gram = assemble_gram(kernel, report.witness.grid)
             assert gram.quadratic_form(report.witness.trades) < 0.0
 
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            LeftMultiplyKernel([[1.0, 0.2], [-0.1, 0.9]], CrossExpKernel(1.0, 1.8, 0.3)),
+            MatrixFunctionKernel([[1.0, 0.3], [0.3, 2.0]], PowerCapped(0.5, 2.0)),
+        ],
+        ids=["left_multiply", "power_capped"],
+    )
+    def test_shape_theorem_reads_closed_forms(self, monkeypatch, kernel):
+        # neither kernel has closed-form shape flags that prove PD, so the
+        # shape theorem does not apply; it must not sample to find that out
+        calls = count_calls(monkeypatch, kernels, "check_shape_properties")
+        report = classify_positive_definite(kernel)
+        assert calls == []
+        assert report.verdict in ("undetermined", "not_pd")
+
+    def test_spectral_evidence_draws_search_grids(self, monkeypatch):
+        drawn, sampler = [], posdef._random_search_grid
+
+        def draw(rng, span_max, n_max):
+            drawn.append((span_max, n_max, sampler(rng, span_max, n_max)))
+            return drawn[-1][2]
+
+        monkeypatch.setattr(posdef, "_random_search_grid", draw)
+        assembled = count_calls(monkeypatch, posdef, "assemble_gram")
+        posdef._spectral_evidence(gaussian_1d(), np.random.default_rng(3))
+        assert len(drawn) == 20
+        assert all((span, n) == (EVIDENCE_SPAN, EVIDENCE_N_MAX) for span, n, _ in drawn)
+        assert [args[1] for args in assembled] == [grid for _, _, grid in drawn]
+
 
 class TestSearchViolation:
     def test_permanent_indefinite_found_fast(self):
@@ -245,8 +279,8 @@ class TestSearchViolation:
 
     def test_cholesky_probe_decides_by_shifted_spectrum(self):
         m = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues -1 and 3
-        assert _cholesky_succeeds(m, 0.0) is False
-        assert _cholesky_succeeds(m, 1.5) is True
+        assert _shifted_cholesky(m, 0.0) is None
+        assert _shifted_cholesky(m, 1.5) is not None
 
     def test_cholesky_probe_holds_one_copy(self):
         """The probe factors one straight copy of the Gram in place."""
@@ -254,7 +288,7 @@ class TestSearchViolation:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            succeeds = _cholesky_succeeds(gram, 0.0)
+            succeeds = _shifted_cholesky(gram, 0.0) is not None
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -289,6 +289,11 @@ class TestLagrangeResidual:
         _, residual = lagrange_residual(kernel, grid, trades)
         assert residual > 1e-4
 
+    def test_asset_count_checked(self):
+        grid = equidistant_grid(1.0, 4)
+        with pytest.raises(ValueError, match="3 assets but the kernel is 2-dimensional"):
+            lagrange_residual(CrossExpKernel(1.0, 1.8, 0.3), grid, np.ones((4, 3)))
+
     def test_permanent_multiplier(self, rng):
         g0 = random_spd(rng, 2)
         kernel = PermanentKernel(g0)
@@ -584,6 +589,15 @@ class TestRefine:
         kernel = ScalarTimesMatrixKernel(ExpDecay(1.0), [[1.0]])
         result = refine(kernel, 1.0, [1.0], max_levels=10, rel_tol=1e-3)
         assert len(result.levels) < 10
+
+    @pytest.mark.parametrize("g0", [[[1.0, 0.3], [0.3, 2.0]], np.eye(2)])
+    def test_no_early_stop_on_roundoff(self, g0):
+        # the permanent cost does not depend on the schedule, so finer levels
+        # only move it by roundoff; rel_tol = 0 must still run every level
+        result = refine(PermanentKernel(g0), 1.0, [1.0, 2.0], max_levels=8)
+        assert [n for n, _ in result.levels] == [2**level + 1 for level in range(1, 9)]
+        stopped = refine(PermanentKernel(g0), 1.0, [1.0, 2.0], max_levels=8, rel_tol=1e-6)
+        assert len(stopped.levels) == 2
 
 
 class TestSolveBest:
