@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.linalg
 
 __all__ = [
     "ScalarFunction",
@@ -108,9 +109,16 @@ def _symmetric_psd_eig(B: np.ndarray, name: str):
     vals, vecs = np.linalg.eigh(0.5 * (B + B.T))
     if vals[0] < -SYM_TOL * (1.0 + _maxabs(B)):
         raise ValueError(
-            f"{name} must be positive semidefinite; smallest eigenvalue {vals[0]:.3e}"
+            f"{name} must be positive semidefinite (PSD); smallest eigenvalue {vals[0]:.3e}"
         )
     return np.maximum(vals, 0.0), vecs
+
+
+def _min_eigenpair(matrix: np.ndarray):
+    """The smallest eigenvalue of a symmetric matrix (its lower triangle) and
+    a unit eigenvector for it, ``(value, vector)``, from one partial eigh."""
+    vals, vecs = scipy.linalg.eigh(matrix, subset_by_index=[0, 0])
+    return float(vals[0]), vecs[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -764,7 +772,7 @@ class ScalarTimesMatrixKernel(DecayKernel):
         if base is None or not _is_symmetric(L):
             return None
         tol = SYM_TOL * (1.0 + _maxabs(L))
-        low = np.linalg.eigvalsh(0.5 * (L + L.T))[0]
+        low = _min_eigenpair(0.5 * (L + L.T))[0]
         if low < -tol:
             return None
         return "strict_pd" if base == "strict_pd" and low > tol else "pd"
@@ -819,10 +827,10 @@ class PlusTemporaryKernel(DecayKernel):
 
     def __init__(self, H0, inner: DecayKernel):
         H0 = _as_square(H0, "H0", inner.dimension)
-        sym_eigs = np.linalg.eigvalsh(0.5 * (H0 + H0.T))
-        if sym_eigs[0] < -SYM_TOL * (1.0 + _maxabs(H0)):
+        low = _min_eigenpair(0.5 * (H0 + H0.T))[0]
+        if low < -SYM_TOL * (1.0 + _maxabs(H0)):
             raise ValueError(
-                f"H0 must be a nonnegative matrix; symmetric part has eigenvalue {sym_eigs[0]:.3e}"
+                f"H0 must be a nonnegative matrix; symmetric part has eigenvalue {low:.3e}"
             )
         H0.setflags(write=False)
         self.H0 = H0
@@ -988,8 +996,8 @@ def _sampled_shape_verdicts(kernel, ts, directions):
     bad = eigs[:, 0] < -SHAPE_TOL * (1.0 + norms)
     if np.any(bad):
         i = int(np.argmin(eigs[:, 0] + SHAPE_TOL * (1.0 + norms)))
-        vecs = np.linalg.eigh(sym_values[i])[1]
-        nonneg = Verdict(False, "sampled", ShapeWitness((float(ts[i]),), vecs[:, 0]))
+        vec = _min_eigenpair(sym_values[i])[1]
+        nonneg = Verdict(False, "sampled", ShapeWitness((float(ts[i]),), vec))
     else:
         nonneg = Verdict(True, "sampled")
 
@@ -1043,7 +1051,7 @@ def _search_shape_witness(kernel, prop: str, t_max: float) -> Optional[ShapeWitn
         eigs = np.linalg.eigvalsh(mats)
         i = int(np.argmin(eigs[:, 0]))
         if eigs[i, 0] < -SHAPE_WITNESS_FLOOR * (1.0 + _maxabs(values[i])):
-            vec = np.linalg.eigh(mats[i])[1][:, 0]
+            vec = _min_eigenpair(mats[i])[1]
             return ShapeWitness(tuple(float(t) for t in ts[i : i + width]), vec)
     return None
 

@@ -25,6 +25,7 @@ from .kernels import (
     PermanentKernel,
     PlusTemporaryKernel,
     _maxabs,
+    _min_eigenpair,
     _tril_indices,
 )
 
@@ -133,18 +134,6 @@ def check_grid_pd(gram: GramMatrix) -> GridPDResult:
     )
 
 
-def _witness_from_gram(gram: GramMatrix) -> Optional[GramWitness]:
-    """Unit min-eigenvector as a witness when the form dips below threshold."""
-    vals, vecs = np.linalg.eigh(gram.blocks)
-    if vals[0] >= -WITNESS_REL_TOL * gram.norm:
-        return None
-    xi = vecs[:, 0]
-    xi = xi / np.linalg.norm(xi)
-    return GramWitness(
-        grid=gram.grid, trades=xi.reshape(gram.size, gram.dimension), value=float(vals[0])
-    )
-
-
 def _shifted_cholesky(matrix: np.ndarray, shift: float):
     """``(factor, True)`` for ``scipy.linalg.cho_solve`` with the Cholesky
     factor of ``matrix + shift * I``, or None if that is not positive definite
@@ -202,26 +191,27 @@ def search_violation(
     for _ in range(budget):
         grid = _random_search_grid(rng, span_max, n_max)
         gram = assemble_gram(kernel, grid)
-        # only Grams that fail the probe pay for an eigendecomposition
+        # only Grams that fail the probe pay for an eigendecomposition, and
+        # the unit min-eigenvector is the witness
         if _shifted_cholesky(gram.blocks, WITNESS_REL_TOL * gram.norm) is None:
-            witness = _witness_from_gram(gram)
-            if witness is not None:
-                return witness
+            value, xi = _min_eigenpair(gram.blocks)
+            if value < -WITNESS_REL_TOL * gram.norm:
+                return GramWitness(grid, xi.reshape(grid.n, kernel.dimension), value)
     return None
 
 
 def _spectral_evidence(kernel: DecayKernel, rng):
     """Worst eigenvalue over 20 random search grids (see
-    :func:`_random_search_grid`); a witness if one goes negative."""
+    :func:`_random_search_grid`); a witness from the first Gram that fails
+    :func:`check_grid_pd`'s PSD test."""
     worst = math.inf
     witness = None
     for _ in range(20):
         gram = assemble_gram(kernel, _random_search_grid(rng, EVIDENCE_SPAN, EVIDENCE_N_MAX))
-        res = check_grid_pd(gram)
-        if res.min_eig < worst:
-            worst = res.min_eig
-        if witness is None and not res.psd:
-            witness = _witness_from_gram(gram)
+        value, xi = _min_eigenpair(gram.blocks)
+        worst = min(worst, value)
+        if witness is None and value < -PSD_REL_TOL * (1.0 + gram.norm):
+            witness = GramWitness(gram.grid, xi.reshape(gram.size, gram.dimension), value)
     return worst, witness
 
 
@@ -253,13 +243,11 @@ def classify_positive_definite(kernel: DecayKernel, seed: int = 0) -> PosDefRepo
 
     if isinstance(kernel, PermanentKernel):
         sym = 0.5 * (kernel.G0 + kernel.G0.T)
-        vals, vecs = np.linalg.eigh(sym)
-        if vals[0] < -PSD_REL_TOL * (1.0 + _maxabs(kernel.G0)):
-            grid = TimeGrid(np.zeros(1))
-            xi = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
-            witness = GramWitness(grid, xi.reshape(1, -1), float(xi @ sym @ xi))
-            return PosDefReport("not_pd", float(vals[0]), witness, "analytic_family")
-        return PosDefReport("pd", float(vals[0]), None, "analytic_family")
+        low, xi = _min_eigenpair(sym)
+        if low < -PSD_REL_TOL * (1.0 + _maxabs(kernel.G0)):
+            witness = GramWitness(TimeGrid(np.zeros(1)), xi.reshape(1, -1), float(xi @ sym @ xi))
+            return PosDefReport("not_pd", low, witness, "analytic_family")
+        return PosDefReport("pd", low, None, "analytic_family")
 
     pd_class = kernel.pd_class()
     if pd_class in ("strict_pd", "pd"):
@@ -287,8 +275,8 @@ def classify_positive_definite(kernel: DecayKernel, seed: int = 0) -> PosDefRepo
     if isinstance(kernel, PlusTemporaryKernel):
         inner = classify_positive_definite(kernel.inner, seed=seed)
         if inner.verdict in ("strict_pd", "pd"):
-            h_eigs = np.linalg.eigvalsh(0.5 * (kernel.H0 + kernel.H0.T))
-            if h_eigs[0] > SYM_TOL * (1.0 + _maxabs(kernel.H0)):
+            low = _min_eigenpair(0.5 * (kernel.H0 + kernel.H0.T))[0]
+            if low > SYM_TOL * (1.0 + _maxabs(kernel.H0)):
                 return PosDefReport("strict_pd", inner.min_eig, None, inner.method)
             return PosDefReport(inner.verdict, inner.min_eig, None, inner.method)
 

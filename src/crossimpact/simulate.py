@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .grids import TimeGrid
-from .kernels import SYM_TOL, DecayKernel, _maxabs
+from .kernels import DecayKernel, _maxabs, _symmetric_psd_eig
 from .posdef import GramMatrix, assemble_gram
 from .solver import LIQUIDATION_TOL, _kernel_trades
 
@@ -50,12 +50,8 @@ class MartingaleModel:
         cov = np.asarray(self.covariance, dtype=float)
         if cov.shape != (s0.size, s0.size):
             raise ValueError("covariance must be KxK for K initial prices")
-        if _maxabs(cov - cov.T) > SYM_TOL * (1.0 + _maxabs(cov)):
-            raise ValueError("covariance must be symmetric")
-        eigs, vecs = np.linalg.eigh(0.5 * (cov + cov.T))
-        if eigs[0] < -SYM_TOL * (1.0 + _maxabs(cov)):
-            raise ValueError(f"covariance must be PSD; eigenvalue {eigs[0]:.3e}")
-        factor = vecs * np.sqrt(np.maximum(eigs, 0.0))
+        eigs, vecs = _symmetric_psd_eig(cov, "covariance")
+        factor = vecs * np.sqrt(eigs)
         for arr in (s0, cov, factor):
             arr.setflags(write=False)
         object.__setattr__(self, "s0", s0)

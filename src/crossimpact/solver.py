@@ -26,6 +26,7 @@ from .kernels import (
     RATE_FLOOR,
     _EigenBasisKernel,
     _maxabs,
+    _min_eigenpair,
     check_shape_properties,
     check_structure,
 )
@@ -180,6 +181,16 @@ def lagrange_residual(kernel: DecayKernel, grid: TimeGrid, strategy):
     return lambda_hat, residual
 
 
+def _portfolio(kernel: DecayKernel, x0) -> np.ndarray:
+    """``x0`` as a 1-D float array, checked to hold K finite positions."""
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if x0.shape != (kernel.dimension,):
+        raise ValueError(f"x0 must have {kernel.dimension} components")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("x0 must be finite")
+    return x0
+
+
 def _route_gram(kernel: DecayKernel, grid: TimeGrid, gram) -> GramMatrix:
     """The Gram a route solves with: ``gram`` if given (checked against the
     grid and the kernel's dimension), else a freshly assembled one."""
@@ -259,9 +270,9 @@ def _kkt_solve_gram(gram: np.ndarray, n: int, k: int, x0: np.ndarray):
     a strict Gram: it preconditions the CG solve of ``Gram Y = A^T`` (k
     right-hand sides, :func:`_pcg_solve`), then the k x k Schur complement
     ``S = A Y`` (the sum of Y's N blocks) gives ``lam = -S^-1 x0`` and
-    ``xi = Y lam``.  Otherwise ``eigvalsh`` decides: a negative eigenvalue
-    raises :class:`UnboundedCostError` with its eigenvector as the
-    direction, and a singular-but-PSD Gram gets the minimum-norm
+    ``xi = Y lam``.  Otherwise the smallest eigenpair decides: an eigenvalue
+    below ``-tau`` raises :class:`UnboundedCostError` with its eigenvector as
+    the direction, and a singular-but-PSD Gram gets the minimum-norm
     least-squares solution of the bordered system
     ``[[Gram, A^T], [A, 0]] [xi; -lam] = [0; -x0]``.
     """
@@ -275,12 +286,12 @@ def _kkt_solve_gram(gram: np.ndarray, n: int, k: int, x0: np.ndarray):
         lam = -np.linalg.solve(Y.reshape(n, k, k).sum(axis=0), x0)
         return (Y @ lam).reshape(n, k), lam, True
 
-    if np.linalg.eigvalsh(gram)[0] < -tol:
-        vals, vecs = np.linalg.eigh(gram)
+    min_eig, direction = _min_eigenpair(gram)
+    if min_eig < -tol:
         raise UnboundedCostError(
-            f"Gram matrix has eigenvalue {vals[0]:.3e}: cost unbounded below on this grid",
-            direction=vecs[:, 0].reshape(n, k),
-            min_eig=float(vals[0]),
+            f"Gram matrix has eigenvalue {min_eig:.3e}: cost unbounded below on this grid",
+            direction=direction.reshape(n, k),
+            min_eig=min_eig,
         )
     nk = n * k
     A = np.tile(np.eye(k), n)
@@ -302,9 +313,7 @@ def solve_kkt(kernel: DecayKernel, grid: TimeGrid, x0, *, gram=None) -> SolveRes
     Gram is indefinite on the grid.  On a PSD-but-singular Gram the returned
     strategy is the minimum-norm optimizer and ``unique`` is False.
     """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.shape != (kernel.dimension,):
-        raise ValueError(f"x0 must have {kernel.dimension} components")
+    x0 = _portfolio(kernel, x0)
     gram = _route_gram(kernel, grid, gram)
     trades, lam, strict = _kkt_solve_gram(gram.blocks, grid.n, kernel.dimension, x0)
     return _check_result(grid, trades, lam, x0, unique=strict, gram=gram)
@@ -365,7 +374,7 @@ def solve_exp_closed_form(B, grid: TimeGrid, x0, *, gram=None) -> SolveResult:
         )
     if grid.n < 2:
         raise ValueError("the closed form needs at least two trade times")
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    x0 = _portfolio(kernel, x0)
     gram = _route_gram(kernel, grid, gram)
     trades, lam = _exp_recursion(kernel.at_many(np.diff(grid.times)), x0)
     return _check_result(grid, trades, lam, x0, unique=True, gram=gram)
@@ -442,7 +451,7 @@ def solve_commuting(
     component.  The reported cost is the sum of the single-asset costs, so
     the route stays independent of :func:`solve_kkt`.
     """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    x0 = _portfolio(kernel, x0)
     n, k = grid.n, kernel.dimension
     O = _diagonal_frame(kernel, grid.times, seed)
     gram = _route_gram(kernel, grid, gram)
@@ -524,15 +533,14 @@ def solve_best(
     shared by the route and the KKT reference, which still computes its
     trades independently.
     """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    x0 = _portfolio(kernel, x0)
     gram = assemble_gram(kernel, grid)
     result, route = None, "kkt"
-    if grid.n >= 2:
-        B = None
-        if isinstance(kernel, MatrixFunctionKernel) and isinstance(kernel.fn, ExpDecay):
-            B = kernel.fn.rate * kernel.B  # MatrixExpKernel included, at rate 1
-        if B is not None and np.linalg.eigvalsh(0.5 * (B + B.T))[0] > RATE_FLOOR:
-            result, route = solve_exp_closed_form(B, grid, x0, gram=gram), "closed_form"
+    # MatrixExpKernel included, at rate 1; its eigenvalues ascend
+    exp_decay = isinstance(kernel, MatrixFunctionKernel) and isinstance(kernel.fn, ExpDecay)
+    if grid.n >= 2 and exp_decay and kernel.fn.rate * kernel.eigenvalues[0] > RATE_FLOOR:
+        B = kernel.fn.rate * kernel.B
+        result, route = solve_exp_closed_form(B, grid, x0, gram=gram), "closed_form"
     if result is None:
         try:
             sym, comm = check_structure(kernel, grid.times)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import crossimpact
 from crossimpact import cli, kernels, posdef, simulate, solver
@@ -56,6 +57,11 @@ def random_admissible_kernel(rng):
         k = int(rng.integers(2, 4))
         decays = [random_convex_decay(rng) for _ in range(k)]
         return DiagCongruenceKernel(random_orthogonal(rng, k), decays)
+    return random_cross_exp(rng)
+
+
+def random_cross_exp(rng):
+    """An admissible cross_exp kernel (slower cross decay, small rho)."""
     kappa = float(rng.uniform(0.3, 1.5))
     kappa_tilde = float(kappa * rng.uniform(1.0, 2.5))
     # rho below kappa^2/kappa_tilde^2 keeps the kernel convex as well
@@ -77,6 +83,14 @@ def count_calls(monkeypatch, module, name):
         if getattr(owner, name, None) is original:
             monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def count_eigensolver_calls(monkeypatch):
+    """Record the calls of every symmetric eigensolver the library may use:
+    one list each for ``np.linalg.eigh``, ``np.linalg.eigvalsh`` and
+    ``scipy.linalg.eigh``."""
+    solvers = ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (scipy.linalg, "eigh"))
+    return [count_calls(monkeypatch, module, name) for module, name in solvers]
 
 
 def impact_loop(kernel, grid, trades):

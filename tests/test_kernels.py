@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from crossimpact import (
     ClampedExpKernel,
@@ -25,6 +26,7 @@ from crossimpact import (
     check_structure,
     kernel_from_dict,
 )
+from crossimpact import kernels
 from conftest import random_admissible_kernel, random_orthogonal, random_spd
 
 
@@ -368,3 +370,29 @@ class TestSerialization:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             kernel_from_dict({"family": "nope"})
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    log_scale=st.floats(-6.0, 6.0),
+    clustered=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_min_eigenpair_matches_full_spectrum(n, log_scale, clustered, seed):
+    """The partial decomposition's eigenvalue agrees with the full spectrum's
+    smallest, and its vector is a unit vector with that Rayleigh quotient,
+    also for repeated eigenvalues."""
+    rng = np.random.default_rng(seed)
+    if clustered:
+        q = random_orthogonal(rng, n)
+        m = (q * rng.choice([-1.0, 0.0, 1.0], size=n)) @ q.T
+    else:
+        m = rng.standard_normal((n, n))
+    m = 10.0**log_scale * 0.5 * (m + m.T)
+    value, vector = kernels._min_eigenpair(m)
+    eps = np.finfo(float).eps
+    tol = 8 * n * eps * np.linalg.norm(m, 2)
+    assert abs(value - np.linalg.eigvalsh(m)[0]) <= tol
+    assert abs(np.linalg.norm(vector) - 1.0) <= 8 * n * eps
+    assert abs(vector @ m @ vector - value) <= tol

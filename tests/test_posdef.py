@@ -33,6 +33,7 @@ from crossimpact import kernels, posdef
 from crossimpact.posdef import EVIDENCE_N_MAX, EVIDENCE_SPAN, _shifted_cholesky
 from conftest import (
     count_calls,
+    count_eigensolver_calls,
     impact_loop,
     random_admissible_kernel,
     random_grid,
@@ -261,6 +262,17 @@ class TestClassify:
         assert len(drawn) == 20
         assert all((span, n) == (EVIDENCE_SPAN, EVIDENCE_N_MAX) for span, n, _ in drawn)
         assert [args[1] for args in assembled] == [grid for _, _, grid in drawn]
+
+    def test_spectral_evidence_decomposes_each_gram_once(self, monkeypatch):
+        # every Gram of an indefinite permanent kernel is indefinite, so the
+        # first one also yields the witness
+        kernel = PermanentKernel(np.diag([1.0, -1.0]))
+        calls = count_eigensolver_calls(monkeypatch)
+        worst, witness = posdef._spectral_evidence(kernel, np.random.default_rng(3))
+        assert sum(map(len, calls)) == 20
+        assert witness is not None and worst <= witness.value < 0.0
+        gram = assemble_gram(kernel, witness.grid)
+        assert gram.quadratic_form(witness.trades) < -posdef.PSD_REL_TOL * (1.0 + gram.norm)
 
 
 class TestSearchViolation:

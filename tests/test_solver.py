@@ -12,6 +12,7 @@ from crossimpact import (
     Exp2x2Kernel,
     ExpDecay,
     GaussianSquared,
+    JordanExpKernel,
     MatrixExpKernel,
     MatrixFunctionKernel,
     PermanentKernel,
@@ -37,8 +38,10 @@ from crossimpact import solver
 from crossimpact.posdef import PSD_REL_TOL
 from crossimpact.solver import _kkt_solve_gram, _pcg_solve
 from conftest import (
+    count_eigensolver_calls,
     impact_loop,
     random_admissible_kernel,
+    random_cross_exp,
     random_grid,
     random_orthogonal,
     random_spd,
@@ -153,6 +156,22 @@ class TestSolveKKT:
             solve_kkt(kernel, equidistant_grid(1.0, 3), [1.0, 1.0])
         assert err.value.direction is not None
         assert err.value.min_eig < 0
+
+    def test_indefinite_gram_decomposed_once(self, monkeypatch):
+        """The indefinite branch reads its verdict, ``min_eig`` and direction
+        off one eigen-decomposition; the direction is a unit eigenvector."""
+        kernel = JordanExpKernel(0.2)
+        grid = equidistant_grid(20.0, 65)
+        gram = assemble_gram(kernel, grid)
+        calls = count_eigensolver_calls(monkeypatch)
+        with pytest.raises(UnboundedCostError) as err:
+            solve_kkt(kernel, grid, [1.0, 1.0], gram=gram)
+        assert sum(map(len, calls)) == 1
+        d = err.value.direction.ravel()
+        tol = d.size * np.finfo(float).eps * gram.norm
+        assert err.value.min_eig < 0
+        assert abs(np.linalg.norm(d) - 1.0) <= d.size * np.finfo(float).eps
+        assert abs(d @ gram.blocks @ d - err.value.min_eig) <= tol
 
     def test_core_matches_bordered_lstsq_reference(self, rng):
         for _ in range(10):
@@ -655,6 +674,21 @@ class TestSolveBest:
             with pytest.raises(ValueError, match="Gram"):
                 solve_exp_closed_form(np.eye(2), grid, [1.0, 2.0], gram=gram)
 
+    @pytest.mark.parametrize("x0, message", [([1.0, 2.0, 3.0], "x0 must have 2 components"),
+                                             ([1.0, np.nan], "x0 must be finite")])
+    @pytest.mark.parametrize("route", ["kkt", "closed_form", "commuting", "best"])
+    def test_portfolio_checked_on_every_route(self, route, x0, message):
+        b = np.array([[1.0, 0.3], [0.3, 1.8]])
+        grid = equidistant_grid(2.0, 6)
+        solve = {
+            "kkt": lambda: solve_kkt(CrossExpKernel(1.0, 1.8, 0.3), grid, x0),
+            "closed_form": lambda: solve_exp_closed_form(b, grid, x0),
+            "commuting": lambda: solve_commuting(CrossExpKernel(1.0, 1.8, 0.3), grid, x0),
+            "best": lambda: solve_best(MatrixExpKernel(b), grid, x0),
+        }[route]
+        with pytest.raises(ValueError, match=message):
+            solve()
+
     def test_cross_check_runs(self, rng):
         result, route = solve_best(
             MatrixExpKernel(random_spd(rng, 2)), equidistant_grid(1.0, 5), [1.0, -1.0],
@@ -684,6 +718,62 @@ def test_closed_form_agrees_with_kkt(eigenvalues, gaps, seed):
     reference = solve_kkt(MatrixExpKernel(b), grid, x0).strategy.trades
     gap = np.max(np.abs(closed - reference))
     assert gap <= solver.CROSS_CHECK_REL_TOL * (1.0 + np.max(np.abs(reference)))
+
+
+def _generated_kernel(family, rng):
+    """A positive definite kernel of the family: an admissible cross_exp,
+    matrix_exp on a random SPD generator, or a symmetric, non-commuting
+    exp2x2 whose cross rates outlive its own ones."""
+    if family == "cross_exp":
+        return random_cross_exp(rng)
+    if family == "matrix_exp":
+        return MatrixExpKernel(random_spd(rng, int(rng.integers(1, 5))))
+    a12, b11, b22 = rng.uniform(0.05, 0.25), rng.uniform(0.5, 1.0), rng.uniform(1.2, 2.0)
+    b12 = rng.uniform(1.0, 1.3) * 0.5 * (b11 + b22)
+    kernel = Exp2x2Kernel(rng.uniform(0.8, 1.2), a12, a12, rng.uniform(0.8, 1.2),
+                          b11, b12, b12, b22)
+    assert kernel.pd_class() == "pd"
+    return kernel
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    family=st.sampled_from(["cross_exp", "matrix_exp", "exp2x2"]),
+    log_c=st.floats(-6.0, 9.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_solutions_scale_with_the_portfolio(family, log_c, seed):
+    """Liquidating ``c x0`` trades ``c`` times the trades of ``x0`` at ``c**2``
+    times the cost, on every route of ``solve_best``."""
+    rng = np.random.default_rng(seed)
+    kernel = _generated_kernel(family, rng)
+    grid = random_grid(rng, n_max=40)
+    x0 = rng.uniform(-10.0, 10.0, kernel.dimension)
+    c = 10.0**log_c
+    base, route = solve_best(kernel, grid, x0, cross_check=True)
+    scaled, scaled_route = solve_best(kernel, grid, c * x0, cross_check=True)
+    assert scaled_route == route
+    trades = base.strategy.trades
+    gap = np.max(np.abs(scaled.strategy.trades - c * trades))
+    assert gap <= 1e-12 * c * np.max(np.abs(trades))
+    assert scaled.cost == pytest.approx(c * c * base.cost, rel=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    family=st.sampled_from(["cross_exp", "matrix_exp"]),
+    levels=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_refinement_never_raises_the_cost(family, levels, seed):
+    """Nested dyadic grids give nonincreasing optimal costs."""
+    rng = np.random.default_rng(seed)
+    kernel = _generated_kernel(family, rng)
+    x0 = rng.uniform(-10.0, 10.0, kernel.dimension)
+    result = refine(kernel, float(rng.uniform(0.5, 10.0)), x0, max_levels=levels, seed=seed % 1000)
+    costs = [c for _, c in result.levels]
+    assert len(costs) == levels
+    assert all(b <= a + solver.REFINE_MONOTONE_SLACK * abs(a) for a, b in zip(costs, costs[1:]))
 
 
 def JordanLike():
