@@ -55,14 +55,19 @@ def geometric_grid(horizon: float, n: int, ratio: float = 2.0) -> TimeGrid:
     ``t_i = horizon * (ratio**i - 1) / (ratio**(n-1) - 1)``, so the first
     time is exactly 0 and the last exactly ``horizon``.
     """
+    if n < 1:
+        raise ValueError("need at least one trade time")
     if n == 1:
         return TimeGrid(np.zeros(1))
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     if ratio <= 1.0:
         raise ValueError("ratio must exceed 1")
-    i = np.arange(n, dtype=float)
-    times = horizon * (ratio**i - 1.0) / (ratio ** (n - 1) - 1.0)
+    with np.errstate(over="ignore"):
+        powers = ratio ** np.arange(n, dtype=float)
+    if not np.isfinite(powers[-1]):
+        raise ValueError(f"ratio**(n-1) = {ratio!r}**{n - 1} is not a finite float")
+    times = horizon * (powers - 1.0) / (powers[-1] - 1.0)
     times[0] = 0.0
     times[-1] = horizon
     return TimeGrid(times)

@@ -352,6 +352,11 @@ class DecayKernel:
         ``"undetermined"`` (the criterion does not apply)."""
         return None
 
+    def eigenframe(self) -> Optional[tuple]:
+        """Closed-form ``(O, decays)`` with ``G(t) = O^T diag(decays(ts)[m]) O``
+        and ``decays(ts)`` of shape (len(ts), K), or None."""
+        return None
+
     def __repr__(self):
         return f"{type(self).__name__}(K={self.dimension})"
 
@@ -413,6 +418,9 @@ class _EigenBasisKernel(DecayKernel):
 
     def structure(self):
         return True, True
+
+    def eigenframe(self):
+        return self.eigvecs.T, self._diagonals
 
     def shape_flags(self):
         # the constant (zero-rate) directions have all three properties
@@ -606,6 +614,13 @@ class CrossExpKernel(Exp2x2Kernel):
         out[:, 0, 1] = cross
         out[:, 1, 0] = cross
         return out
+
+    def eigenframe(self):
+        def decays(ts):
+            own, cross = np.exp(-self.kappa * ts), self.rho * np.exp(-self.kappa_tilde * ts)
+            return np.stack([own + cross, own - cross], axis=1)
+
+        return np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0), decays
 
     def to_dict(self):
         return {

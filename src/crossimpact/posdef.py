@@ -100,17 +100,16 @@ class PosDefReport:
     method: str  # "analytic_theorem" | "analytic_family" | "spectral" | "search"
 
 
-def assemble_gram(kernel: DecayKernel, grid: TimeGrid) -> GramMatrix:
-    """Assemble the cost quadratic form's Gram matrix for a trading grid.
+def _gram_lags(grid: TimeGrid) -> np.ndarray:
+    """The lags ``t_i - t_j``, ``j <= i``, of the lower block triangle, row by row."""
+    rows, cols = _tril_indices(grid.n)
+    return grid.times[rows] - grid.times[cols]
 
-    The kernel is evaluated at the lags ``t_k - t_l >= 0`` of the lower
-    block triangle only.  Block (l, k) is written as the transpose of block
-    (k, l), which is bit for bit ``tilde(t_l - t_k)``, so the result is the
-    same as evaluating all N^2 lags, at half the kernel evaluations.
-    """
-    n, k = grid.n, kernel.dimension
-    rows, cols = _tril_indices(n)
-    values = kernel.tilde_many(grid.times[rows] - grid.times[cols])
+
+def _fill_gram(values: np.ndarray, n: int) -> np.ndarray:
+    """The (nk) x (nk) matrix with block (i, j), ``j <= i``, the ``values``
+    (m, k, k) at the :func:`_gram_lags` lag ``t_i - t_j``, and (j, i) its transpose."""
+    k = values.shape[1]
     gram = np.empty((n, k, n, k))
     start = 0
     for i in range(n):  # values[start:start + i + 1] are the lags t_i - t_j, j <= i
@@ -118,7 +117,18 @@ def assemble_gram(kernel: DecayKernel, grid: TimeGrid) -> GramMatrix:
         gram[i, :, : i + 1] = row.transpose(1, 0, 2)
         gram[: i + 1, :, i] = row.transpose(0, 2, 1)
         start += i + 1
-    return GramMatrix(grid=grid, blocks=gram.reshape(n * k, n * k), dimension=k, size=n)
+    return gram.reshape(n * k, n * k)
+
+
+def assemble_gram(kernel: DecayKernel, grid: TimeGrid) -> GramMatrix:
+    """Assemble the cost quadratic form's Gram matrix for a trading grid.
+
+    The kernel is evaluated at the lower block triangle's lags only; the
+    transposed blocks are bit for bit ``tilde(t_l - t_k)``, so the result is
+    that of all N^2 lags at half the kernel evaluations.
+    """
+    blocks = _fill_gram(kernel.tilde_many(_gram_lags(grid)), grid.n)
+    return GramMatrix(grid=grid, blocks=blocks, dimension=kernel.dimension, size=grid.n)
 
 
 def check_grid_pd(gram: GramMatrix) -> GridPDResult:

@@ -46,8 +46,9 @@ class MartingaleModel:
     horizon: float
 
     def __post_init__(self):
-        s0 = np.atleast_1d(np.asarray(self.s0, dtype=float))
-        cov = np.asarray(self.covariance, dtype=float)
+        # copies, so that freezing them leaves the caller's arrays writeable
+        s0 = np.atleast_1d(np.array(self.s0, dtype=float))
+        cov = np.array(self.covariance, dtype=float)
         if cov.shape != (s0.size, s0.size):
             raise ValueError("covariance must be KxK for K initial prices")
         eigs, vecs = _symmetric_psd_eig(cov, "covariance")

@@ -24,7 +24,6 @@ from .kernels import (
     MatrixExpKernel,
     MatrixFunctionKernel,
     RATE_FLOOR,
-    _EigenBasisKernel,
     _maxabs,
     _min_eigenpair,
     check_shape_properties,
@@ -33,6 +32,8 @@ from .kernels import (
 from .posdef import (
     PSD_REL_TOL,
     GramMatrix,
+    _fill_gram,
+    _gram_lags,
     _shifted_cholesky,
     assemble_gram,
     classify_positive_definite,
@@ -205,25 +206,19 @@ def _route_gram(kernel: DecayKernel, grid: TimeGrid, gram) -> GramMatrix:
     return gram
 
 
-def _check_result(grid, trades, lam, x0, unique, gram: GramMatrix) -> SolveResult:
-    """Wrap a solved strategy, enforcing the certificate tolerances."""
+def _check_result(grid, trades, lam, x0, unique, impact: np.ndarray) -> SolveResult:
+    """Wrap a solved strategy, enforcing the certificate tolerances on the
+    impact (N, K) it accumulates."""
     colsum_err = _maxabs(trades.sum(axis=0) + x0)
     if colsum_err > LIQUIDATION_TOL * (1.0 + _maxabs(x0)):
         raise ArithmeticError(f"liquidation constraint violated by {colsum_err:.3e}")
-    impact = gram.impact(trades)
     residual = float(np.max(np.abs(impact - lam)))
     if residual > RESIDUAL_REL_TOL * (1.0 + _maxabs(lam)):
         raise ArithmeticError(
             f"Lagrange residual {residual:.3e} exceeds tolerance; the solve is unreliable"
         )
-    strategy = Strategy(trades, grid)
-    return SolveResult(
-        strategy=strategy,
-        lam=np.asarray(lam, dtype=float),
-        cost=0.5 * float(np.vdot(trades, impact)),
-        unique=unique,
-        residual=residual,
-    )
+    half_form = 0.5 * float(np.vdot(trades, impact))
+    return SolveResult(Strategy(trades, grid), lam, half_form, unique, residual)
 
 
 def _pcg_solve(gram: np.ndarray, factor, rhs: np.ndarray, gram_max: float) -> np.ndarray:
@@ -278,8 +273,7 @@ def _kkt_solve_gram(gram: np.ndarray, n: int, k: int, x0: np.ndarray):
     """
     gram_max = _maxabs(gram)
     tol = PSD_REL_TOL * (1.0 + gram_max)
-    # the factor reads the upper triangle, all of an assembled Gram and of a
-    # rotated one from _diagonal_grams (symmetric to roundoff only)
+    # the factor reads the upper triangle; a filled Gram is exactly symmetric
     factor = _shifted_cholesky(gram, -tol)
     if factor is not None:
         Y = _pcg_solve(gram, factor, np.tile(np.eye(k), (n, 1)), gram_max)
@@ -316,7 +310,7 @@ def solve_kkt(kernel: DecayKernel, grid: TimeGrid, x0, *, gram=None) -> SolveRes
     x0 = _portfolio(kernel, x0)
     gram = _route_gram(kernel, grid, gram)
     trades, lam, strict = _kkt_solve_gram(gram.blocks, grid.n, kernel.dimension, x0)
-    return _check_result(grid, trades, lam, x0, unique=strict, gram=gram)
+    return _check_result(grid, trades, lam, x0, strict, gram.impact(trades))
 
 
 def _exp_recursion(A: np.ndarray, x0: np.ndarray):
@@ -365,36 +359,34 @@ def solve_exp_closed_form(B, grid: TimeGrid, x0, *, gram=None) -> SolveResult:
     with ``A_n = exp(-(t_n - t_{n-1}) B)`` on any grid, equidistant or not,
     and certifies the result like every other route, on ``gram`` if given.
     """
-    B = np.asarray(B, dtype=float)
     kernel = MatrixExpKernel(B)  # validates symmetry and shape
-    if np.min(kernel.eigenvalues) <= RATE_FLOOR:
-        raise ValueError(
-            f"B must be strictly positive definite; smallest eigenvalue "
-            f"{np.min(kernel.eigenvalues):.3e}"
-        )
+    low = kernel.eigenvalues[0]  # eigenvalues ascend
+    if low <= RATE_FLOOR:
+        raise ValueError(f"B must be strictly positive definite; smallest eigenvalue {low:.3e}")
     if grid.n < 2:
         raise ValueError("the closed form needs at least two trade times")
     x0 = _portfolio(kernel, x0)
-    gram = _route_gram(kernel, grid, gram)
+    return _solve_exp(kernel, grid, x0, _route_gram(kernel, grid, gram))
+
+
+def _solve_exp(kernel: DecayKernel, grid: TimeGrid, x0: np.ndarray, gram) -> SolveResult:
+    """The closed form for ``G(t) = exp(-t B)``, ``B`` positive definite,
+    with ``A_n = G(t_n - t_{n-1})`` from the kernel, certified on ``gram``."""
     trades, lam = _exp_recursion(kernel.at_many(np.diff(grid.times)), x0)
-    return _check_result(grid, trades, lam, x0, unique=True, gram=gram)
+    return _check_result(grid, trades, lam, x0, True, gram.impact(trades))
 
 
-def _diagonal_frame(kernel: DecayKernel, sample_times, seed: int) -> np.ndarray:
-    """Rotation whose rows are the kernel's common eigendirections."""
-    if isinstance(kernel, _EigenBasisKernel):
-        return kernel.eigvecs.T
-    O, _ = simultaneous_diagonalize(kernel, sample_times, seed=seed)
-    return O
-
-
-def _diagonal_grams(gram: GramMatrix, O: np.ndarray) -> np.ndarray:
-    """Single-asset Grams of the K decays in the frame ``O``, shape (K, N, N).
-
-    Rotates every block of the Gram into the frame and keeps its diagonal.
-    """
-    blocks = gram.blocks.reshape(gram.size, gram.dimension, gram.size, gram.dimension)
-    return np.einsum("ia,kalb,ib->ikl", O, blocks, O, optimize=True)
+def _frame_decays(kernel: DecayKernel, grid: TimeGrid, seed: int):
+    """The kernel's eigenframe ``O`` (rows) and the decays (m, K) at the Gram's
+    lags (:func:`posdef._gram_lags`): closed form, else sampled on those lags
+    by :func:`simultaneous_diagonalize`, whose leakage check covers them all."""
+    lags = _gram_lags(grid)
+    frame = kernel.eigenframe()
+    if frame is None:
+        O, gs = simultaneous_diagonalize(kernel, lags, seed=seed)
+        return O, gs.T
+    O, decays = frame
+    return O, decays(lags)
 
 
 def simultaneous_diagonalize(kernel: DecayKernel, sample_times, seed: int = 0):
@@ -423,13 +415,13 @@ def simultaneous_diagonalize(kernel: DecayKernel, sample_times, seed: int = 0):
         mix = np.einsum("t,tij->ij", weights, values)
         _, vecs = np.linalg.eigh(0.5 * (mix + mix.T))
         O = vecs.T
-        rotated = np.einsum("ij,tjk,lk->til", O, values, O)
+        # O G(t) O^T for every t as one GEMM: kron(O, O) acts on the flattened G(t)
+        rotated = (values.reshape(len(values), -1) @ np.kron(O, O).T).reshape(values.shape)
         off = rotated - rotated * np.eye(kernel.dimension)
         gaps = np.max(np.abs(off), axis=(1, 2))
         tols = DIAGONAL_LEAK_TOL * (1.0 + norms)
         if np.all(gaps <= tols):
-            gs = np.einsum("tii->it", rotated)
-            return O, gs
+            return O, np.einsum("tii->it", rotated)
         i = int(np.argmax(gaps - tols))
         if gaps[i] < worst_gap:
             worst_gap, worst_time = gaps[i], float(sample_times[i])
@@ -439,50 +431,39 @@ def simultaneous_diagonalize(kernel: DecayKernel, sample_times, seed: int = 0):
     )
 
 
-def solve_commuting(
-    kernel: DecayKernel, grid: TimeGrid, x0, seed: int = 0, *, gram=None
-) -> SolveResult:
+def solve_commuting(kernel: DecayKernel, grid: TimeGrid, x0, seed: int = 0) -> SolveResult:
     """Optimal liquidation for a symmetric commuting kernel.
 
-    Rotates the Gram (``gram`` if given, else assembled) and the portfolio
-    into the kernel's common eigenbasis, solves one single-asset KKT
-    problem per direction with :func:`_kkt_solve_gram`, and rotates back.
-    An indefinite direction raises :class:`UnboundedCostError` naming the
-    component.  The reported cost is the sum of the single-asset costs, so
-    the route stays independent of :func:`solve_kkt`.
+    Solves one single-asset KKT problem per direction of the eigenframe
+    (:func:`_frame_decays`) with :func:`_kkt_solve_gram`, on the N x N Gram
+    of that direction's decay; no NK x NK Gram is built.  An indefinite
+    direction raises :class:`UnboundedCostError` naming the component.  The
+    certificate's impact is computed in the frame, independent of
+    :func:`solve_kkt`.
     """
     x0 = _portfolio(kernel, x0)
     n, k = grid.n, kernel.dimension
-    O = _diagonal_frame(kernel, grid.times, seed)
-    gram = _route_gram(kernel, grid, gram)
-    grams = _diagonal_grams(gram, O)
-
+    O, decays = _frame_decays(kernel, grid, seed)
     y = O @ x0
     trades_rot = np.empty((n, k))
+    impact_rot = np.empty((n, k))
     lam_rot = np.empty(k)
-    total_cost = 0.0
     unique = True
     for i in range(k):
+        gram = _fill_gram(decays[:, i, None, None], n)
         try:
-            eta, lam_i, strict = _kkt_solve_gram(grams[i], n, 1, y[i : i + 1])
+            eta, lam_i, strict = _kkt_solve_gram(gram, n, 1, y[i : i + 1])
         except UnboundedCostError as exc:
             raise UnboundedCostError(
                 f"decay component {i} is not positive definite on this grid "
                 f"(eigenvalue {exc.min_eig:.3e})",
                 min_eig=exc.min_eig,
             ) from exc
-        eta = eta[:, 0]
-        trades_rot[:, i] = eta
+        trades_rot[:, i] = eta[:, 0]
+        impact_rot[:, i] = gram @ eta[:, 0]
         lam_rot[i] = lam_i[0]
-        total_cost += 0.5 * float(eta @ grams[i] @ eta)
         unique = unique and strict
-
-    trades = trades_rot @ O
-    lam = O.T @ lam_rot
-    result = _check_result(grid, trades, lam, x0, unique=unique, gram=gram)
-    # the summed 1D costs and the full quadratic form agree to roundoff;
-    # keep the summed value so the route stays independent of solve_kkt
-    return SolveResult(result.strategy, result.lam, total_cost, result.unique, result.residual)
+    return _check_result(grid, trades_rot @ O, O.T @ lam_rot, x0, unique, impact_rot @ O)
 
 
 def basis_strategies(kernel: DecayKernel, grid: TimeGrid, seed: int = 0) -> BasisDecomposition:
@@ -511,11 +492,11 @@ def basis_strategies(kernel: DecayKernel, grid: TimeGrid, seed: int = 0) -> Basi
             stacklevel=2,
         )
 
-    O = _diagonal_frame(kernel, grid.times, seed)
-    grams = _diagonal_grams(assemble_gram(kernel, grid), O)
+    O, decays = _frame_decays(kernel, grid, seed)
     strategies = []
-    for i, gram1d in enumerate(grams):
-        eta, _, _ = _kkt_solve_gram(gram1d, grid.n, 1, np.ones(1))
+    for i in range(kernel.dimension):
+        gram = _fill_gram(decays[:, i, None, None], grid.n)
+        eta, _, _ = _kkt_solve_gram(gram, grid.n, 1, np.ones(1))
         strategies.append(Strategy(np.outer(eta[:, 0], O[i]), grid))
     return BasisDecomposition(vectors=O.copy(), strategies=tuple(strategies), rotation=O)
 
@@ -529,18 +510,17 @@ def solve_best(
     route, then the generic KKT solve.  With ``cross_check=True`` the chosen
     route is verified against the KKT solve to
     ``CROSS_CHECK_REL_TOL * (1 + max|xi_kkt|)`` in the max norm; disagreement
-    raises with both strategies attached.  The Gram is assembled once and
-    shared by the route and the KKT reference, which still computes its
-    trades independently.
+    raises with both strategies attached.  The dense Gram is assembled only
+    for the closed form's certificate, the KKT solve or the cross-check, at
+    most once; the KKT reference still computes its trades independently.
     """
     x0 = _portfolio(kernel, x0)
-    gram = assemble_gram(kernel, grid)
-    result, route = None, "kkt"
+    result, route, gram = None, "kkt", None
     # MatrixExpKernel included, at rate 1; its eigenvalues ascend
     exp_decay = isinstance(kernel, MatrixFunctionKernel) and isinstance(kernel.fn, ExpDecay)
     if grid.n >= 2 and exp_decay and kernel.fn.rate * kernel.eigenvalues[0] > RATE_FLOOR:
-        B = kernel.fn.rate * kernel.B
-        result, route = solve_exp_closed_form(B, grid, x0, gram=gram), "closed_form"
+        gram = assemble_gram(kernel, grid)
+        result, route = _solve_exp(kernel, grid, x0, gram), "closed_form"
     if result is None:
         try:
             sym, comm = check_structure(kernel, grid.times)
@@ -548,17 +528,13 @@ def solve_best(
             sym = comm = False
         if sym and comm:
             try:
-                result, route = (
-                    solve_commuting(kernel, grid, x0, seed=seed, gram=gram),
-                    "commuting",
-                )
+                result, route = solve_commuting(kernel, grid, x0, seed=seed), "commuting"
             except (ValueError, ArithmeticError):
                 result = None
-    if result is None:
-        return solve_kkt(kernel, grid, x0, gram=gram), "kkt"
-
-    if cross_check:
+    if result is None or cross_check:
         reference = solve_kkt(kernel, grid, x0, gram=gram)
+        if result is None:
+            return reference, "kkt"
         gap = _maxabs(result.strategy.trades - reference.strategy.trades)
         if gap > CROSS_CHECK_REL_TOL * (1.0 + _maxabs(reference.strategy.trades)):
             err = ArithmeticError(

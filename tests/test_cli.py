@@ -172,8 +172,12 @@ class TestErrors:
             (("refine", "--levels", "0"), None),
             (("refine",), {"horizon": "abc", "count": 3}),
             (("refine",), {"horizon": -1.0, "count": 3}),
+            # ratio**(n-1) = 2**1024 overflows, and no grid has 0 times
+            (("solve",), {"horizon": 5.0, "count": 1025, "spacing": "geometric"}),
+            (("solve",), {"horizon": 5.0, "count": 0, "spacing": "geometric"}),
         ],
-        ids=["tmax_0", "samples_2", "levels_0", "horizon_abc", "horizon_negative"],
+        ids=["tmax_0", "samples_2", "levels_0", "horizon_abc", "horizon_negative",
+             "geometric_overflow", "geometric_count_0"],
     )
     def test_invalid_value_exit_2(self, tmp_path, capsys, argv, grid):
         config = tmp_path / "fig2.json"

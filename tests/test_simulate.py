@@ -62,6 +62,13 @@ class TestSamplePaths:
         c = sample_paths(model, grid, 50, seed=12)
         assert not np.array_equal(a, c)
 
+    def test_caller_arrays_stay_writeable(self):
+        s0, cov = np.array([10.0, 20.0]), np.array([[0.1, 0.0], [0.0, 0.2]])
+        model = MartingaleModel(s0, cov, horizon=1.0)
+        assert s0.flags.writeable and cov.flags.writeable
+        cov[0, 0] = 5.0
+        assert model.covariance[0, 0] == 0.1 and not model.covariance.flags.writeable
+
     def test_covariance_validation(self):
         with pytest.raises(ValueError, match="PSD"):
             MartingaleModel([1.0, 1.0], [[1.0, 2.0], [2.0, 1.0]], horizon=1.0)

@@ -13,6 +13,7 @@ from crossimpact import (
     ExpDecay,
     GaussianSquared,
     JordanExpKernel,
+    LinearPolya,
     MatrixExpKernel,
     MatrixFunctionKernel,
     PermanentKernel,
@@ -25,6 +26,7 @@ from crossimpact import (
     basis_strategies,
     cost,
     equidistant_grid,
+    geometric_grid,
     lagrange_residual,
     refine,
     simultaneous_diagonalize,
@@ -34,13 +36,15 @@ from crossimpact import (
     solve_exp_closed_form,
     solve_kkt,
 )
-from crossimpact import solver
-from crossimpact.posdef import PSD_REL_TOL
+from crossimpact import posdef, solver
+from crossimpact.posdef import PSD_REL_TOL, _fill_gram
 from crossimpact.solver import _kkt_solve_gram, _pcg_solve
 from conftest import (
+    count_calls,
     count_eigensolver_calls,
     impact_loop,
     random_admissible_kernel,
+    random_convex_decay,
     random_cross_exp,
     random_grid,
     random_orthogonal,
@@ -73,6 +77,12 @@ class TestTimeGrid:
         grid = TimeGrid([0.0, 1.0])
         with pytest.raises(ValueError):
             grid.times[0] = 5.0
+
+    @pytest.mark.parametrize("n, ratio", [(0, 2.0), (-3, 2.0), (1025, 2.0), (2000, 1.5)])
+    def test_geometric_count_it_cannot_build(self, n, ratio):
+        # no trade time at all, or ratio**(n-1) beyond the float range
+        with pytest.raises(ValueError, match="trade time|finite"):
+            geometric_grid(5.0, n, ratio)
 
 
 class TestCost:
@@ -639,24 +649,40 @@ class TestSolveBest:
         assert np.max(np.abs(result.strategy.trades - oracle.strategy.trades)) < 1e-8
 
     def test_one_gram_per_solve(self, rng, monkeypatch):
-        """The route and the KKT cross-check share one assembled Gram."""
-        calls = []
-
-        def counting(kernel, grid):
-            calls.append(grid.n)
-            return assemble_gram(kernel, grid)
-
-        monkeypatch.setattr(solver, "assemble_gram", counting)
+        """The route and the KKT cross-check share one assembled Gram, the
+        closed form's certificate needs one, and the commuting route none."""
+        calls = count_calls(monkeypatch, posdef, "assemble_gram")
         grid = equidistant_grid(2.0, 6)
+        closed = MatrixExpKernel(random_spd(rng, 2))
         for kernel, expected in [
-            (MatrixExpKernel(random_spd(rng, 2)), "closed_form"),
+            (closed, "closed_form"),
             (CrossExpKernel(1.0, 1.8, 0.3), "commuting"),
             (JordanLike(), "kkt"),
         ]:
             calls.clear()
             _, route = solve_best(kernel, grid, [1.0, 2.0], cross_check=True)
             assert route == expected
-            assert calls == [grid.n]
+            assert len(calls) == 1
+        calls.clear()
+        assert solve_best(closed, grid, [1.0, 2.0])[1] == "closed_form"
+        assert len(calls) == 1
+
+        calls.clear()
+        for kernel in [CrossExpKernel(1.0, 1.8, 0.3),
+                       MatrixFunctionKernel(random_spd(rng, 3), LinearPolya(1.0, 0.2))]:
+            x0 = np.arange(1.0, kernel.dimension + 1)
+            assert solve_best(kernel, grid, x0)[1] == "commuting"
+            solve_commuting(kernel, grid, x0)
+            basis_strategies(kernel, grid)
+            refine(kernel, 2.0, x0, max_levels=3)
+        assert calls == []
+
+    def test_closed_form_reuses_the_kernel_decomposition(self, rng, monkeypatch):
+        kernel = MatrixFunctionKernel(random_spd(rng, 2), ExpDecay(1.7))
+        eigh = count_calls(monkeypatch, np.linalg, "eigh")
+        _, route = solve_best(kernel, equidistant_grid(2.0, 8), [1.0, -2.0], cross_check=True)
+        assert route == "closed_form"
+        assert eigh == []
 
     def test_gram_from_another_grid_rejected(self):
         kernel = CrossExpKernel(1.0, 1.8, 0.3)
@@ -669,8 +695,6 @@ class TestSolveBest:
         for gram in others:
             with pytest.raises(ValueError, match="Gram"):
                 solve_kkt(kernel, grid, [1.0, 2.0], gram=gram)
-            with pytest.raises(ValueError, match="Gram"):
-                solve_commuting(kernel, grid, [1.0, 2.0], gram=gram)
             with pytest.raises(ValueError, match="Gram"):
                 solve_exp_closed_form(np.eye(2), grid, [1.0, 2.0], gram=gram)
 
@@ -718,6 +742,63 @@ def test_closed_form_agrees_with_kkt(eigenvalues, gaps, seed):
     reference = solve_kkt(MatrixExpKernel(b), grid, x0).strategy.trades
     gap = np.max(np.abs(closed - reference))
     assert gap <= solver.CROSS_CHECK_REL_TOL * (1.0 + np.max(np.abs(reference)))
+
+
+def _commuting_kernel(family, rng):
+    """A symmetric commuting kernel of the family, K from 1 to 4 (2 for the
+    2 x 2 families), positive definite or not."""
+    k = int(rng.integers(1, 5))
+    m = rng.standard_normal((k, k))
+    if family == "matrix_exp":
+        return MatrixExpKernel(random_spd(rng, k))
+    if family == "matrix_function":
+        return MatrixFunctionKernel(random_spd(rng, k), LinearPolya(1.0, rng.uniform(0.1, 2.0)))
+    if family == "diag_congruence":
+        decays = [random_convex_decay(rng) for _ in range(k)]
+        return DiagCongruenceKernel(random_orthogonal(rng, k), decays)
+    if family == "cross_exp":
+        return random_cross_exp(rng)
+    if family == "scalar_times_matrix":
+        return ScalarTimesMatrixKernel(ExpDecay(rng.uniform(0.2, 3.0)), m + m.T)
+    if family == "permanent":
+        return PermanentKernel(m + m.T)
+    a11, a12, a22, rate = rng.uniform(0.1, 2.0, 4)
+    return Exp2x2Kernel(a11, a12, a12, a22, rate, rate, rate, rate)
+
+
+CLOSED_FRAMES = ("matrix_exp", "matrix_function", "diag_congruence", "cross_exp")
+SAMPLED_FRAMES = ("scalar_times_matrix", "permanent", "exp2x2_equal_rates")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    family=st.sampled_from(CLOSED_FRAMES + SAMPLED_FRAMES),
+    gaps=st.lists(st.floats(1e-2, 3.0), max_size=39),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_frame_impact_matches_dense(family, gaps, seed):
+    """The commuting route's impact, built in the eigenframe from N x N
+    single-direction Grams, is the dense Gram's impact; a closed-form frame
+    reproduces the kernel's values."""
+    rng = np.random.default_rng(seed)
+    kernel = _commuting_kernel(family, rng)
+    assert (kernel.eigenframe() is None) == (family in SAMPLED_FRAMES)
+    grid = TimeGrid(np.concatenate([[0.0], np.cumsum(gaps)]))
+    n, k = grid.n, kernel.dimension
+    trades = rng.standard_normal((n, k))
+    O, decays = solver._frame_decays(kernel, grid, seed=0)
+    rotated = trades @ O.T
+    impact_rot = [_fill_gram(decays[:, i, None, None], n) @ rotated[:, i] for i in range(k)]
+    gram = assemble_gram(kernel, grid)
+    gap = np.max(np.abs(np.column_stack(impact_rot) @ O - gram.impact(trades)))
+    assert gap <= 1e-12 * (1.0 + gram.norm) * n * np.max(np.abs(trades))
+
+    if family in CLOSED_FRAMES:
+        O, decays = kernel.eigenframe()
+        lags = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1e3, 20))])
+        values = np.einsum("ia,mi,ib->mab", O, decays(lags), O)
+        reference = kernel.at_many(lags)
+        assert np.max(np.abs(values - reference)) <= 1e-14 * (1.0 + np.max(np.abs(reference)))
 
 
 def _generated_kernel(family, rng):
