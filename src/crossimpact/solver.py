@@ -31,7 +31,6 @@ from .kernels import (
 )
 from .posdef import (
     PSD_REL_TOL,
-    GramMatrix,
     _fill_gram,
     _gram_lags,
     _shifted_cholesky,
@@ -192,27 +191,13 @@ def _portfolio(kernel: DecayKernel, x0) -> np.ndarray:
     return x0
 
 
-def _route_gram(kernel: DecayKernel, grid: TimeGrid, gram) -> GramMatrix:
-    """The Gram a route solves with: ``gram`` if given (checked against the
-    grid and the kernel's dimension), else a freshly assembled one."""
-    if gram is None:
-        return assemble_gram(kernel, grid)
-    if (
-        gram.size != grid.n
-        or gram.dimension != kernel.dimension
-        or not np.array_equal(gram.grid.times, grid.times)
-    ):
-        raise ValueError("the given Gram was not assembled on this grid and dimension")
-    return gram
-
-
-def _check_result(grid, trades, lam, x0, unique, impact: np.ndarray) -> SolveResult:
+def _check_result(grid, trades, lam, x0, unique, impact: np.ndarray, slack=0.0) -> SolveResult:
     """Wrap a solved strategy, enforcing the certificate tolerances on the
-    impact (N, K) it accumulates."""
+    impact (N, K) it accumulates, whose entries are exact to within ``slack``."""
     colsum_err = _maxabs(trades.sum(axis=0) + x0)
     if colsum_err > LIQUIDATION_TOL * (1.0 + _maxabs(x0)):
         raise ArithmeticError(f"liquidation constraint violated by {colsum_err:.3e}")
-    residual = float(np.max(np.abs(impact - lam)))
+    residual = float(np.max(np.abs(impact - lam))) + slack
     if residual > RESIDUAL_REL_TOL * (1.0 + _maxabs(lam)):
         raise ArithmeticError(
             f"Lagrange residual {residual:.3e} exceeds tolerance; the solve is unreliable"
@@ -302,13 +287,17 @@ def _kkt_solve_gram(gram: np.ndarray, n: int, k: int, x0: np.ndarray):
 def solve_kkt(kernel: DecayKernel, grid: TimeGrid, x0, *, gram=None) -> SolveResult:
     """Optimal liquidation of ``x0`` on a grid by solving the KKT system.
 
-    Solves the Gram (``gram`` if given, else assembled) with
-    :func:`_kkt_solve_gram`.  Raises :class:`UnboundedCostError` when the
-    Gram is indefinite on the grid.  On a PSD-but-singular Gram the returned
-    strategy is the minimum-norm optimizer and ``unique`` is False.
+    Solves the Gram (``gram`` if given, checked against the grid and the
+    kernel's dimension, else assembled) with :func:`_kkt_solve_gram`.
+    Raises :class:`UnboundedCostError` when the Gram is indefinite on the
+    grid.  On a PSD-but-singular Gram the returned strategy is the
+    minimum-norm optimizer and ``unique`` is False.
     """
     x0 = _portfolio(kernel, x0)
-    gram = _route_gram(kernel, grid, gram)
+    if gram is None:
+        gram = assemble_gram(kernel, grid)
+    elif gram.dimension != kernel.dimension or not np.array_equal(gram.grid.times, grid.times):
+        raise ValueError("the given Gram was not assembled on this grid and dimension")
     trades, lam, strict = _kkt_solve_gram(gram.blocks, grid.n, kernel.dimension, x0)
     return _check_result(grid, trades, lam, x0, strict, gram.impact(trades))
 
@@ -352,12 +341,12 @@ def solve_1d_exp(rate: float, grid: TimeGrid, y: float) -> np.ndarray:
     return trades[:, 0]
 
 
-def solve_exp_closed_form(B, grid: TimeGrid, x0, *, gram=None) -> SolveResult:
+def solve_exp_closed_form(B, grid: TimeGrid, x0) -> SolveResult:
     """Optimal liquidation for the matrix-exponential kernel ``exp(-tB)``.
 
     Evaluates the general closed-form recursion (see :func:`_exp_recursion`)
     with ``A_n = exp(-(t_n - t_{n-1}) B)`` on any grid, equidistant or not,
-    and certifies the result like every other route, on ``gram`` if given.
+    and certifies the result like every other route.
     """
     kernel = MatrixExpKernel(B)  # validates symmetry and shape
     low = kernel.eigenvalues[0]  # eigenvalues ascend
@@ -366,7 +355,7 @@ def solve_exp_closed_form(B, grid: TimeGrid, x0, *, gram=None) -> SolveResult:
     if grid.n < 2:
         raise ValueError("the closed form needs at least two trade times")
     x0 = _portfolio(kernel, x0)
-    return _solve_exp(kernel, grid, x0, _route_gram(kernel, grid, gram))
+    return _solve_exp(kernel, grid, x0, assemble_gram(kernel, grid))
 
 
 def _solve_exp(kernel: DecayKernel, grid: TimeGrid, x0: np.ndarray, gram) -> SolveResult:
@@ -377,16 +366,16 @@ def _solve_exp(kernel: DecayKernel, grid: TimeGrid, x0: np.ndarray, gram) -> Sol
 
 
 def _frame_decays(kernel: DecayKernel, grid: TimeGrid, seed: int):
-    """The kernel's eigenframe ``O`` (rows) and the decays (m, K) at the Gram's
-    lags (:func:`posdef._gram_lags`): closed form, else sampled on those lags
-    by :func:`simultaneous_diagonalize`, whose leakage check covers them all."""
+    """The eigenframe ``O`` (rows), the decays (m, K) at the Gram's lags
+    (:func:`posdef._gram_lags`) and the frame's largest off-diagonal entry
+    there: closed form and 0, else sampled by :func:`simultaneous_diagonalize`."""
     lags = _gram_lags(grid)
     frame = kernel.eigenframe()
     if frame is None:
-        O, gs = simultaneous_diagonalize(kernel, lags, seed=seed)
-        return O, gs.T
+        O, gs, leak = _diagonalize(kernel, lags, seed)
+        return O, gs.T, leak
     O, decays = frame
-    return O, decays(lags)
+    return O, decays(lags), 0.0
 
 
 def simultaneous_diagonalize(kernel: DecayKernel, sample_times, seed: int = 0):
@@ -399,6 +388,12 @@ def simultaneous_diagonalize(kernel: DecayKernel, sample_times, seed: int = 0):
     where ``G(t) = O^T diag(gs) O`` and ``gs[i]`` samples the i-th scalar
     decay over ``sample_times``.
     """
+    O, gs, _ = _diagonalize(kernel, sample_times, seed)
+    return O, gs
+
+
+def _diagonalize(kernel: DecayKernel, sample_times, seed: int):
+    """:func:`simultaneous_diagonalize`, also returning its largest leakage."""
     sample_times = np.atleast_1d(np.asarray(sample_times, dtype=float))
     symmetric, commuting = check_structure(kernel, sample_times)
     if not (symmetric and commuting):
@@ -421,7 +416,7 @@ def simultaneous_diagonalize(kernel: DecayKernel, sample_times, seed: int = 0):
         gaps = np.max(np.abs(off), axis=(1, 2))
         tols = DIAGONAL_LEAK_TOL * (1.0 + norms)
         if np.all(gaps <= tols):
-            return O, np.einsum("tii->it", rotated)
+            return O, np.einsum("tii->it", rotated), float(gaps.max())
         i = int(np.argmax(gaps - tols))
         if gaps[i] < worst_gap:
             worst_gap, worst_time = gaps[i], float(sample_times[i])
@@ -439,11 +434,12 @@ def solve_commuting(kernel: DecayKernel, grid: TimeGrid, x0, seed: int = 0) -> S
     of that direction's decay; no NK x NK Gram is built.  An indefinite
     direction raises :class:`UnboundedCostError` naming the component.  The
     certificate's impact is computed in the frame, independent of
-    :func:`solve_kkt`.
+    :func:`solve_kkt`; a sampled frame's leak ``e`` moves each impact entry
+    by at most ``sqrt(K) e sum|eta|``, which the residual includes.
     """
     x0 = _portfolio(kernel, x0)
     n, k = grid.n, kernel.dimension
-    O, decays = _frame_decays(kernel, grid, seed)
+    O, decays, leak = _frame_decays(kernel, grid, seed)
     y = O @ x0
     trades_rot = np.empty((n, k))
     impact_rot = np.empty((n, k))
@@ -463,7 +459,8 @@ def solve_commuting(kernel: DecayKernel, grid: TimeGrid, x0, seed: int = 0) -> S
         impact_rot[:, i] = gram @ eta[:, 0]
         lam_rot[i] = lam_i[0]
         unique = unique and strict
-    return _check_result(grid, trades_rot @ O, O.T @ lam_rot, x0, unique, impact_rot @ O)
+    slack = np.sqrt(k) * leak * float(np.abs(trades_rot).sum())
+    return _check_result(grid, trades_rot @ O, O.T @ lam_rot, x0, unique, impact_rot @ O, slack)
 
 
 def basis_strategies(kernel: DecayKernel, grid: TimeGrid, seed: int = 0) -> BasisDecomposition:
@@ -492,7 +489,7 @@ def basis_strategies(kernel: DecayKernel, grid: TimeGrid, seed: int = 0) -> Basi
             stacklevel=2,
         )
 
-    O, decays = _frame_decays(kernel, grid, seed)
+    O, decays, _ = _frame_decays(kernel, grid, seed)
     strategies = []
     for i in range(kernel.dimension):
         gram = _fill_gram(decays[:, i, None, None], grid.n)

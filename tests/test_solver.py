@@ -473,6 +473,22 @@ class TestSolveCommuting:
         result = solve_commuting(kernel, grid, x0)
         assert result.cost == pytest.approx(cost(kernel, grid, result.strategy), rel=1e-9, abs=1e-12)
 
+    def test_sampled_frame_leak_enters_the_certificate(self, monkeypatch):
+        """A sampled frame's residual bounds the dense one, and a leak too
+        large for the residual tolerance fails the solve."""
+        kernel = ScalarTimesMatrixKernel(ExpDecay(0.8), [[2.0, 0.5], [0.5, 1.0]])
+        grid = geometric_grid(3.0, 17)
+        x0 = np.array([4.0, -1.0])
+        result = solve_commuting(kernel, grid, x0)
+        trades = result.strategy.trades
+        dense = np.max(np.abs(assemble_gram(kernel, grid).impact(trades) - result.lam))
+        assert dense <= result.residual + 1e-13 * (1.0 + np.max(np.abs(result.lam)))
+
+        original = solver._diagonalize
+        monkeypatch.setattr(solver, "_diagonalize", lambda *args: original(*args)[:2] + (1e-6,))
+        with pytest.raises(ArithmeticError, match="Lagrange residual"):
+            solve_commuting(kernel, grid, x0)
+
 
 class TestBasisStrategies:
     def test_diagonal_kernel_axes(self):
@@ -662,10 +678,10 @@ class TestSolveBest:
             calls.clear()
             _, route = solve_best(kernel, grid, [1.0, 2.0], cross_check=True)
             assert route == expected
-            assert len(calls) == 1
+            assert [(args[0], args[1]) for args in calls] == [(kernel, grid)]
         calls.clear()
         assert solve_best(closed, grid, [1.0, 2.0])[1] == "closed_form"
-        assert len(calls) == 1
+        assert [(args[0], args[1]) for args in calls] == [(closed, grid)]
 
         calls.clear()
         for kernel in [CrossExpKernel(1.0, 1.8, 0.3),
@@ -695,8 +711,6 @@ class TestSolveBest:
         for gram in others:
             with pytest.raises(ValueError, match="Gram"):
                 solve_kkt(kernel, grid, [1.0, 2.0], gram=gram)
-            with pytest.raises(ValueError, match="Gram"):
-                solve_exp_closed_form(np.eye(2), grid, [1.0, 2.0], gram=gram)
 
     @pytest.mark.parametrize("x0, message", [([1.0, 2.0, 3.0], "x0 must have 2 components"),
                                              ([1.0, np.nan], "x0 must be finite")])
@@ -778,20 +792,23 @@ SAMPLED_FRAMES = ("scalar_times_matrix", "permanent", "exp2x2_equal_rates")
 )
 def test_frame_impact_matches_dense(family, gaps, seed):
     """The commuting route's impact, built in the eigenframe from N x N
-    single-direction Grams, is the dense Gram's impact; a closed-form frame
-    reproduces the kernel's values."""
+    single-direction Grams, is the dense Gram's impact up to roundoff and the
+    sampled frame's measured leak; a closed-form frame reproduces the
+    kernel's values."""
     rng = np.random.default_rng(seed)
     kernel = _commuting_kernel(family, rng)
     assert (kernel.eigenframe() is None) == (family in SAMPLED_FRAMES)
     grid = TimeGrid(np.concatenate([[0.0], np.cumsum(gaps)]))
     n, k = grid.n, kernel.dimension
     trades = rng.standard_normal((n, k))
-    O, decays = solver._frame_decays(kernel, grid, seed=0)
+    O, decays, leak = solver._frame_decays(kernel, grid, seed=0)
+    assert leak == 0.0 or family in SAMPLED_FRAMES
     rotated = trades @ O.T
     impact_rot = [_fill_gram(decays[:, i, None, None], n) @ rotated[:, i] for i in range(k)]
     gram = assemble_gram(kernel, grid)
     gap = np.max(np.abs(np.column_stack(impact_rot) @ O - gram.impact(trades)))
-    assert gap <= 1e-12 * (1.0 + gram.norm) * n * np.max(np.abs(trades))
+    slack = np.sqrt(k) * leak * np.abs(rotated).sum()
+    assert gap <= slack + 1e-12 * (1.0 + gram.norm) * n * np.max(np.abs(trades))
 
     if family in CLOSED_FRAMES:
         O, decays = kernel.eigenframe()
