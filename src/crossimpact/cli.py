@@ -103,6 +103,8 @@ def _build_grid(config: dict) -> TimeGrid:
         if "times" in spec:
             return TimeGrid(np.asarray(spec["times"], dtype=float))
         horizon, count = float(spec["horizon"]), int(spec["count"])
+        if count != float(spec["count"]):
+            raise ConfigError(f"grid.count: must be an integer, got {spec['count']!r}")
         spacing = spec.get("spacing", "equidistant")
         if spacing == "equidistant":
             return equidistant_grid(horizon, count)
@@ -113,7 +115,7 @@ def _build_grid(config: dict) -> TimeGrid:
         raise
     except KeyError as exc:
         raise ConfigError(f"grid: missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
 
@@ -128,6 +130,8 @@ def _build_portfolio(config: dict, dimension: int) -> np.ndarray:
         raise ConfigError(
             f"portfolio: has {x0.size} components but the kernel is {dimension}-dimensional"
         )
+    if not np.all(np.isfinite(x0)):
+        raise ConfigError(f"portfolio: entries must be finite, got {x0.tolist()}")
     return x0
 
 
@@ -263,8 +267,8 @@ def cmd_refine(args) -> int:
         horizon = float(grid_spec.get("horizon", 1.0))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"grid.horizon: {exc}") from exc
-    if not horizon > 0:
-        raise ConfigError(f"grid.horizon: must be positive, got {horizon!r}")
+    if not 0 < horizon < np.inf:
+        raise ConfigError(f"grid.horizon: must be positive and finite, got {horizon!r}")
     if args.levels < 1:
         raise ConfigError(f"--levels: need at least one refinement level, got {args.levels}")
     x0 = _build_portfolio(config, kernel.dimension)

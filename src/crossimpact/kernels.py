@@ -68,13 +68,6 @@ def _maxabs(a) -> float:
     return max(float(a.max()), -float(a.min())) if a.size else 0.0
 
 
-def _tril_indices(n: int):
-    """``np.tril_indices(n)`` without its n x n mask: the pairs (i, j),
-    j <= i, in row-major order."""
-    rows = np.repeat(np.arange(n), np.arange(1, n + 1))
-    return rows, np.arange(rows.size) - rows * (rows + 1) // 2
-
-
 def _as_square(M, name: str, k: Optional[int] = None) -> np.ndarray:
     M = np.array(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -397,7 +390,7 @@ class _EigenBasisKernel(DecayKernel):
 
     def _set_eigvecs(self, U: np.ndarray) -> None:
         """Store the eigenbasis and the products that :meth:`_values` needs."""
-        rows, cols = _tril_indices(U.shape[0])
+        rows, cols = np.tril_indices(U.shape[0])
         self.eigvecs = U
         # column p holds u_aj u_bj (j = 0..K-1) for the p-th pair a >= b
         self._pair_products = np.ascontiguousarray((U[rows] * U[cols]).T)

@@ -26,7 +26,6 @@ from .kernels import (
     PlusTemporaryKernel,
     _maxabs,
     _min_eigenpair,
-    _tril_indices,
 )
 
 __all__ = [
@@ -102,8 +101,8 @@ class PosDefReport:
 
 def _gram_lags(grid: TimeGrid) -> np.ndarray:
     """The lags ``t_i - t_j``, ``j <= i``, of the lower block triangle, row by row."""
-    rows, cols = _tril_indices(grid.n)
-    return grid.times[rows] - grid.times[cols]
+    t = grid.times
+    return (t[:, None] - t)[np.tri(grid.n, dtype=bool)]
 
 
 def _fill_gram(values: np.ndarray, n: int) -> np.ndarray:

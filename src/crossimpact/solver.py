@@ -193,16 +193,19 @@ def _portfolio(kernel: DecayKernel, x0) -> np.ndarray:
 
 def _check_result(grid, trades, lam, x0, unique, impact: np.ndarray, slack=0.0) -> SolveResult:
     """Wrap a solved strategy, enforcing the certificate tolerances on the
-    impact (N, K) it accumulates, whose entries are exact to within ``slack``."""
+    impact (N, K) it accumulates, whose entries are exact to within ``slack``;
+    trades or a cost that overflowed raise instead of being returned."""
+    half_form = 0.5 * float(np.vdot(trades, impact))
+    if not (np.isfinite(half_form) and np.all(np.isfinite(trades))):
+        raise ArithmeticError("the solve overflowed: its trades or cost are not finite")
     colsum_err = _maxabs(trades.sum(axis=0) + x0)
     if colsum_err > LIQUIDATION_TOL * (1.0 + _maxabs(x0)):
         raise ArithmeticError(f"liquidation constraint violated by {colsum_err:.3e}")
     residual = float(np.max(np.abs(impact - lam))) + slack
-    if residual > RESIDUAL_REL_TOL * (1.0 + _maxabs(lam)):
+    if not residual <= RESIDUAL_REL_TOL * (1.0 + _maxabs(lam)):
         raise ArithmeticError(
             f"Lagrange residual {residual:.3e} exceeds tolerance; the solve is unreliable"
         )
-    half_form = 0.5 * float(np.vdot(trades, impact))
     return SolveResult(Strategy(trades, grid), lam, half_form, unique, residual)
 
 
@@ -284,20 +287,16 @@ def _kkt_solve_gram(gram: np.ndarray, n: int, k: int, x0: np.ndarray):
     return sol[:nk].reshape(n, k), -sol[nk:], False
 
 
-def solve_kkt(kernel: DecayKernel, grid: TimeGrid, x0, *, gram=None) -> SolveResult:
+def solve_kkt(kernel: DecayKernel, grid: TimeGrid, x0) -> SolveResult:
     """Optimal liquidation of ``x0`` on a grid by solving the KKT system.
 
-    Solves the Gram (``gram`` if given, checked against the grid and the
-    kernel's dimension, else assembled) with :func:`_kkt_solve_gram`.
-    Raises :class:`UnboundedCostError` when the Gram is indefinite on the
-    grid.  On a PSD-but-singular Gram the returned strategy is the
-    minimum-norm optimizer and ``unique`` is False.
+    Solves the assembled Gram with :func:`_kkt_solve_gram`.  Raises
+    :class:`UnboundedCostError` when the Gram is indefinite on the grid.  On
+    a PSD-but-singular Gram the returned strategy is the minimum-norm
+    optimizer and ``unique`` is False.
     """
     x0 = _portfolio(kernel, x0)
-    if gram is None:
-        gram = assemble_gram(kernel, grid)
-    elif gram.dimension != kernel.dimension or not np.array_equal(gram.grid.times, grid.times):
-        raise ValueError("the given Gram was not assembled on this grid and dimension")
+    gram = assemble_gram(kernel, grid)
     trades, lam, strict = _kkt_solve_gram(gram.blocks, grid.n, kernel.dimension, x0)
     return _check_result(grid, trades, lam, x0, strict, gram.impact(trades))
 
@@ -346,7 +345,8 @@ def solve_exp_closed_form(B, grid: TimeGrid, x0) -> SolveResult:
 
     Evaluates the general closed-form recursion (see :func:`_exp_recursion`)
     with ``A_n = exp(-(t_n - t_{n-1}) B)`` on any grid, equidistant or not,
-    and certifies the result like every other route.
+    and certifies the result in the kernel's eigenframe, like the commuting
+    route.
     """
     kernel = MatrixExpKernel(B)  # validates symmetry and shape
     low = kernel.eigenvalues[0]  # eigenvalues ascend
@@ -355,14 +355,17 @@ def solve_exp_closed_form(B, grid: TimeGrid, x0) -> SolveResult:
     if grid.n < 2:
         raise ValueError("the closed form needs at least two trade times")
     x0 = _portfolio(kernel, x0)
-    return _solve_exp(kernel, grid, x0, assemble_gram(kernel, grid))
+    return _solve_exp(kernel, grid, x0)
 
 
-def _solve_exp(kernel: DecayKernel, grid: TimeGrid, x0: np.ndarray, gram) -> SolveResult:
+def _solve_exp(kernel: DecayKernel, grid: TimeGrid, x0: np.ndarray) -> SolveResult:
     """The closed form for ``G(t) = exp(-t B)``, ``B`` positive definite,
-    with ``A_n = G(t_n - t_{n-1})`` from the kernel, certified on ``gram``."""
+    with ``A_n = G(t_n - t_{n-1})`` from the kernel, certified on the impact
+    computed in the kernel's closed-form eigenframe (:func:`_frame_impact`)."""
     trades, lam = _exp_recursion(kernel.at_many(np.diff(grid.times)), x0)
-    return _check_result(grid, trades, lam, x0, True, gram.impact(trades))
+    O, decays, _ = _frame_decays(kernel, grid, seed=0)
+    impact = _frame_impact(decays, trades @ O.T) @ O
+    return _check_result(grid, trades, lam, x0, True, impact)
 
 
 def _frame_decays(kernel: DecayKernel, grid: TimeGrid, seed: int):
@@ -376,6 +379,20 @@ def _frame_decays(kernel: DecayKernel, grid: TimeGrid, seed: int):
         return O, gs.T, leak
     O, decays = frame
     return O, decays(lags), 0.0
+
+
+def _frame_impact(decays: np.ndarray, trades_rot: np.ndarray) -> np.ndarray:
+    """The impact (N, K) of eigenframe trades: per direction i, the N x N Gram
+    of ``decays[:, i]`` times ``trades_rot[:, i]``.  The ``_gram_lags`` order
+    (lower triangle, row by row) is LAPACK's packed upper storage, so that is
+    one ``dspmv`` and no Gram is filled."""
+    n, k = trades_rot.shape
+    if decays.shape != (n * (n + 1) // 2, k):  # dspmv reads n(n+1)/2 entries unchecked
+        raise ValueError(f"decays of shape {decays.shape} do not pack {k} N x N Grams, N = {n}")
+    impact = np.empty((n, k))
+    for i in range(k):
+        impact[:, i] = scipy.linalg.blas.dspmv(n, 1.0, decays[:, i], trades_rot[:, i])
+    return impact
 
 
 def simultaneous_diagonalize(kernel: DecayKernel, sample_times, seed: int = 0):
@@ -426,41 +443,49 @@ def _diagonalize(kernel: DecayKernel, sample_times, seed: int):
     )
 
 
-def solve_commuting(kernel: DecayKernel, grid: TimeGrid, x0, seed: int = 0) -> SolveResult:
-    """Optimal liquidation for a symmetric commuting kernel.
-
-    Solves one single-asset KKT problem per direction of the eigenframe
-    (:func:`_frame_decays`) with :func:`_kkt_solve_gram`, on the N x N Gram
-    of that direction's decay; no NK x NK Gram is built.  An indefinite
-    direction raises :class:`UnboundedCostError` naming the component.  The
-    certificate's impact is computed in the frame, independent of
-    :func:`solve_kkt`; a sampled frame's leak ``e`` moves each impact entry
-    by at most ``sqrt(K) e sum|eta|``, which the residual includes.
-    """
-    x0 = _portfolio(kernel, x0)
+def _unit_frame_solves(kernel: DecayKernel, grid: TimeGrid, seed: int):
+    """Liquidate one unit along each direction i of the eigenframe
+    (:func:`_frame_decays`) on the N x N Gram of its decay; no NK x NK Gram is
+    built.  Returns ``(O, decays, leak, etas, lams, unique)``, with direction
+    i's trades ``etas[:, i]`` and multiplier ``lams[i]``; an indefinite
+    direction raises :class:`UnboundedCostError` naming the component."""
     n, k = grid.n, kernel.dimension
     O, decays, leak = _frame_decays(kernel, grid, seed)
-    y = O @ x0
-    trades_rot = np.empty((n, k))
-    impact_rot = np.empty((n, k))
-    lam_rot = np.empty(k)
+    etas = np.empty((n, k))
+    lams = np.empty(k)
     unique = True
     for i in range(k):
         gram = _fill_gram(decays[:, i, None, None], n)
         try:
-            eta, lam_i, strict = _kkt_solve_gram(gram, n, 1, y[i : i + 1])
+            eta, lam_i, strict = _kkt_solve_gram(gram, n, 1, np.ones(1))
         except UnboundedCostError as exc:
             raise UnboundedCostError(
                 f"decay component {i} is not positive definite on this grid "
                 f"(eigenvalue {exc.min_eig:.3e})",
                 min_eig=exc.min_eig,
             ) from exc
-        trades_rot[:, i] = eta[:, 0]
-        impact_rot[:, i] = gram @ eta[:, 0]
-        lam_rot[i] = lam_i[0]
+        etas[:, i] = eta[:, 0]
+        lams[i] = lam_i[0]
         unique = unique and strict
-    slack = np.sqrt(k) * leak * float(np.abs(trades_rot).sum())
-    return _check_result(grid, trades_rot @ O, O.T @ lam_rot, x0, unique, impact_rot @ O, slack)
+    return O, decays, leak, etas, lams, unique
+
+
+def solve_commuting(kernel: DecayKernel, grid: TimeGrid, x0, seed: int = 0) -> SolveResult:
+    """Optimal liquidation for a symmetric commuting kernel.
+
+    Scales the unit liquidations of :func:`_unit_frame_solves` by the
+    rotated portfolio ``y = O x0`` (the KKT answer is linear in it) and
+    certifies in the frame (:func:`_frame_impact`), independent of
+    :func:`solve_kkt`; a sampled frame's leak ``e`` moves each impact entry
+    by at most ``sqrt(K) e sum|eta|``, which the residual includes.
+    """
+    x0 = _portfolio(kernel, x0)
+    O, decays, leak, etas, lams, unique = _unit_frame_solves(kernel, grid, seed)
+    y = O @ x0
+    trades_rot = etas * y
+    slack = np.sqrt(kernel.dimension) * leak * float(np.abs(trades_rot).sum())
+    impact = _frame_impact(decays, trades_rot) @ O
+    return _check_result(grid, trades_rot @ O, O.T @ (lams * y), x0, unique, impact, slack)
 
 
 def basis_strategies(kernel: DecayKernel, grid: TimeGrid, seed: int = 0) -> BasisDecomposition:
@@ -489,13 +514,9 @@ def basis_strategies(kernel: DecayKernel, grid: TimeGrid, seed: int = 0) -> Basi
             stacklevel=2,
         )
 
-    O, decays, _ = _frame_decays(kernel, grid, seed)
-    strategies = []
-    for i in range(kernel.dimension):
-        gram = _fill_gram(decays[:, i, None, None], grid.n)
-        eta, _, _ = _kkt_solve_gram(gram, grid.n, 1, np.ones(1))
-        strategies.append(Strategy(np.outer(eta[:, 0], O[i]), grid))
-    return BasisDecomposition(vectors=O.copy(), strategies=tuple(strategies), rotation=O)
+    O, _, _, etas, _, _ = _unit_frame_solves(kernel, grid, seed)
+    strategies = tuple(Strategy(np.outer(etas[:, i], O[i]), grid) for i in range(kernel.dimension))
+    return BasisDecomposition(vectors=O.copy(), strategies=strategies, rotation=O)
 
 
 def solve_best(
@@ -507,17 +528,16 @@ def solve_best(
     route, then the generic KKT solve.  With ``cross_check=True`` the chosen
     route is verified against the KKT solve to
     ``CROSS_CHECK_REL_TOL * (1 + max|xi_kkt|)`` in the max norm; disagreement
-    raises with both strategies attached.  The dense Gram is assembled only
-    for the closed form's certificate, the KKT solve or the cross-check, at
-    most once; the KKT reference still computes its trades independently.
+    raises with both strategies attached.  The closed form and the
+    commuting route certify in the kernel's eigenframe, so the dense Gram is
+    assembled only by :func:`solve_kkt`, as the route or the cross-check.
     """
     x0 = _portfolio(kernel, x0)
-    result, route, gram = None, "kkt", None
+    result, route = None, "kkt"
     # MatrixExpKernel included, at rate 1; its eigenvalues ascend
     exp_decay = isinstance(kernel, MatrixFunctionKernel) and isinstance(kernel.fn, ExpDecay)
     if grid.n >= 2 and exp_decay and kernel.fn.rate * kernel.eigenvalues[0] > RATE_FLOOR:
-        gram = assemble_gram(kernel, grid)
-        result, route = _solve_exp(kernel, grid, x0, gram), "closed_form"
+        result, route = _solve_exp(kernel, grid, x0), "closed_form"
     if result is None:
         try:
             sym, comm = check_structure(kernel, grid.times)
@@ -529,7 +549,7 @@ def solve_best(
             except (ValueError, ArithmeticError):
                 result = None
     if result is None or cross_check:
-        reference = solve_kkt(kernel, grid, x0, gram=gram)
+        reference = solve_kkt(kernel, grid, x0)
         if result is None:
             return reference, "kkt"
         gap = _maxabs(result.strategy.trades - reference.strategy.trades)

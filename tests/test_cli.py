@@ -165,23 +165,30 @@ class TestErrors:
         assert "config error" in stderr and "path" in stderr
 
     @pytest.mark.parametrize(
-        "argv, grid",
+        "argv, overrides",
         [
-            (("check", "--tmax", "0"), None),
-            (("check", "--samples", "2"), None),
-            (("refine", "--levels", "0"), None),
-            (("refine",), {"horizon": "abc", "count": 3}),
-            (("refine",), {"horizon": -1.0, "count": 3}),
+            (("check", "--tmax", "0"), {}),
+            (("check", "--samples", "2"), {}),
+            (("refine", "--levels", "0"), {}),
+            (("refine",), {"grid": {"horizon": "abc", "count": 3}}),
+            (("refine",), {"grid": {"horizon": -1.0, "count": 3}}),
+            (("refine",), {"grid": {"horizon": float("inf"), "count": 3}}),
             # ratio**(n-1) = 2**1024 overflows, and no grid has 0 times
-            (("solve",), {"horizon": 5.0, "count": 1025, "spacing": "geometric"}),
-            (("solve",), {"horizon": 5.0, "count": 0, "spacing": "geometric"}),
+            (("solve",), {"grid": {"horizon": 5.0, "count": 1025, "spacing": "geometric"}}),
+            (("solve",), {"grid": {"horizon": 5.0, "count": 0, "spacing": "geometric"}}),
+            # a count of 3.7 is not silently truncated to 3
+            (("solve",), {"grid": {"horizon": 5.0, "count": 3.7}}),
+            (("solve",), {"portfolio": [float("nan"), 1.0]}),
+            (("refine", "--levels", "2"), {"portfolio": [float("nan"), 1.0]}),
+            (("simulate", "--paths", "10"), {"portfolio": [1.0, float("nan")]}),
         ],
-        ids=["tmax_0", "samples_2", "levels_0", "horizon_abc", "horizon_negative",
-             "geometric_overflow", "geometric_count_0"],
+        ids=["tmax_0", "samples_2", "levels_0", "horizon_abc", "horizon_negative", "horizon_inf",
+             "geometric_overflow", "geometric_count_0", "count_not_integral",
+             "solve_portfolio_nan", "refine_portfolio_nan", "simulate_portfolio_nan"],
     )
-    def test_invalid_value_exit_2(self, tmp_path, capsys, argv, grid):
+    def test_invalid_value_exit_2(self, tmp_path, capsys, argv, overrides):
         config = tmp_path / "fig2.json"
-        write_config(config, **({} if grid is None else {"grid": grid}))
+        write_config(config, **overrides)
         code, stdout, stderr = run(capsys, argv[0], "--config", str(config), *argv[1:])
         assert code == 2
         assert stdout == ""
@@ -205,6 +212,18 @@ class TestErrors:
             main(["gram", "--config", str(config), "--paths", "5"])
         assert exc.value.code == 2
         assert "--paths" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family", ["cross_exp", "matrix_exp"])
+    def test_overflowing_cost_exit_4(self, tmp_path, capsys, family):
+        # 1/2 xi . Gram . xi overflows: an error, not "cost": Infinity (not JSON)
+        config = tmp_path / "huge.json"
+        kernel = FIG2_KERNEL if family == "cross_exp" else {
+            "family": "matrix_exp", "B": [[1.0, 0.3], [0.3, 1.8]]}
+        write_config(config, kernel=kernel, portfolio=[1e200, -1e200])
+        code, stdout, stderr = run(capsys, "solve", "--config", str(config))
+        assert code == 4
+        assert stdout == ""
+        assert "not finite" in json.loads(stderr)["error"]
 
     def test_numeric_failure_exit_4(self, tmp_path, capsys):
         # near-singular Gram whose certified solve fails its own tolerance

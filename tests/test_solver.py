@@ -37,7 +37,7 @@ from crossimpact import (
     solve_kkt,
 )
 from crossimpact import posdef, solver
-from crossimpact.posdef import PSD_REL_TOL, _fill_gram
+from crossimpact.posdef import PSD_REL_TOL
 from crossimpact.solver import _kkt_solve_gram, _pcg_solve
 from conftest import (
     count_calls,
@@ -175,7 +175,7 @@ class TestSolveKKT:
         gram = assemble_gram(kernel, grid)
         calls = count_eigensolver_calls(monkeypatch)
         with pytest.raises(UnboundedCostError) as err:
-            solve_kkt(kernel, grid, [1.0, 1.0], gram=gram)
+            solve_kkt(kernel, grid, [1.0, 1.0])
         assert sum(map(len, calls)) == 1
         d = err.value.direction.ravel()
         tol = d.size * np.finfo(float).eps * gram.norm
@@ -665,8 +665,9 @@ class TestSolveBest:
         assert np.max(np.abs(result.strategy.trades - oracle.strategy.trades)) < 1e-8
 
     def test_one_gram_per_solve(self, rng, monkeypatch):
-        """The route and the KKT cross-check share one assembled Gram, the
-        closed form's certificate needs one, and the commuting route none."""
+        """Only the KKT solve assembles a Gram, as the route or the
+        cross-check: the closed form and the commuting route certify in the
+        eigenframe and build none."""
         calls = count_calls(monkeypatch, posdef, "assemble_gram")
         grid = equidistant_grid(2.0, 6)
         closed = MatrixExpKernel(random_spd(rng, 2))
@@ -681,9 +682,9 @@ class TestSolveBest:
             assert [(args[0], args[1]) for args in calls] == [(kernel, grid)]
         calls.clear()
         assert solve_best(closed, grid, [1.0, 2.0])[1] == "closed_form"
-        assert [(args[0], args[1]) for args in calls] == [(closed, grid)]
+        solve_exp_closed_form(closed.B, grid, [1.0, 2.0])
+        assert calls == []
 
-        calls.clear()
         for kernel in [CrossExpKernel(1.0, 1.8, 0.3),
                        MatrixFunctionKernel(random_spd(rng, 3), LinearPolya(1.0, 0.2))]:
             x0 = np.arange(1.0, kernel.dimension + 1)
@@ -700,18 +701,6 @@ class TestSolveBest:
         assert route == "closed_form"
         assert eigh == []
 
-    def test_gram_from_another_grid_rejected(self):
-        kernel = CrossExpKernel(1.0, 1.8, 0.3)
-        grid = equidistant_grid(2.0, 6)
-        others = [
-            assemble_gram(kernel, equidistant_grid(3.0, 6)),
-            assemble_gram(kernel, equidistant_grid(2.0, 7)),
-            assemble_gram(ScalarTimesMatrixKernel(ExpDecay(1.0), np.eye(3)), grid),
-        ]
-        for gram in others:
-            with pytest.raises(ValueError, match="Gram"):
-                solve_kkt(kernel, grid, [1.0, 2.0], gram=gram)
-
     @pytest.mark.parametrize("x0, message", [([1.0, 2.0, 3.0], "x0 must have 2 components"),
                                              ([1.0, np.nan], "x0 must be finite")])
     @pytest.mark.parametrize("route", ["kkt", "closed_form", "commuting", "best"])
@@ -725,6 +714,22 @@ class TestSolveBest:
             "best": lambda: solve_best(MatrixExpKernel(b), grid, x0),
         }[route]
         with pytest.raises(ValueError, match=message):
+            solve()
+
+    @pytest.mark.parametrize("route", ["kkt", "closed_form", "commuting", "best"])
+    def test_overflowing_cost_raises_on_every_route(self, route):
+        """At x0 = (1e200, -1e200) the cost overflows: every route raises
+        instead of returning an infinite cost."""
+        b = np.array([[1.0, 0.3], [0.3, 1.8]])
+        grid = equidistant_grid(2.0, 6)
+        x0 = [1e200, -1e200]
+        solve = {
+            "kkt": lambda: solve_kkt(CrossExpKernel(1.0, 1.8, 0.3), grid, x0),
+            "closed_form": lambda: solve_exp_closed_form(b, grid, x0),
+            "commuting": lambda: solve_commuting(CrossExpKernel(1.0, 1.8, 0.3), grid, x0),
+            "best": lambda: solve_best(CrossExpKernel(1.0, 1.8, 0.3), grid, x0, cross_check=True),
+        }[route]
+        with pytest.raises(ArithmeticError, match="not finite"):
             solve()
 
     def test_cross_check_runs(self, rng):
@@ -744,7 +749,8 @@ class TestSolveBest:
 )
 def test_closed_form_agrees_with_kkt(eigenvalues, gaps, seed):
     """On any SPD generator and any grid, the closed form's trades agree with
-    the KKT solve's within the cross-check tolerance of ``solve_best``."""
+    the KKT solve's within the cross-check tolerance of ``solve_best``, and
+    its certificate, computed in the eigenframe, with the dense Gram's."""
     rng = np.random.default_rng(seed)
     k = len(eigenvalues)
     q = random_orthogonal(rng, k)
@@ -752,10 +758,18 @@ def test_closed_form_agrees_with_kkt(eigenvalues, gaps, seed):
     b = 0.5 * (b + b.T)
     grid = TimeGrid(np.concatenate([[0.0], np.cumsum(gaps)]))
     x0 = rng.uniform(-10.0, 10.0, k)
-    closed = solve_exp_closed_form(b, grid, x0).strategy.trades
-    reference = solve_kkt(MatrixExpKernel(b), grid, x0).strategy.trades
+    kernel = MatrixExpKernel(b)
+    result = solve_exp_closed_form(b, grid, x0)
+    closed = result.strategy.trades
+    reference = solve_kkt(kernel, grid, x0).strategy.trades
     gap = np.max(np.abs(closed - reference))
     assert gap <= solver.CROSS_CHECK_REL_TOL * (1.0 + np.max(np.abs(reference)))
+
+    dense_cost = cost(kernel, grid, closed)
+    assert abs(result.cost - dense_cost) <= 1e-12 * abs(dense_cost)
+    lam, residual = lagrange_residual(kernel, grid, closed)
+    tol = solver.RESIDUAL_REL_TOL * (1.0 + np.max(np.abs(lam)))
+    assert abs(result.residual - residual) <= tol
 
 
 def _commuting_kernel(family, rng):
@@ -791,9 +805,9 @@ SAMPLED_FRAMES = ("scalar_times_matrix", "permanent", "exp2x2_equal_rates")
     seed=st.integers(0, 2**32 - 1),
 )
 def test_frame_impact_matches_dense(family, gaps, seed):
-    """The commuting route's impact, built in the eigenframe from N x N
-    single-direction Grams, is the dense Gram's impact up to roundoff and the
-    sampled frame's measured leak; a closed-form frame reproduces the
+    """The eigenframe routes' impact, one packed N x N product per direction
+    (``solver._frame_impact``), is the dense Gram's impact up to roundoff and
+    the sampled frame's measured leak; a closed-form frame reproduces the
     kernel's values."""
     rng = np.random.default_rng(seed)
     kernel = _commuting_kernel(family, rng)
@@ -804,9 +818,9 @@ def test_frame_impact_matches_dense(family, gaps, seed):
     O, decays, leak = solver._frame_decays(kernel, grid, seed=0)
     assert leak == 0.0 or family in SAMPLED_FRAMES
     rotated = trades @ O.T
-    impact_rot = [_fill_gram(decays[:, i, None, None], n) @ rotated[:, i] for i in range(k)]
+    impact_rot = solver._frame_impact(decays, rotated)
     gram = assemble_gram(kernel, grid)
-    gap = np.max(np.abs(np.column_stack(impact_rot) @ O - gram.impact(trades)))
+    gap = np.max(np.abs(impact_rot @ O - gram.impact(trades)))
     slack = np.sqrt(k) * leak * np.abs(rotated).sum()
     assert gap <= slack + 1e-12 * (1.0 + gram.norm) * n * np.max(np.abs(trades))
 
