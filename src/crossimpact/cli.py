@@ -17,6 +17,7 @@ definite, 4 internal numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -64,10 +65,23 @@ def _jsonable(obj):
     return obj
 
 
+@contextlib.contextmanager
+def _output(path):
+    """``path`` opened for writing; a path that cannot be written is a config
+    error, not a traceback."""
+    try:
+        fh = open(path, "w", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    with fh:
+        yield fh
+
+
 def _emit(document: dict, out_path=None) -> None:
     text = json.dumps(_jsonable(document), indent=2, sort_keys=True) + "\n"
     if out_path:
-        Path(out_path).write_text(text)
+        with _output(out_path) as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
@@ -140,7 +154,7 @@ def write_strategy_table(strategy: Strategy, path, fmt: str = "csv") -> None:
     k = strategy.dimension
     header = ["t"] + [f"asset_{i + 1}" for i in range(k)]
     if fmt == "csv":
-        with open(path, "w", newline="") as fh:
+        with _output(path) as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             for t, row in zip(strategy.grid.times, strategy.trades):
@@ -153,20 +167,32 @@ def write_strategy_table(strategy: Strategy, path, fmt: str = "csv") -> None:
                 for t, row in zip(strategy.grid.times, strategy.trades)
             ],
         }
-        Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        with _output(path) as fh:
+            fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     else:
         raise ConfigError(f"unknown table format {fmt!r}")
 
 
 def read_strategy_table(path) -> Strategy:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][0] != "t":
+    """The strategy in a table written by :func:`write_strategy_table` (csv);
+    a table that cannot be read or is malformed raises :class:`ConfigError`."""
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as exc:
+        raise ConfigError(f"cannot read strategy table {path}: {exc}") from exc
+    if not rows or not rows[0] or rows[0][0] != "t":
         raise ConfigError(f"{path}: not a strategy table (header must start with 't')")
-    data = np.array([[float(v) for v in row] for row in rows[1:]])
-    if data.size == 0:
+    if len(rows) == 1:
         raise ConfigError(f"{path}: empty strategy table")
-    return Strategy(data[:, 1:], TimeGrid(data[:, 0]))
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) != len(rows[0]):
+            raise ConfigError(f"{path}:{line}: {len(row)} cells, the header has {len(rows[0])}")
+    try:
+        data = np.array([[float(v) for v in row] for row in rows[1:]])
+        return Strategy(data[:, 1:], TimeGrid(data[:, 0]))
+    except ValueError as exc:  # a non-numeric cell, bad trade times, a NaN trade
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _result_summary(result, route: str) -> dict:
@@ -344,7 +370,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_figures(args) -> int:
     out_dir = Path(args.out or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create {out_dir}: {exc}") from exc
 
     # oscillation sweep: Gaussian-squared matrix-function kernel, 23 trades
     x0 = np.array([10.0, 0.0])
@@ -362,7 +391,7 @@ def cmd_figures(args) -> int:
             sweep_rows.append((rho, horizon, ratio))
             if np.isfinite(ratio) and ratio > best["ratio"]:
                 best = {"rho": rho, "T": horizon, "ratio": ratio}
-    with open(out_dir / "fig1_oscillation.csv", "w", newline="") as fh:
+    with _output(out_dir / "fig1_oscillation.csv") as fh:
         writer = csv.writer(fh)
         writer.writerow(["rho", "T", "max_abs_trade_over_position"])
         for rho, horizon, ratio in sweep_rows:

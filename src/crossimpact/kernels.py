@@ -49,7 +49,7 @@ SYM_TOL = 1e-10
 MAX_CONDITION = 1e12
 SHAPE_TOL = 1e-9
 STRUCTURE_SAMPLES = 48
-# random unit directions the sampled shape check adds to the axes and pairs
+# random unit directions the nonconstancy check adds to the axes and pairs
 SHAPE_RANDOM_DIRECTIONS = 16
 # decay rates (eigenvalues of a generator B) at or below this count as zero
 RATE_FLOOR = 1e-12
@@ -181,7 +181,8 @@ class GaussianSquared(ScalarFunction):
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        return np.exp(-(x * x))
+        with np.errstate(over="ignore"):  # x * x = inf beyond 1.3e154: exp(-inf) = 0
+            return np.exp(-(x * x))
 
     def to_dict(self):
         return {"tag": self.tag}
@@ -611,7 +612,10 @@ class CrossExpKernel(Exp2x2Kernel):
     def eigenframe(self):
         def decays(ts):
             own, cross = np.exp(-self.kappa * ts), self.rho * np.exp(-self.kappa_tilde * ts)
-            return np.stack([own + cross, own - cross], axis=1)
+            out = np.empty((ts.size, 2))
+            np.add(own, cross, out=out[:, 0])
+            np.subtract(own, cross, out=out[:, 1])
+            return out
 
         return np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0), decays
 
@@ -993,51 +997,37 @@ def _direction_set(k: int, rng) -> np.ndarray:
     return np.vstack(rows)
 
 
-def _sampled_shape_verdicts(kernel, ts, directions):
-    """Falsification-only checks on an equidistant lag grid."""
-    values = kernel.at_many(ts)
-    sym_values = 0.5 * (values + np.transpose(values, (0, 2, 1)))
+# the shape properties, indexed by the order of the lag differences whose
+# symmetric parts they keep positive semidefinite
+_SHAPE_PROPERTIES = ("nonnegative", "nonincreasing", "convex")
 
-    # nonnegativity through the symmetric part, one tolerance per lag
-    eigs = np.linalg.eigvalsh(sym_values)
+
+def _shape_violation(ts, values, order: int, floor: float) -> Optional[ShapeWitness]:
+    """The worst violation on a lag grid of the shape property of difference
+    ``order`` (see ``_SHAPE_PROPERTIES``), or None.
+
+    Each run of ``order + 1`` consecutive lags gives one matrix: the symmetric
+    part of ``G`` (nonnegative), of ``G(t_i) - G(t_{i+1})`` (nonincreasing) or
+    of the second difference (convex).  A run violates when its smallest
+    eigenvalue is below ``-floor * (1 + max|G|)`` over the run's lags; the
+    witness is the eigenvector of the run with the least slack.
+    """
+    sym = 0.5 * (values + np.transpose(values, (0, 2, 1)))
+    mats = np.diff(sym, n=order, axis=0)
+    if order == 1:
+        mats = -mats
     norms = np.max(np.abs(values), axis=(1, 2))
-    bad = eigs[:, 0] < -SHAPE_TOL * (1.0 + norms)
-    if np.any(bad):
-        i = int(np.argmin(eigs[:, 0] + SHAPE_TOL * (1.0 + norms)))
-        vec = _min_eigenpair(sym_values[i])[1]
-        nonneg = Verdict(False, "sampled", ShapeWitness((float(ts[i]),), vec))
-    else:
-        nonneg = Verdict(True, "sampled")
-
-    forms = np.einsum("di,tij,dj->dt", directions, values, directions)
-    tol = SHAPE_TOL * (1.0 + np.max(np.abs(forms), axis=1))
-
-    # monotonicity keeps minus the first differences, convexity the second
-    # differences, above -tol; a violation's witness spans 2 or 3 lags
-    verdicts = []
-    for margin, width in ((-np.diff(forms, axis=1), 2), (np.diff(forms, n=2, axis=1), 3)):
-        slack = margin + tol[:, None]
-        if np.any(slack < 0):
-            d, t = np.unravel_index(np.argmin(slack), slack.shape)
-            witness = ShapeWitness(tuple(float(x) for x in ts[t : t + width]), directions[d])
-            verdicts.append(Verdict(False, "sampled", witness))
-        else:
-            verdicts.append(Verdict(True, "sampled"))
-    noninc, convex = verdicts
-
-    ranges = np.max(forms, axis=1) - np.min(forms, axis=1)
-    flat = ranges <= tol
-    if np.any(flat):
-        d = int(np.argmin(ranges - tol))
-        nonconst = Verdict(False, "sampled", ShapeWitness(tuple(ts), directions[d]))
-    else:
-        nonconst = Verdict(True, "sampled")
-
-    return nonneg, noninc, convex, nonconst
+    scale = np.max([norms[j : j + len(mats)] for j in range(order + 1)], axis=0)
+    slack = np.linalg.eigvalsh(mats)[:, 0] + floor * (1.0 + scale)
+    i = int(np.argmin(slack))
+    if slack[i] >= 0:
+        return None
+    return ShapeWitness(tuple(float(t) for t in ts[i : i + order + 1]), _min_eigenpair(mats[i])[1])
 
 
-def _search_shape_witness(kernel, prop: str, t_max: float) -> Optional[ShapeWitness]:
-    """Locate a concrete violation of a shape property known to fail.
+def _search_shape_witness(kernel, order: int, t_max: float) -> Optional[ShapeWitness]:
+    """Locate a concrete violation of the shape property of difference
+    ``order`` (see ``_SHAPE_PROPERTIES``), known to fail.
 
     Scans increasingly long, dense lag grids; directions come from the
     eigenvectors of the relevant (difference) matrices, so any violation
@@ -1045,22 +1035,12 @@ def _search_shape_witness(kernel, prop: str, t_max: float) -> Optional[ShapeWitn
     lies beyond floating-point range.
     """
     for span in (t_max, 4.0 * t_max, 32.0 * t_max, 256.0 * t_max):
+        if not math.isfinite(span):  # this span and the longer ones overflow
+            break
         ts = np.linspace(0.0, span, 4097)
-        values = kernel.at_many(ts)
-        sym = 0.5 * (values + np.transpose(values, (0, 2, 1)))
-        # matrices whose forms the property keeps nonnegative, one per run
-        # of `width` consecutive lags
-        if prop == "nonnegative":
-            mats, width = sym, 1
-        elif prop == "nonincreasing":
-            mats, width = sym[:-1] - sym[1:], 2
-        else:
-            mats, width = sym[:-2] - 2.0 * sym[1:-1] + sym[2:], 3
-        eigs = np.linalg.eigvalsh(mats)
-        i = int(np.argmin(eigs[:, 0]))
-        if eigs[i, 0] < -SHAPE_WITNESS_FLOOR * (1.0 + _maxabs(values[i])):
-            vec = _min_eigenpair(mats[i])[1]
-            return ShapeWitness(tuple(float(t) for t in ts[i : i + width]), vec)
+        witness = _shape_violation(ts, kernel.at_many(ts), order, SHAPE_WITNESS_FLOOR)
+        if witness is not None:
+            return witness
     return None
 
 
@@ -1069,16 +1049,6 @@ def analytic_shape_flags(kernel: DecayKernel) -> Optional[dict]:
     (see :meth:`DecayKernel.shape_flags`); None for kernels that have to be
     sampled."""
     return kernel.shape_flags()
-
-
-def _flags_to_verdicts(kernel, flags, t_max):
-    out = []
-    for prop in ("nonnegative", "nonincreasing", "convex"):
-        if flags[prop]:
-            out.append(Verdict(True, "analytic"))
-        else:
-            out.append(Verdict(False, "analytic", _search_shape_witness(kernel, prop, t_max)))
-    return tuple(out)
 
 
 def check_shape_properties(
@@ -1092,38 +1062,45 @@ def check_shape_properties(
 
     Families with closed-form flags (:meth:`DecayKernel.shape_flags`) get
     exact analytic verdicts (with a numerically located witness when a
-    property fails); everything else is decided by sampling on an
-    equidistant lag grid over ``[0, t_max]`` with the direction set of the
-    report.  Sampled verdicts are falsifiable only:
-    ``True`` means "no violation found".  ``method="sampled"`` forces the
-    sampled path for any family.
+    property fails); everything else is decided by one smallest-eigenvalue
+    scan per property on an equidistant lag grid over ``[0, t_max]``.
+    Sampled verdicts are falsifiable only: ``True`` means "no violation
+    found".  ``method="sampled"`` forces the sampled path for any family.
+    Nonconstancy is always sampled, along the axes, their pairwise sums and
+    differences, and random directions drawn with ``seed``.
     """
-    if not t_max > 0:
-        raise ValueError("t_max must be positive")
+    if not 0 < t_max < math.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
     if n_samples < 3:
         raise ValueError("need at least 3 lag samples")
-    rng = np.random.default_rng(seed)
-    ts = np.linspace(0.0, t_max, n_samples)
-    directions = _direction_set(kernel.dimension, rng)
-    symmetric, commuting = check_structure(kernel, ts)
-
-    nonneg = noninc = convex = None
-    if method == "auto":
-        flags = kernel.shape_flags()
-        if flags is not None:
-            nonneg, noninc, convex = _flags_to_verdicts(kernel, flags, t_max)
-    elif method != "sampled":
+    if method not in ("auto", "sampled"):
         raise ValueError("method must be 'auto' or 'sampled'")
+    ts = np.linspace(0.0, t_max, n_samples)
+    symmetric, commuting = check_structure(kernel, ts)
+    values = kernel.at_many(ts)
+    flags = kernel.shape_flags() if method == "auto" else None
 
-    s_nonneg, s_noninc, s_convex, nonconst = _sampled_shape_verdicts(kernel, ts, directions)
-    if nonneg is None:
-        nonneg, noninc, convex = s_nonneg, s_noninc, s_convex
+    verdicts = {}
+    for order, prop in enumerate(_SHAPE_PROPERTIES):
+        if flags is None:
+            witness = _shape_violation(ts, values, order, SHAPE_TOL)
+            verdicts[prop] = Verdict(witness is None, "sampled", witness)
+        elif flags[prop]:
+            verdicts[prop] = Verdict(True, "analytic")
+        else:
+            verdicts[prop] = Verdict(False, "analytic", _search_shape_witness(kernel, order, t_max))
+
+    # a direction whose form is flat on the grid makes the forms constant
+    directions = _direction_set(kernel.dimension, np.random.default_rng(seed))
+    forms = np.einsum("di,tij,dj->dt", directions, values, directions)
+    slack = np.ptp(forms, axis=1) - SHAPE_TOL * (1.0 + np.max(np.abs(forms), axis=1))
+    d = int(np.argmin(slack))
+    witness = ShapeWitness(tuple(ts), directions[d]) if slack[d] <= 0 else None
+    nonconst = Verdict(witness is None, "sampled", witness)
 
     return PropertyReport(
         symmetric=symmetric,
         commuting=commuting,
-        nonnegative=nonneg,
-        nonincreasing=noninc,
-        convex=convex,
         nonconstant_forms=nonconst,
+        **verdicts,
     )

@@ -194,6 +194,56 @@ class TestErrors:
         assert stdout == ""
         assert stderr.startswith("config error")
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "table",
+        [
+            None,  # no such file
+            "t,asset_1,asset_2\n0,1.0,-2.0\n1,0.5\n",
+            "t,asset_1,asset_2\n0,1.0,abc\n1,0.5,2.0\n",
+            "t,asset_1,asset_2\n0.5,1.0,-2.0\n1,0.5,2.0\n",
+            "t,asset_1,asset_2\n0,1.0,nan\n1,0.5,2.0\n",
+        ],
+        ids=["missing", "ragged", "non_numeric", "first_time_not_0", "nan_trade"],
+    )
+    def test_malformed_strategy_table_exit_2(self, tmp_path, capsys, source, table):
+        path = tmp_path / "strategy.csv"
+        if table is not None:
+            path.write_text(table)
+        config = tmp_path / "fig2.json"
+        cfg = write_config(config)
+        argv = ["simulate", "--config", str(config), "--paths", "10"]
+        if source == "flag":
+            argv += ["--strategy", str(path)]
+        else:
+            cfg["simulation"]["strategy_csv"] = str(path)
+            config.write_text(json.dumps(cfg))
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("config error") and "strategy.csv" in stderr
+
+    @pytest.mark.parametrize("tmax", ["inf", "nan"])
+    def test_check_nonfinite_tmax_exit_2(self, tmp_path, capsys, tmax):
+        config = tmp_path / "fig2.json"
+        write_config(config)
+        code, stdout, stderr = run(capsys, "check", "--config", str(config), "--tmax", tmax)
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("config error") and "finite" in stderr
+
+    @pytest.mark.parametrize("command", ["solve", "check", "figures"])
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, command):
+        config = tmp_path / "fig2.json"
+        write_config(config)
+        out = config / "out"  # below a regular file: neither writable nor creatable
+        argv = [command, "--out", str(out)]
+        if command != "figures":
+            argv += ["--config", str(config)]
+        code, _, stderr = run(capsys, *argv)
+        assert code == 2
+        assert stderr.startswith("config error") and str(out) in stderr
+
     def test_refine_not_pd_exit_3(self, tmp_path, capsys):
         config = tmp_path / "indefinite.json"
         write_config(

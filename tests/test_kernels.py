@@ -27,7 +27,12 @@ from crossimpact import (
     kernel_from_dict,
 )
 from crossimpact import kernels
-from conftest import random_admissible_kernel, random_orthogonal, random_spd
+from conftest import (
+    count_eigensolver_calls,
+    random_admissible_kernel,
+    random_orthogonal,
+    random_spd,
+)
 
 
 class TestEval:
@@ -325,16 +330,60 @@ class TestShapeProperties:
         assert report.nonconstant_forms.value is False
 
     def test_sampled_witness_reevaluates(self, rng):
-        # gaussian-squared matrix function is not convex; the sampled triple
-        # must exhibit a genuine negative second difference
-        kernel = MatrixFunctionKernel(random_spd(rng, 2), GaussianSquared())
-        report = check_shape_properties(kernel, t_max=6.0)
-        assert report.convex.value is False
+        # every failed property's witness, located analytically or sampled,
+        # must exhibit a genuine negative form, rise or second difference:
+        # gaussian-squared matrix functions are not convex, and the Jordan
+        # kernel is none of the three
+        margins = {
+            "nonnegative": lambda f: f[0],
+            "nonincreasing": lambda f: f[0] - f[1],
+            "convex": lambda f: f[0] - 2.0 * f[1] + f[2],
+        }
+        cases = [
+            (MatrixFunctionKernel(random_spd(rng, 2), GaussianSquared()), "auto", ["convex"]),
+            (MatrixFunctionKernel(random_spd(rng, 2), GaussianSquared()), "sampled", ["convex"]),
+            (JordanExpKernel(0.2), "auto", list(margins)),
+        ]
+        for kernel, method, failed in cases:
+            report = check_shape_properties(kernel, t_max=6.0, method=method)
+            for prop in failed:
+                verdict = getattr(report, prop)
+                assert verdict.value is False, (kernel, method, prop)
+                w = verdict.witness
+                assert w is not None and len(w.times) == list(margins).index(prop) + 1
+                form = [w.direction @ kernel.at(t) @ w.direction for t in w.times]
+                assert margins[prop](form) < 0.0, (kernel, method, prop)
+
+    def test_sampled_convexity_off_the_direction_set(self):
+        # the forms along the axes, their pairwise sums and differences and
+        # 16 random directions are all convex on this grid; the second
+        # differences' smallest eigenvalue, -2e-5, is not
+        inner = CrossExpKernel(1.1008431226482949, 2.376252982603847, 0.22800845111756637)
+        L = [[0.7728965264279746, 0.15171938943349683], [0.07800034850385301, 1.1241947081920869]]
+        kernel = LeftMultiplyKernel(L, inner)
+        report = check_shape_properties(kernel, t_max=20.0)
+        assert report.convex.value is False and report.convex.method == "sampled"
         w = report.convex.witness
-        assert w is not None
-        t1, t2, t3 = w.times
-        form = [w.direction @ kernel.at(t) @ w.direction for t in (t1, t2, t3)]
-        assert form[0] - 2.0 * form[1] + form[2] < 0.0
+        assert len(w.times) == 3
+        form = [w.direction @ kernel.at(t) @ w.direction for t in w.times]
+        assert form[0] - 2.0 * form[1] + form[2] < -1e-9 * (1.0 + np.max(np.abs(kernel.at(0.0))))
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            CrossExpKernel(1.0, 1.8, 0.3),
+            MatrixExpKernel([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 0.8]]),
+        ],
+        ids=["cross_exp", "matrix_exp"],
+    )
+    def test_closed_form_flags_need_no_eigenvalues(self, monkeypatch, kernel):
+        # every flag holds, so nothing is sampled and no witness is searched
+        assert all(kernel.shape_flags().values())
+        calls = count_eigensolver_calls(monkeypatch)
+        report = check_shape_properties(kernel, t_max=10.0)
+        for prop in ("nonnegative", "nonincreasing", "convex"):
+            assert getattr(report, prop) == kernels.Verdict(True, "analytic")
+        assert calls == [[], [], []]
 
     def test_validation(self):
         k = CrossExpKernel(1.0, 1.8, 0.3)
@@ -342,6 +391,20 @@ class TestShapeProperties:
             check_shape_properties(k, t_max=0.0)
         with pytest.raises(ValueError):
             check_shape_properties(k, t_max=1.0, n_samples=2)
+        for t_max in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                check_shape_properties(k, t_max=t_max)
+
+    def test_witness_search_stops_where_spans_overflow(self, rng):
+        # neither kernel is convex, but on these spans both have decayed to
+        # 0 beyond lag 0; the cross_exp search's 32x and 256x spans are not
+        # finite floats, and gaussian_sq's squared lags overflow to inf
+        for kernel, t_max in (
+            (CrossExpKernel(1.0, 1.8, 0.31), 1e307),
+            (MatrixFunctionKernel(random_spd(rng, 2), GaussianSquared()), 1e152),
+        ):
+            report = check_shape_properties(kernel, t_max=t_max)
+            assert report.convex == kernels.Verdict(False, "analytic", None)
 
 
 class TestSerialization:
