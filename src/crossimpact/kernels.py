@@ -163,7 +163,8 @@ class ExpDecay(ScalarFunction):
             raise ValueError("exp_decay rate must be positive")
 
     def __call__(self, x):
-        return np.exp(-self.rate * np.asarray(x, dtype=float))
+        with np.errstate(over="ignore"):  # rate * x = inf near the float limit: exp(-inf) = 0
+            return np.exp(-self.rate * np.asarray(x, dtype=float))
 
     def to_dict(self):
         return {"tag": self.tag, "rate": self.rate}
@@ -206,7 +207,8 @@ class LinearPolya(ScalarFunction):
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        return np.maximum(self.level - self.slope * x, 0.0)
+        with np.errstate(over="ignore"):  # slope * x = inf near the float limit: the floor 0
+            return np.maximum(self.level - self.slope * x, 0.0)
 
     def to_dict(self):
         return {"tag": self.tag, "level": self.level, "slope": self.slope}
@@ -451,7 +453,8 @@ class MatrixFunctionKernel(_EigenBasisKernel):
         self.dimension = B.shape[0]
 
     def _diagonals(self, ts):
-        return self.fn(np.outer(ts, self.eigenvalues))
+        with np.errstate(over="ignore"):  # t * rho = inf near the float limit: g(inf), the limit
+            return self.fn(np.outer(ts, self.eigenvalues))
 
     def _active_decays(self):
         # zero-rate eigendirections hold the constant g(0)
@@ -477,7 +480,8 @@ class MatrixExpKernel(MatrixFunctionKernel):
     def _diagonals(self, ts):
         # the same values as the inherited ExpDecay(1.0) call, since
         # -1.0 * x == -x, with a lower measured peak memory
-        return np.exp(-np.outer(ts, self.eigenvalues))
+        with np.errstate(over="ignore"):  # t * rho = inf near the float limit: exp(-inf) = 0
+            return np.exp(-np.outer(ts, self.eigenvalues))
 
     def to_dict(self):
         return {"family": self.family, "B": self.B.tolist()}
@@ -546,7 +550,8 @@ class Exp2x2Kernel(_Entrywise2x2Kernel):
     family = "exp2x2"
 
     def _values(self, ts):
-        return self.a * np.exp(-ts[:, None, None] * self.b)
+        with np.errstate(over="ignore"):  # t * b = inf near the float limit: exp(-inf) = 0
+            return self.a * np.exp(-ts[:, None, None] * self.b)
 
     def structure(self):
         a, b = self.a, self.b
@@ -600,8 +605,9 @@ class CrossExpKernel(Exp2x2Kernel):
 
     def _values(self, ts):
         # two exps per lag where exp2x2 takes four
-        own = np.exp(-self.kappa * ts)
-        cross = self.rho * np.exp(-self.kappa_tilde * ts)
+        with np.errstate(over="ignore"):  # rate * t = inf near the float limit: exp(-inf) = 0
+            own = np.exp(-self.kappa * ts)
+            cross = self.rho * np.exp(-self.kappa_tilde * ts)
         out = np.empty((ts.size, 2, 2))
         out[:, 0, 0] = own
         out[:, 1, 1] = own
@@ -611,7 +617,8 @@ class CrossExpKernel(Exp2x2Kernel):
 
     def eigenframe(self):
         def decays(ts):
-            own, cross = np.exp(-self.kappa * ts), self.rho * np.exp(-self.kappa_tilde * ts)
+            with np.errstate(over="ignore"):  # as in _values
+                own, cross = np.exp(-self.kappa * ts), self.rho * np.exp(-self.kappa_tilde * ts)
             out = np.empty((ts.size, 2))
             np.add(own, cross, out=out[:, 0])
             np.subtract(own, cross, out=out[:, 1])
@@ -635,7 +642,8 @@ class Linear2x2Kernel(_Entrywise2x2Kernel):
     violation_box = (40.0, 48)
 
     def _values(self, ts):
-        return np.maximum(self.a - ts[:, None, None] * self.b, 0.0)
+        with np.errstate(over="ignore"):  # t * b = inf near the float limit: the floor 0
+            return np.maximum(self.a - ts[:, None, None] * self.b, 0.0)
 
     @staticmethod
     def _ratios_ok(ratios):
@@ -739,7 +747,8 @@ class JordanExpKernel(DecayKernel):
         self.dimension = 2
 
     def _values(self, ts):
-        e = np.exp(-self.b * ts)
+        with np.errstate(over="ignore"):  # b * t = inf near the float limit: exp(-inf) = 0
+            e = np.exp(-self.b * ts)
         out = np.zeros((ts.size, 2, 2))
         out[:, 0, 0] = e
         out[:, 1, 1] = e

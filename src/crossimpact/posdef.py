@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.linalg.blas
 import scipy.linalg.lapack
 
 from .grids import TimeGrid
@@ -44,6 +45,10 @@ WITNESS_REL_TOL = 1e-12
 # largest span and size of the spectral evidence's random grids
 EVIDENCE_SPAN = 50.0
 EVIDENCE_N_MAX = 12
+# assemble_gram evaluates the kernel on runs of block rows with at most this
+# many lags each (at least one row), so that the kernel values it holds next
+# to the Gram stay bounded; a grid of up to 255 times takes a single run
+GRAM_CHUNK_LAGS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -52,6 +57,9 @@ class GramMatrix:
 
     Block (k, l) equals ``tilde(t_k - t_l)``; the storage is exactly
     symmetric because the extension transposes mirrored lags bit-for-bit.
+    ``impact`` and ``quadratic_form`` read the lower triangle only, so they
+    still hold once the KKT core has factored the upper triangle in place
+    (:func:`_shifted_cholesky`).
     """
 
     grid: TimeGrid
@@ -65,9 +73,12 @@ class GramMatrix:
 
     def impact(self, trades: np.ndarray) -> np.ndarray:
         """Accumulated impact ``sum_l tilde(t_k - t_l) xi_l`` at every trade
-        time, shape (N, K), for trades of shape (N, K)."""
+        time, shape (N, K), for trades of shape (N, K): one ``dsymv`` on the
+        lower triangle (the upper triangle of ``blocks.T``, the same memory in
+        Fortran order)."""
         v = np.asarray(trades, dtype=float).reshape(-1)
-        return (self.blocks @ v).reshape(self.size, self.dimension)
+        impact = scipy.linalg.blas.dsymv(1.0, self.blocks.T, v, lower=0)
+        return impact.reshape(self.size, self.dimension)
 
     def quadratic_form(self, trades: np.ndarray) -> float:
         """``xi . Gram . xi`` for trades of shape (N, K)."""
@@ -99,23 +110,32 @@ class PosDefReport:
     method: str  # "analytic_theorem" | "analytic_family" | "spectral" | "search"
 
 
-def _gram_lags(grid: TimeGrid) -> np.ndarray:
-    """The lags ``t_i - t_j``, ``j <= i``, of the lower block triangle, row by row."""
+def _gram_lags(grid: TimeGrid, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+    """The lags ``t_i - t_j``, ``j <= i``, of the lower block triangle, row by
+    row, for the block rows ``start <= i < stop`` (default: all)."""
     t = grid.times
-    return (t[:, None] - t)[np.tri(grid.n, dtype=bool)]
+    stop = grid.n if stop is None else stop
+    return (t[start:stop, None] - t[:stop])[np.tri(stop - start, stop, start, dtype=bool)]
+
+
+def _fill_rows(gram: np.ndarray, values: np.ndarray, start: int, stop: int) -> None:
+    """Write block rows ``start <= i < stop`` of ``gram`` (n, k, n, k): block
+    (i, j), ``j <= i``, is ``values`` (m, k, k) at the :func:`_gram_lags` lag
+    ``t_i - t_j``, and block (j, i) its transpose."""
+    first = 0
+    for i in range(start, stop):  # values[first:first + i + 1] are the lags t_i - t_j, j <= i
+        row = values[first : first + i + 1]
+        gram[i, :, : i + 1] = row.transpose(1, 0, 2)
+        gram[: i + 1, :, i] = row.transpose(0, 2, 1)
+        first += i + 1
 
 
 def _fill_gram(values: np.ndarray, n: int) -> np.ndarray:
-    """The (nk) x (nk) matrix with block (i, j), ``j <= i``, the ``values``
-    (m, k, k) at the :func:`_gram_lags` lag ``t_i - t_j``, and (j, i) its transpose."""
+    """The (nk) x (nk) matrix of :func:`_fill_rows` from the ``values`` at
+    all of :func:`_gram_lags`."""
     k = values.shape[1]
     gram = np.empty((n, k, n, k))
-    start = 0
-    for i in range(n):  # values[start:start + i + 1] are the lags t_i - t_j, j <= i
-        row = values[start : start + i + 1]
-        gram[i, :, : i + 1] = row.transpose(1, 0, 2)
-        gram[: i + 1, :, i] = row.transpose(0, 2, 1)
-        start += i + 1
+    _fill_rows(gram, values, 0, n)
     return gram.reshape(n * k, n * k)
 
 
@@ -124,10 +144,21 @@ def assemble_gram(kernel: DecayKernel, grid: TimeGrid) -> GramMatrix:
 
     The kernel is evaluated at the lower block triangle's lags only; the
     transposed blocks are bit for bit ``tilde(t_l - t_k)``, so the result is
-    that of all N^2 lags at half the kernel evaluations.
+    that of all N^2 lags at half the kernel evaluations.  The lags are taken
+    in consecutive runs of block rows of at most ``GRAM_CHUNK_LAGS`` lags,
+    each filled before the next is evaluated; the kernel is elementwise in
+    its lags, so the Gram is the same bit for bit as from one evaluation.
     """
-    blocks = _fill_gram(kernel.tilde_many(_gram_lags(grid)), grid.n)
-    return GramMatrix(grid=grid, blocks=blocks, dimension=kernel.dimension, size=grid.n)
+    n, k = grid.n, kernel.dimension
+    gram = np.empty((n, k, n, k))
+    start = 0
+    while start < n:
+        # block rows start..stop-1 hold stop(stop+1)/2 - start(start+1)/2 lags
+        budget = GRAM_CHUNK_LAGS + start * (start + 1) // 2
+        stop = min(n, max(start + 1, (math.isqrt(8 * budget + 1) - 1) // 2))
+        _fill_rows(gram, kernel.tilde_many(_gram_lags(grid, start, stop)), start, stop)
+        start = stop
+    return GramMatrix(grid=grid, blocks=gram.reshape(n * k, n * k), dimension=k, size=n)
 
 
 def check_grid_pd(gram: GramMatrix) -> GridPDResult:
@@ -144,18 +175,26 @@ def check_grid_pd(gram: GramMatrix) -> GridPDResult:
 
 
 def _shifted_cholesky(matrix: np.ndarray, shift: float):
-    """``(factor, True)`` for ``scipy.linalg.cho_solve`` with the Cholesky
-    factor of ``matrix + shift * I``, or None if that is not positive definite
-    (for a symmetric matrix: some eigenvalue is at most ``-shift``, up to
-    roundoff).  The factor is the one copy: ``matrix.T`` in Fortran order, a
-    straight copy that LAPACK factors in place, reading ``matrix``'s upper
-    triangle."""
-    shifted = np.array(matrix.T, order="F")
-    shifted.flat[:: matrix.shape[0] + 1] += shift
-    factor, info = scipy.linalg.lapack.dpotrf(shifted, lower=1, overwrite_a=1, clean=0)
+    """Factor ``matrix + shift * I`` in place, for ``scipy.linalg.cho_solve``.
+
+    LAPACK factors ``matrix.T``, for a C-ordered ``matrix`` the same memory
+    in Fortran order, so the factor reads ``matrix``'s upper triangle and
+    overwrites it and the diagonal; the strictly lower triangle is never
+    written.  Returns ``(factor, True)``, the factor sharing ``matrix``'s
+    memory, or None if ``matrix + shift * I`` is not positive definite (for a
+    symmetric matrix: some eigenvalue is at most ``-shift``, up to roundoff).
+    On None the diagonal is restored, so the lower triangle is ``matrix``
+    again; after a success the diagonal holds the factor's, and a caller that
+    reads ``matrix`` later writes back the diagonal it saved before."""
+    diagonal = matrix.diagonal().copy()
+    matrix.flat[:: matrix.shape[0] + 1] += shift
+    factor, info = scipy.linalg.lapack.dpotrf(matrix.T, lower=1, overwrite_a=1, clean=0)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK dpotrf")
-    return (factor, True) if info == 0 else None
+    if info > 0:
+        matrix.flat[:: matrix.shape[0] + 1] = diagonal
+        return None
+    return factor, True
 
 
 def _random_search_grid(rng, span_max: float, n_max: int) -> TimeGrid:
@@ -200,11 +239,13 @@ def search_violation(
     for _ in range(budget):
         grid = _random_search_grid(rng, span_max, n_max)
         gram = assemble_gram(kernel, grid)
-        # only Grams that fail the probe pay for an eigendecomposition, and
-        # the unit min-eigenvector is the witness
-        if _shifted_cholesky(gram.blocks, WITNESS_REL_TOL * gram.norm) is None:
+        norm = gram.norm
+        # only Grams that fail the in-place probe pay for an eigendecomposition
+        # of the lower triangle it leaves, and the unit min-eigenvector is the
+        # witness
+        if _shifted_cholesky(gram.blocks, WITNESS_REL_TOL * norm) is None:
             value, xi = _min_eigenpair(gram.blocks)
-            if value < -WITNESS_REL_TOL * gram.norm:
+            if value < -WITNESS_REL_TOL * norm:
                 return GramWitness(grid, xi.reshape(grid.n, kernel.dimension), value)
     return None
 

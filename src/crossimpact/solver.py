@@ -209,11 +209,17 @@ def _check_result(grid, trades, lam, x0, unique, impact: np.ndarray, slack=0.0) 
     return SolveResult(Strategy(trades, grid), lam, half_form, unique, residual)
 
 
-def _pcg_solve(gram: np.ndarray, factor, rhs: np.ndarray, gram_max: float) -> np.ndarray:
+def _pcg_solve(
+    gram: np.ndarray, factor, rhs: np.ndarray, gram_max: float, diagonal=None
+) -> np.ndarray:
     """Solve ``gram Y = rhs`` by conjugate gradients, one recurrence per
     column, preconditioned with the Cholesky ``factor`` of ``gram - tau I``.
 
-    Starts from ``Y = factor^-1 rhs`` and stops on the true residual (see
+    ``gram`` is read from its strictly lower triangle and ``diagonal``
+    (default: its own diagonal), so its upper triangle and diagonal may hold
+    the factor: the product is one ``dsymm`` on the lower triangle plus the
+    correction ``(diagonal - gram's diagonal) Y``.  Starts from
+    ``Y = factor^-1 rhs`` and stops on the true residual (see
     ``PCG_RES_FACTOR``).  Plain refinement ``Y += factor^-1 (rhs - gram Y)``
     contracts only by ``tau / (lambda_min - tau)`` and so diverges once
     ``lambda_min < 2 tau``; CG converges for every strict Gram.
@@ -221,9 +227,18 @@ def _pcg_solve(gram: np.ndarray, factor, rhs: np.ndarray, gram_max: float) -> np
     def solve(b):
         return scipy.linalg.cho_solve(factor, b, check_finite=False)
 
+    correction = None if diagonal is None else (diagonal - gram.diagonal())[:, None]
+
+    def product(X):
+        # gram.T is gram's memory in Fortran order; its upper triangle is gram's lower
+        out = scipy.linalg.blas.dsymm(1.0, gram.T, X, lower=0)
+        if correction is not None:
+            out += correction * X
+        return out
+
     floor = PCG_RES_FACTOR * gram.shape[0] * np.finfo(float).eps * (1.0 + gram_max)
     Y = solve(rhs)
-    R = rhs - gram @ Y
+    R = rhs - product(Y)
     P = rz_old = None
     for step in range(PCG_MAX_STEPS + 1):
         if _maxabs(R) <= floor * (1.0 + _maxabs(Y)):
@@ -233,8 +248,8 @@ def _pcg_solve(gram: np.ndarray, factor, rhs: np.ndarray, gram_max: float) -> np
         Z = solve(R)
         rz = np.einsum("ij,ij->j", R, Z)
         P = Z if P is None else Z + (rz / rz_old) * P
-        Y += (rz / np.einsum("ij,ij->j", P, gram @ P)) * P
-        R = rhs - gram @ Y
+        Y += (rz / np.einsum("ij,ij->j", P, product(P))) * P
+        R = rhs - product(Y)
         rz_old = rz
     raise ArithmeticError(
         f"preconditioned CG stalled after {PCG_MAX_STEPS} steps with residual "
@@ -249,11 +264,15 @@ def _kkt_solve_gram(gram: np.ndarray, n: int, k: int, x0: np.ndarray):
     sums the N trade vectors, and returns ``(trades, lam, strict)``.  The
     Gram is strict when a Cholesky factorization of ``Gram - tau I``
     succeeds, ``tau = PSD_REL_TOL * (1 + max|Gram|)`` (the same decision as
-    ``eigvalsh(Gram)[0] > tau``).  That factor is the only factorization of
-    a strict Gram: it preconditions the CG solve of ``Gram Y = A^T`` (k
-    right-hand sides, :func:`_pcg_solve`), then the k x k Schur complement
-    ``S = A Y`` (the sum of Y's N blocks) gives ``lam = -S^-1 x0`` and
-    ``xi = Y lam``.  Otherwise the smallest eigenpair decides: an eigenvalue
+    ``eigvalsh(Gram)[0] > tau``).  The factor is written over the Gram's
+    upper triangle (:func:`posdef._shifted_cholesky`), so a strict solve
+    holds no other NK x NK array, and every later step reads the lower
+    triangle; on return the strictly lower triangle and the diagonal are the
+    input's.  That factor is the only factorization of a strict Gram: it
+    preconditions the CG solve of ``Gram Y = A^T`` (k right-hand sides,
+    :func:`_pcg_solve`), then the k x k Schur complement ``S = A Y`` (the
+    sum of Y's N blocks) gives ``lam = -S^-1 x0`` and ``xi = Y lam``.
+    Otherwise the smallest eigenpair decides: an eigenvalue
     below ``-tau`` raises :class:`UnboundedCostError` with its eigenvector as
     the direction, and a singular-but-PSD Gram gets the minimum-norm
     least-squares solution of the bordered system
@@ -261,10 +280,14 @@ def _kkt_solve_gram(gram: np.ndarray, n: int, k: int, x0: np.ndarray):
     """
     gram_max = _maxabs(gram)
     tol = PSD_REL_TOL * (1.0 + gram_max)
+    diagonal = gram.diagonal().copy()
     # the factor reads the upper triangle; a filled Gram is exactly symmetric
     factor = _shifted_cholesky(gram, -tol)
     if factor is not None:
-        Y = _pcg_solve(gram, factor, np.tile(np.eye(k), (n, 1)), gram_max)
+        try:
+            Y = _pcg_solve(gram, factor, np.tile(np.eye(k), (n, 1)), gram_max, diagonal)
+        finally:
+            gram.flat[:: n * k + 1] = diagonal
         lam = -np.linalg.solve(Y.reshape(n, k, k).sum(axis=0), x0)
         return (Y @ lam).reshape(n, k), lam, True
 
@@ -278,7 +301,7 @@ def _kkt_solve_gram(gram: np.ndarray, n: int, k: int, x0: np.ndarray):
     nk = n * k
     A = np.tile(np.eye(k), n)
     M = np.zeros((nk + k, nk + k))
-    M[:nk, :nk] = gram
+    M[:nk, :nk] = np.tril(gram) + np.tril(gram, -1).T
     M[:nk, nk:] = A.T
     M[nk:, :nk] = A
     rhs = np.zeros(nk + k)
@@ -297,6 +320,8 @@ def solve_kkt(kernel: DecayKernel, grid: TimeGrid, x0) -> SolveResult:
     """
     x0 = _portfolio(kernel, x0)
     gram = assemble_gram(kernel, grid)
+    # the core factors the Gram in place; the certificate's impact reads the
+    # lower triangle that it leaves as it was
     trades, lam, strict = _kkt_solve_gram(gram.blocks, grid.n, kernel.dimension, x0)
     return _check_result(grid, trades, lam, x0, strict, gram.impact(trades))
 
@@ -335,7 +360,8 @@ def solve_1d_exp(rate: float, grid: TimeGrid, y: float) -> np.ndarray:
         raise ValueError("rate must be nonnegative")
     if grid.n < 2:
         raise ValueError("the closed form needs at least two trade times")
-    a = np.exp(-rate * np.diff(grid.times))
+    with np.errstate(over="ignore"):  # rate * gap = inf near the float limit: exp(-inf) = 0
+        a = np.exp(-rate * np.diff(grid.times))
     trades, _ = _exp_recursion(a[:, None, None], np.array([float(y)]))
     return trades[:, 0]
 

@@ -22,11 +22,12 @@ from crossimpact import (
     PlusTemporaryKernel,
     PowerCapped,
     ScalarTimesMatrixKernel,
+    TimeGrid,
     check_shape_properties,
     check_structure,
     kernel_from_dict,
 )
-from crossimpact import kernels
+from crossimpact import kernels, solver
 from conftest import (
     count_eigensolver_calls,
     random_admissible_kernel,
@@ -405,6 +406,39 @@ class TestShapeProperties:
         ):
             report = check_shape_properties(kernel, t_max=t_max)
             assert report.convex == kernels.Verdict(False, "analytic", None)
+
+    @pytest.mark.parametrize("t_max", [1e200, 1.7e308])
+    def test_lags_near_the_float_limit_do_not_warn(self, rng, t_max):
+        """``rate * t`` overflows to inf on these lags, where every decay is at
+        its limit; under the suite's RuntimeWarning-as-error policy any
+        overflow warning fails this test."""
+        cross = CrossExpKernel(1.0, 1.8, 0.3)
+        family_kernels = [
+            PermanentKernel(random_spd(rng, 3)),
+            MatrixExpKernel(random_spd(rng, 3)),
+            MatrixFunctionKernel(random_spd(rng, 3), GaussianSquared()),
+            DiagCongruenceKernel(
+                random_orthogonal(rng, 3), [ExpDecay(2.5), LinearPolya(1.0, 3.0), ExpDecay(0.4)]
+            ),
+            Exp2x2Kernel(1.0, 0.3, 0.3, 1.2, 1.0, 2.5, 2.5, 1.2),
+            cross,
+            Linear2x2Kernel(4.0, 0.8, 0.8, 5.0, 2.0, 0.4, 0.4, 2.5),
+            ClampedExpKernel(),
+            JordanExpKernel(1.5),
+            JordanExpKernel(0.2),
+            ScalarTimesMatrixKernel(ExpDecay(2.0), random_spd(rng, 3)),
+            LeftMultiplyKernel(np.eye(2) + 0.2 * rng.standard_normal((2, 2)), cross),
+            CongruenceKernel(np.eye(3) + 0.3 * rng.standard_normal((3, 3)),
+                             MatrixExpKernel(random_spd(rng, 3))),
+            PlusTemporaryKernel(random_spd(rng, 2, 0.05, 0.5), cross),
+        ]
+        for kernel in family_kernels:
+            report = check_shape_properties(kernel, t_max=t_max)
+            assert report.nonnegative.value is not None, kernel.family
+            assert np.all(np.isfinite(kernel.at_many([0.0, 1.0, t_max]))), kernel.family
+        assert np.all(np.isfinite(cross.eigenframe()[1](np.array([t_max]))))
+        trades = solver.solve_1d_exp(2.0, TimeGrid([0.0, 1.0, t_max]), 1.0)
+        assert np.isclose(trades.sum(), -1.0, rtol=0.0, atol=1e-15)
 
 
 class TestSerialization:

@@ -1,7 +1,10 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from crossimpact import (
     ClampedExpKernel,
@@ -15,6 +18,7 @@ from crossimpact import (
     JordanExpKernel,
     LeftMultiplyKernel,
     Linear2x2Kernel,
+    LinearPolya,
     MatrixExpKernel,
     MatrixFunctionKernel,
     PermanentKernel,
@@ -27,10 +31,17 @@ from crossimpact import (
     classify_positive_definite,
     cost,
     equidistant_grid,
+    geometric_grid,
     search_violation,
 )
 from crossimpact import kernels, posdef
-from crossimpact.posdef import EVIDENCE_N_MAX, EVIDENCE_SPAN, _shifted_cholesky
+from crossimpact.posdef import (
+    EVIDENCE_N_MAX,
+    EVIDENCE_SPAN,
+    _fill_gram,
+    _gram_lags,
+    _shifted_cholesky,
+)
 from conftest import (
     count_calls,
     count_eigensolver_calls,
@@ -44,6 +55,43 @@ from conftest import (
 
 def gaussian_1d():
     return ScalarTimesMatrixKernel(GaussianSquared(), [[1.0]])
+
+
+def count_lags_per_evaluation(kernel):
+    """Record the number of lags of every ``kernel.tilde_many`` call."""
+    sizes = []
+    evaluate = kernel.tilde_many
+
+    def counted(ts):
+        sizes.append(len(ts))
+        return evaluate(ts)
+
+    kernel.tilde_many = counted
+    return sizes
+
+
+# one random kernel of each family, from a numpy generator
+FAMILY_FACTORIES = (
+    lambda rng: PermanentKernel(random_spd(rng, 2)),
+    lambda rng: MatrixExpKernel(random_spd(rng, int(rng.integers(1, 5)))),
+    lambda rng: MatrixFunctionKernel(random_spd(rng, 3), GaussianSquared()),
+    lambda rng: DiagCongruenceKernel(
+        random_orthogonal(rng, 3), [ExpDecay(1.3), LinearPolya(1.0, 0.4), Constant(0.5)]
+    ),
+    lambda rng: Exp2x2Kernel(*rng.uniform(0.2, 2.0, 8)),
+    lambda rng: CrossExpKernel(*rng.uniform(0.2, 2.0, 2), rng.uniform(0.05, 0.9)),
+    lambda rng: Linear2x2Kernel(*rng.uniform(0.2, 2.0, 8)),
+    lambda rng: ClampedExpKernel(),
+    lambda rng: JordanExpKernel(rng.uniform(0.1, 2.0)),
+    lambda rng: ScalarTimesMatrixKernel(ExpDecay(rng.uniform(0.3, 3.0)), rng.standard_normal((2, 2))),
+    lambda rng: LeftMultiplyKernel(
+        np.eye(2) + 0.2 * rng.standard_normal((2, 2)), CrossExpKernel(1.0, 1.8, 0.3)
+    ),
+    lambda rng: CongruenceKernel(
+        np.eye(3) + 0.3 * rng.standard_normal((3, 3)), MatrixExpKernel(random_spd(rng, 3))
+    ),
+    lambda rng: PlusTemporaryKernel(random_spd(rng, 2, 0.05, 0.5), CrossExpKernel(1.0, 1.8, 0.3)),
+)
 
 
 class TestAssembleGram:
@@ -118,6 +166,63 @@ class TestAssembleGram:
                 expected = kernel.tilde_many(lags.ravel()).reshape(n, n, k, k)
                 blocks = assemble_gram(kernel, grid).blocks.reshape(n, k, n, k)
                 assert np.array_equal(blocks.transpose(0, 2, 1, 3), expected), kernel.family
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.integers(0, len(FAMILY_FACTORIES) - 1),
+        n=st.integers(1, 48),
+        chunk=st.integers(1, 300),
+        geometric=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_chunked_assembly_is_one_evaluation(self, family, n, chunk, geometric, seed):
+        """Runs of block rows with at most ``chunk`` lags each (at least one
+        row) give, bit for bit, the Gram of one ``tilde_many`` over all of
+        ``_gram_lags`` filled by ``_fill_gram``."""
+        rng = np.random.default_rng(seed)
+        kernel = FAMILY_FACTORIES[family](rng)
+        grid = geometric_grid(5.0, n, 1.1) if geometric and n > 1 else equidistant_grid(5.0, n)
+        expected = _fill_gram(kernel.tilde_many(_gram_lags(grid)), n)
+        sizes = count_lags_per_evaluation(kernel)
+        with mock.patch.object(posdef, "GRAM_CHUNK_LAGS", chunk):
+            blocks = assemble_gram(kernel, grid).blocks
+        assert np.array_equal(blocks, expected), kernel.family
+        assert sum(sizes) == n * (n + 1) // 2
+        assert max(sizes) <= max(chunk, n)
+        assert (len(sizes) == 1) == (n * (n + 1) // 2 <= chunk)
+
+    def test_runs_split_above_one_chunk(self):
+        # 255 times hold 32640 lags, the largest grid of one run
+        kernel = CrossExpKernel(1.0, 1.8, 0.3)
+        sizes = count_lags_per_evaluation(kernel)
+        assemble_gram(kernel, equidistant_grid(5.0, 255))
+        assert sizes == [32640] and posdef.GRAM_CHUNK_LAGS < 32896
+        sizes.clear()
+        assemble_gram(kernel, equidistant_grid(5.0, 1025))
+        assert sum(sizes) == 1025 * 1026 // 2 and len(sizes) > 1
+        assert max(sizes) <= posdef.GRAM_CHUNK_LAGS
+
+    def test_impact_matches_dense_product(self, rng):
+        for kernel in (
+            Exp2x2Kernel(1.0, 0.4, 0.7, 1.2, 1.0, 1.3, 1.4, 1.1),
+            MatrixExpKernel(random_spd(rng, 4)),
+            JordanExpKernel(0.2),
+        ):
+            for _ in range(5):
+                grid = random_grid(rng, n_max=60)
+                gram = assemble_gram(kernel, grid)
+                trades = rng.standard_normal((grid.n, kernel.dimension))
+                dense = gram.blocks @ trades.ravel()
+                scale = np.max(np.abs(gram.blocks) @ np.abs(trades.ravel()))
+                gap = np.max(np.abs(gram.impact(trades).ravel() - dense))
+                assert gap <= 1e-14 * scale, kernel.family
+
+    def test_impact_reads_the_lower_triangle(self, rng):
+        gram = assemble_gram(MatrixExpKernel(random_spd(rng, 3)), random_grid(rng, n_max=30))
+        trades = rng.standard_normal((gram.size, gram.dimension))
+        expected = gram.impact(trades)
+        gram.blocks[np.triu_indices(gram.blocks.shape[0], 1)] = np.nan
+        assert np.array_equal(gram.impact(trades), expected)
 
 
 class TestCheckGridPD:
@@ -295,17 +400,30 @@ class TestSearchViolation:
         assert _shifted_cholesky(m, 1.5) is not None
 
     def test_cholesky_probe_holds_one_copy(self):
-        """The probe factors one straight copy of the Gram in place."""
+        """The Gram is the one copy: the probe writes the factor over its upper
+        triangle and diagonal, and the strictly lower triangle stays."""
         gram = assemble_gram(CrossExpKernel(1.0, 1.8, 0.3), equidistant_grid(5.0, 1025)).blocks
+        original = gram.copy()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            succeeds = _shifted_cholesky(gram, 0.0) is not None
+            probe = _shifted_cholesky(gram, 0.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert succeeds is True
-        assert peak - base <= 1.2 * gram.nbytes
+        assert probe is not None
+        assert np.shares_memory(probe[0], gram)
+        assert peak - base <= 0.01 * gram.nbytes
+        assert np.array_equal(np.tril(gram, -1), np.tril(original, -1))
+        b = np.random.default_rng(1).standard_normal(gram.shape[0])
+        x = scipy.linalg.cho_solve(probe, b)
+        assert np.max(np.abs(original @ x - b)) <= 1e-9 * np.max(np.abs(b))
+
+    def test_failed_probe_leaves_the_lower_triangle(self):
+        gram = assemble_gram(JordanExpKernel(0.2), equidistant_grid(20.0, 65)).blocks
+        lower = np.tril(gram)
+        assert _shifted_cholesky(gram, 0.0) is None
+        assert np.array_equal(np.tril(gram), lower)
 
     def test_validation(self):
         with pytest.raises(ValueError):

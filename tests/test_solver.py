@@ -251,10 +251,11 @@ class TestSolveKKT:
             Y = Y + scipy.linalg.cho_solve(factor, rhs - gram @ Y)
         assert np.max(np.abs(rhs - gram @ Y)) > 1e6 * start
 
+        original = gram.copy()  # the core factors its Gram in place
         trades, lam, strict = _kkt_solve_gram(gram, n, k, np.array([3.0, -1.0]))
         assert strict is True
         assert np.allclose(trades.sum(axis=0), [-3.0, 1.0], rtol=0, atol=1e-9)
-        impact = (gram @ trades.ravel()).reshape(n, k)
+        impact = (original @ trades.ravel()).reshape(n, k)
         assert np.max(np.abs(impact - lam)) <= 1e-8 * (1.0 + np.max(np.abs(lam)))
 
     def test_pcg_step_cap_raises(self, monkeypatch):
@@ -263,7 +264,7 @@ class TestSolveKKT:
             solve_kkt(CrossExpKernel(1.0, 1.8, 0.3), equidistant_grid(5.0, 11), [-50.0, 1.0])
 
     def test_solve_memory_within_one_factor(self):
-        """A strict solve holds the Gram's factor and no other NK x NK copy."""
+        """A strict solve factors the Gram in place and holds no NK x NK copy."""
         gram = assemble_gram(CrossExpKernel(1.0, 1.8, 0.3), equidistant_grid(5.0, 1025)).blocks
         tracemalloc.start()
         try:
@@ -273,7 +274,46 @@ class TestSolveKKT:
         finally:
             tracemalloc.stop()
         assert strict is True
-        assert peak - base <= 1.2 * gram.nbytes
+        assert peak - base <= 0.05 * gram.nbytes
+
+    def test_solve_kkt_memory_within_one_gram(self):
+        """Assembly, factor, CG and certificate together hold one NK x NK
+        array: the kernel is evaluated in runs of ``GRAM_CHUNK_LAGS`` lags
+        (33 of them here) and the factor is written over the Gram."""
+        kernel = Exp2x2Kernel(1.0, 0.3, 0.3, 1.2, 1.0, 1.5, 1.5, 1.2)  # symmetric
+        grid = equidistant_grid(5.0, 1025)
+        gram_bytes = 8 * (2 * grid.n) ** 2
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = solve_kkt(kernel, grid, [1.0, -2.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.unique is True
+        assert peak - base <= 1.25 * gram_bytes
+
+    @pytest.mark.parametrize(
+        "kernel, grid, verdict",
+        [
+            (CrossExpKernel(1.0, 1.8, 0.3), equidistant_grid(5.0, 40), "strict"),
+            (PermanentKernel(np.eye(2)), equidistant_grid(1.0, 4), "singular"),
+            (JordanExpKernel(0.2), equidistant_grid(20.0, 65), "indefinite"),
+        ],
+        ids=["strict", "singular", "indefinite"],
+    )
+    def test_core_leaves_the_lower_triangle(self, kernel, grid, verdict):
+        """Whatever the verdict, the strictly lower triangle and the diagonal
+        are the input's when the core returns or raises."""
+        gram = assemble_gram(kernel, grid).blocks
+        lower = np.tril(gram)
+        try:
+            _, _, strict = _kkt_solve_gram(gram, grid.n, 2, np.array([1.0, -1.0]))
+            outcome = "strict" if strict else "singular"
+        except UnboundedCostError:
+            outcome = "indefinite"
+        assert outcome == verdict
+        assert np.array_equal(np.tril(gram), lower)
 
     def test_certificate_invariants(self, rng):
         for _ in range(10):
