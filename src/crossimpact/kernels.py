@@ -146,6 +146,10 @@ class ScalarFunction:
             return None
         return "strict_pd" if self.strictly_positive_definite else "pd"
 
+    def exp_term(self) -> Optional[tuple]:
+        """``(c, r)`` with ``g(x) = c exp(-r x)`` and ``r >= 0``, or None."""
+        return None
+
 
 @dataclass(frozen=True)
 class ExpDecay(ScalarFunction):
@@ -168,6 +172,9 @@ class ExpDecay(ScalarFunction):
 
     def to_dict(self):
         return {"tag": self.tag, "rate": self.rate}
+
+    def exp_term(self):
+        return 1.0, self.rate
 
 
 @dataclass(frozen=True)
@@ -234,6 +241,9 @@ class Constant(ScalarFunction):
 
     def to_dict(self):
         return {"tag": self.tag, "value": self.value}
+
+    def exp_term(self):
+        return self.value, 0.0
 
 
 @dataclass(frozen=True)
@@ -353,6 +363,13 @@ class DecayKernel:
         and ``decays(ts)`` of shape (len(ts), K), or None."""
         return None
 
+    def realization(self) -> Optional[tuple]:
+        """Closed-form ``(P, rates, Q)`` with ``G(t) = P diag(exp(-t rates)) Q^T``
+        for ``t > 0``, ``P`` and ``Q`` of shape (K, R) and ``rates >= 0`` of
+        shape (R,), or None.  A sum of exponentials has a Gram that is
+        quasiseparable of order R on every grid (:class:`posdef.StateSpaceGram`)."""
+        return None
+
     def __repr__(self):
         return f"{type(self).__name__}(K={self.dimension})"
 
@@ -376,6 +393,10 @@ class PermanentKernel(DecayKernel):
 
     def structure(self):
         return _is_symmetric(self.G0), True
+
+    def realization(self):
+        k = self.dimension
+        return self.G0.copy(), np.zeros(k), np.eye(k)
 
 
 class _EigenBasisKernel(DecayKernel):
@@ -417,6 +438,14 @@ class _EigenBasisKernel(DecayKernel):
 
     def eigenframe(self):
         return self.eigvecs.T, self._diagonals
+
+    def realization(self):
+        # direction i decays as c_i exp(-r_i t) when its profile is ExpDecay or Constant
+        terms = self._exp_terms()
+        if terms is None:
+            return None
+        scales, rates = terms
+        return self.eigvecs * scales, rates, self.eigvecs.copy()
 
     def shape_flags(self):
         # the constant (zero-rate) directions have all three properties
@@ -463,6 +492,14 @@ class MatrixFunctionKernel(_EigenBasisKernel):
     def _decay_classes(self):
         base = self.fn.pd_class()
         return [base if base is None or rho > RATE_FLOOR else "pd" for rho in self.eigenvalues]
+
+    def _exp_terms(self):
+        # g(t rho) = c exp(-(r rho) t)
+        term = self.fn.exp_term()
+        if term is None:
+            return None
+        c, r = term
+        return np.full(self.dimension, c), r * self.eigenvalues
 
     def to_dict(self):
         return {"family": self.family, "B": self.B.tolist(), "scalar_fn": self.fn.to_dict()}
@@ -514,6 +551,10 @@ class DiagCongruenceKernel(_EigenBasisKernel):
     def _decay_classes(self):
         return [g.pd_class() for g in self.decays]
 
+    def _exp_terms(self):
+        terms = [g.exp_term() for g in self.decays]
+        return None if None in terms else np.array(terms).T  # rows: scales, rates
+
     def to_dict(self):
         return {
             "family": self.family,
@@ -563,6 +604,11 @@ class Exp2x2Kernel(_Entrywise2x2Kernel):
             and _isclose(a[0, 0], a[1, 1])
         )
         return symmetric, commuting
+
+    def realization(self):
+        # one term per entry (i, j) = divmod(r, 2): P[:, r] = e_i, Q[:, r] = a_ij e_j
+        rows, cols = np.divmod(np.arange(4), 2)
+        return np.eye(2)[:, rows], self.b.ravel().copy(), np.eye(2)[:, cols] * self.a.ravel()
 
     def shape_flags(self):
         a, b = self.a, self.b
@@ -787,6 +833,14 @@ class ScalarTimesMatrixKernel(DecayKernel):
     def structure(self):
         return _is_symmetric(self.L), True
 
+    def realization(self):
+        term = self.g.exp_term()
+        if term is None:
+            return None
+        c, r = term
+        k = self.dimension
+        return c * self.L, np.full(k, r), np.eye(k)
+
     def pd_class(self):
         # (strictly) PD when g(|t|) is and L is symmetric PSD (PD)
         L, base = self.L, self.g.pd_class()
@@ -817,6 +871,13 @@ class LeftMultiplyKernel(DecayKernel):
     def to_dict(self):
         return {"family": self.family, "L": self.L.tolist(), "inner": self.inner.to_dict()}
 
+    def realization(self):
+        inner = self.inner.realization()
+        if inner is None:
+            return None
+        P, rates, Q = inner
+        return self.L @ P, rates, Q
+
 
 class CongruenceKernel(DecayKernel):
     """``G(t) = L^T @ G_inner(t) @ L`` for invertible ``L``."""
@@ -839,6 +900,14 @@ class CongruenceKernel(DecayKernel):
 
     def to_dict(self):
         return {"family": self.family, "L": self.L.tolist(), "inner": self.inner.to_dict()}
+
+    def realization(self):
+        # L^T P D Q^T L = (L^T P) D (L^T Q)^T
+        inner = self.inner.realization()
+        if inner is None:
+            return None
+        P, rates, Q = inner
+        return self.L.T @ P, rates, self.L.T @ Q
 
 
 class PlusTemporaryKernel(DecayKernel):
@@ -867,6 +936,10 @@ class PlusTemporaryKernel(DecayKernel):
 
     def to_dict(self):
         return {"family": self.family, "H0": self.H0.tolist(), "inner": self.inner.to_dict()}
+
+    def realization(self):
+        # the jump sits at lag 0 only, in tilde(0)
+        return self.inner.realization()
 
 
 def kernel_from_dict(d: dict) -> DecayKernel:

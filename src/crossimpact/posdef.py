@@ -34,10 +34,12 @@ __all__ = [
     "GridPDResult",
     "GramWitness",
     "PosDefReport",
+    "StateSpaceGram",
     "assemble_gram",
     "check_grid_pd",
     "classify_positive_definite",
     "search_violation",
+    "state_space_gram",
 ]
 
 PSD_REL_TOL = 1e-9
@@ -83,6 +85,178 @@ class GramMatrix:
     def quadratic_form(self, trades: np.ndarray) -> float:
         """``xi . Gram . xi`` for trades of shape (N, K)."""
         return float(np.vdot(trades, self.impact(trades)))
+
+
+@dataclass(frozen=True)
+class StateSpaceGram:
+    """The Gram of a kernel with a realization ``G(t) = P diag(exp(-t rates)) Q^T``
+    (:meth:`DecayKernel.realization`) on a grid, held as O(N R) generators.
+
+    Block (k, l), ``k > l``, is ``P Phi(k, l) Q^T`` with the diagonal
+    propagator ``Phi(k, l) = diag(decays[l] * ... * decays[k - 1])`` and the
+    gap decays ``decays[j] = exp(-(t_{j+1} - t_j) rates)``; block (l, k) is its
+    transpose and block (k, k) is ``diagonal = tilde(0)``, temporary jump
+    included.  So the Gram is quasiseparable of order R: a product is two
+    scans over the grid and the block Cholesky of :meth:`shifted_factor`
+    takes N steps of R x R work.  With ``rates >= 0`` every propagator
+    entry lies in [0, 1], so nothing overflows.
+    """
+
+    grid: TimeGrid
+    diagonal: np.ndarray  # (K, K)
+    P: np.ndarray  # (K, R)
+    Q: np.ndarray  # (K, R)
+    decays: np.ndarray  # (N - 1, R)
+
+    @property
+    def size(self) -> int:
+        return self.grid.n
+
+    @property
+    def dimension(self) -> int:
+        return self.diagonal.shape[0]
+
+    @property
+    def bound(self) -> float:
+        """``max(max|tilde(0)|, max_ij sum_r |P_ir| |Q_jr|)``, at least max|Gram|."""
+        return max(_maxabs(self.diagonal), _maxabs(np.abs(self.P) @ np.abs(self.Q).T))
+
+    def product(self, X: np.ndarray) -> np.ndarray:
+        """``Gram X`` for X of shape (N, K, m): ``tilde(0) x_k + P f_k + Q h_k``
+        with ``f_k = sum_{l<k} Phi(k, l) Q^T x_l`` and
+        ``h_k = sum_{l>k} Phi(l, k) P^T x_l``, one scan each way.  The work
+        is done on rows, ``x_k^T`` stacked as an (N m, K) matrix, so every
+        product with P, Q or ``tilde(0)`` is one GEMM."""
+        n, k, m = X.shape
+        r = self.P.shape[1]
+        rows = np.ascontiguousarray(X.transpose(0, 2, 1)).reshape(n * m, k)
+        d = self.decays[:, None, :]
+        # running sums with the current term: ahead[k] = f_k + Q^T x_k
+        ahead = _decay_scan(d, (rows @ self.Q).reshape(n, m, r))
+        behind = _decay_scan(d[::-1], (rows @ self.P).reshape(n, m, r)[::-1])[::-1]
+        out = rows @ self.diagonal.T
+        out[m:] += (d * ahead[:-1]).reshape((n - 1) * m, r) @ self.P.T
+        out[: (n - 1) * m] += (d * behind[1:]).reshape((n - 1) * m, r) @ self.Q.T
+        return out.reshape(n, m, k).transpose(0, 2, 1)
+
+    def impact(self, trades: np.ndarray) -> np.ndarray:
+        """Accumulated impact ``sum_l tilde(t_k - t_l) xi_l``, shape (N, K),
+        as :meth:`GramMatrix.impact` computes it, in O(N R K)."""
+        trades = np.asarray(trades, dtype=float)
+        return self.product(trades[:, :, None])[:, :, 0]
+
+    def shifted_factor(self, shift: float) -> Optional["StateSpaceFactor"]:
+        """Block Cholesky ``L L^T`` of ``Gram + shift * I``, or None when a
+        pivot fails (the leading blocks are not positive definite).
+
+        Below the diagonal ``L_kl = P Phi(k, l) g_l``.  With ``W_0 = 0`` and
+        ``W_l = D_l (W_{l-1} + g_{l-1} g_{l-1}^T) D_l`` (``D_l`` the gap decay
+        into time l), ``L_ll = chol(tilde(0) + shift I - P W_l P^T)`` and
+        ``g_l^T = L_ll^-1 (Q - P W_l)``.
+        """
+        n, k = self.size, self.dimension
+        P, Q = self.P, self.Q
+        r = P.shape[1]
+        head = self.diagonal + shift * np.eye(k)
+        inverses = np.empty((n, k, k))  # L_ll^-1
+        gT = np.empty((n, k, r))
+        W = np.zeros((r, r))
+        # the rows of the (n, ...) arrays as a list of views: indexing a list
+        # costs less than indexing an array, in a loop of n small steps
+        spread = [*(self.decays[:, :, None] * self.decays[:, None, :])]
+        inverse_rows, gT_rows = [*inverses], [*gT]
+        dpotrf, dtrtri = scipy.linalg.lapack.dpotrf, scipy.linalg.lapack.dtrtri
+        for i in range(n):
+            if i:
+                g = gT_rows[i - 1]
+                W += g.T @ g
+                W *= spread[i - 1]
+            PW = P @ W
+            pivot, info = dpotrf(head - PW @ P.T, lower=1, clean=1, overwrite_a=1)
+            if info > 0:
+                return None
+            inverse, info2 = dtrtri(pivot, lower=1, overwrite_c=1)
+            if info or info2:  # an illegal argument, or a zero on a positive diagonal
+                raise ValueError(f"LAPACK failed on pivot block {i}: info {info}, {info2}")
+            inverse_rows[i][...] = inverse
+            np.matmul(inverse, Q - PW, out=gT_rows[i])
+        return StateSpaceFactor(self, inverses, gT)
+
+
+def _decay_scan(decays: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """The running sums ``a_0 = terms_0``, ``a_k = terms_k + decays_{k-1} a_{k-1}``,
+    written over ``terms`` (N, ...) and returned; ``decays`` (N - 1, ...) lie in
+    [0, 1].  A doubling scan: after the pass of offset ``o``, ``a_k`` sums the
+    ``2o`` terms up to k, each weighted by the decays between, and ``span``
+    holds the products of ``2o`` consecutive decays, so ceil(log2 N) vectorized
+    passes replace N sequential steps."""
+    span = decays.copy()  # span[k - 1]: the decays from t_{k-o} to t_k
+    offset = 1
+    while offset < terms.shape[0]:
+        terms[offset:] += span[offset - 1:] * terms[:-offset]
+        span[offset:] *= span[:-offset]
+        offset *= 2
+    return terms
+
+
+class StateSpaceFactor:
+    """The block Cholesky of :meth:`StateSpaceGram.shifted_factor`, as the
+    pivot inverses ``L_ll^-1`` and the generators ``g_l^T``.
+
+    :meth:`solve` runs the forward and backward substitutions as two
+    recurrences on R-vectors, ``s_{l+1} = A_l s_l + B_l b_l`` and
+    ``r_l = C_l r_{l+1} + E_l z_{l+1}``, whose R x R and R x K coefficients
+    are formed here for all l at once; only the recurrences are sequential.
+    """
+
+    def __init__(self, gram: StateSpaceGram, inverses: np.ndarray, gT: np.ndarray):
+        d = gram.decays[:, :, None]
+        # M_l = g_l L_ll^-1 and T_l = I - M_l P: the forward update of s is
+        # s_{l+1} = D_l (T_l s_l + M_l b_l), the backward one of r uses T_{l+1}^T
+        M = np.matmul(gT.transpose(0, 2, 1), inverses)
+        T = np.eye(gram.P.shape[1]) - np.matmul(M, gram.P)
+        self.P = gram.P
+        self.inverses = inverses
+        self.gT = gT
+        # lists of views, as in the factor loop
+        self.forward = [*(d * T[:-1])]
+        self.feed = d * M[:-1]
+        self.backward = [*(d * T[1:].transpose(0, 2, 1))]
+        self.back_feed = d * np.matmul(gram.P.T, inverses[1:].transpose(0, 2, 1))
+
+    def solve(self, B: np.ndarray) -> np.ndarray:
+        """``(Gram + shift I)^-1 B`` for B of shape (N, K, m)."""
+        n = B.shape[0]
+        forward, backward = self.forward, self.backward
+        # forward L z = b: z_l = L_ll^-1 (b_l - P s_l), s_{l+1} = D_l (s_l + g_l z_l)
+        s = np.empty((n, self.P.shape[1], B.shape[2]))
+        s[0] = 0.0
+        s[1:] = np.matmul(self.feed, B[:-1])
+        rows = [*s]
+        for i in range(1, n):
+            rows[i] += forward[i - 1] @ rows[i - 1]
+        z = np.matmul(self.inverses, B - np.matmul(self.P, s))
+        # backward L^T y = z: y_l = L_ll^-T (z_l - g_l^T r_l),
+        # r_l = D_l (P^T y_{l+1} + r_{l+1}), written over s
+        s[-1] = 0.0
+        s[:-1] = np.matmul(self.back_feed, z[1:])
+        for i in range(n - 2, -1, -1):
+            rows[i] += backward[i] @ rows[i + 1]
+        return np.matmul(self.inverses.transpose(0, 2, 1), z - np.matmul(self.gT, s))
+
+
+def state_space_gram(kernel: DecayKernel, grid: TimeGrid) -> Optional[StateSpaceGram]:
+    """The kernel's Gram on the grid as a :class:`StateSpaceGram`, or None
+    when the kernel has no realization."""
+    realization = kernel.realization()
+    if realization is None:
+        return None
+    P, rates, Q = (np.asarray(a, dtype=float) for a in realization)
+    if not (np.all(rates >= 0) and np.all(np.isfinite(rates))):
+        raise ValueError("a realization needs finite rates >= 0")
+    with np.errstate(over="ignore"):  # gap * rate = inf near the float limit: exp(-inf) = 0
+        decays = np.exp(-np.outer(np.diff(grid.times), rates))
+    return StateSpaceGram(grid, kernel.tilde(0.0), P, Q, decays)
 
 
 @dataclass(frozen=True)

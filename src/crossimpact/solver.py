@@ -36,6 +36,7 @@ from .posdef import (
     _shifted_cholesky,
     assemble_gram,
     classify_positive_definite,
+    state_space_gram,
 )
 
 __all__ = [
@@ -46,6 +47,7 @@ __all__ = [
     "UnboundedCostError",
     "cost",
     "solve_kkt",
+    "solve_state_space",
     "lagrange_residual",
     "solve_exp_closed_form",
     "solve_1d_exp",
@@ -69,7 +71,8 @@ CROSS_CHECK_REL_TOL = 1e-8
 # refine: a finer level may exceed the coarser cost by this fraction of it
 REFINE_MONOTONE_SLACK = 1e-10
 # simultaneous_diagonalize: largest off-diagonal leakage of a rotated sample,
-# relative to 1 + max|G(t)|
+# relative to 1 + max|G(t)|; also the largest gap between a realization and
+# the kernel's values that solve_state_space accepts
 DIAGONAL_LEAK_TOL = 1e-9
 
 
@@ -212,21 +215,14 @@ def _check_result(grid, trades, lam, x0, unique, impact: np.ndarray, slack=0.0) 
 def _pcg_solve(
     gram: np.ndarray, factor, rhs: np.ndarray, gram_max: float, diagonal=None
 ) -> np.ndarray:
-    """Solve ``gram Y = rhs`` by conjugate gradients, one recurrence per
-    column, preconditioned with the Cholesky ``factor`` of ``gram - tau I``.
+    """Solve a dense ``gram Y = rhs`` by :func:`_pcg`, preconditioned with
+    the Cholesky ``factor`` of ``gram - tau I``.
 
     ``gram`` is read from its strictly lower triangle and ``diagonal``
     (default: its own diagonal), so its upper triangle and diagonal may hold
     the factor: the product is one ``dsymm`` on the lower triangle plus the
-    correction ``(diagonal - gram's diagonal) Y``.  Starts from
-    ``Y = factor^-1 rhs`` and stops on the true residual (see
-    ``PCG_RES_FACTOR``).  Plain refinement ``Y += factor^-1 (rhs - gram Y)``
-    contracts only by ``tau / (lambda_min - tau)`` and so diverges once
-    ``lambda_min < 2 tau``; CG converges for every strict Gram.
+    correction ``(diagonal - gram's diagonal) Y``.
     """
-    def solve(b):
-        return scipy.linalg.cho_solve(factor, b, check_finite=False)
-
     correction = None if diagonal is None else (diagonal - gram.diagonal())[:, None]
 
     def product(X):
@@ -236,8 +232,26 @@ def _pcg_solve(
             out += correction * X
         return out
 
-    floor = PCG_RES_FACTOR * gram.shape[0] * np.finfo(float).eps * (1.0 + gram_max)
-    Y = solve(rhs)
+    def precondition(b):
+        return scipy.linalg.cho_solve(factor, b, check_finite=False)
+
+    return _pcg(product, precondition, rhs, gram_max)
+
+
+def _pcg(product, precondition, rhs: np.ndarray, gram_max: float) -> np.ndarray:
+    """Solve ``Gram Y = rhs`` (NK x m) by conjugate gradients, one recurrence
+    per column, for a strict Gram given by its ``product`` and the
+    ``precondition`` solve with a factor of ``Gram - tau I``.
+
+    Starts from ``Y = precondition(rhs)`` and stops on the true residual (see
+    ``PCG_RES_FACTOR``), with ``gram_max`` at least max|Gram|.  Plain
+    refinement ``Y += precondition(rhs - Gram Y)`` contracts only by
+    ``tau / (lambda_min - tau)`` and so diverges once ``lambda_min < 2 tau``;
+    CG converges for every strict Gram.  The dense core and the state-space
+    backend share this loop.
+    """
+    floor = PCG_RES_FACTOR * rhs.shape[0] * np.finfo(float).eps * (1.0 + gram_max)
+    Y = precondition(rhs)
     R = rhs - product(Y)
     P = rz_old = None
     for step in range(PCG_MAX_STEPS + 1):
@@ -245,7 +259,7 @@ def _pcg_solve(
             return Y
         if step == PCG_MAX_STEPS:
             break
-        Z = solve(R)
+        Z = precondition(R)
         rz = np.einsum("ij,ij->j", R, Z)
         P = Z if P is None else Z + (rz / rz_old) * P
         Y += (rz / np.einsum("ij,ij->j", P, product(P))) * P
@@ -255,6 +269,14 @@ def _pcg_solve(
         f"preconditioned CG stalled after {PCG_MAX_STEPS} steps with residual "
         f"{_maxabs(R):.3e}; the solve is unreliable"
     )
+
+
+def _schur_step(Y: np.ndarray, n: int, k: int, x0: np.ndarray):
+    """Trades (N, K) and multiplier from ``Y = Gram^-1 A^T`` (NK x k): the
+    k x k Schur complement ``S = A Y`` (the sum of Y's N blocks) gives
+    ``lam = -S^-1 x0`` and ``xi = Y lam``."""
+    lam = -np.linalg.solve(Y.reshape(n, k, k).sum(axis=0), x0)
+    return (Y @ lam).reshape(n, k), lam
 
 
 def _kkt_solve_gram(gram: np.ndarray, n: int, k: int, x0: np.ndarray):
@@ -288,8 +310,7 @@ def _kkt_solve_gram(gram: np.ndarray, n: int, k: int, x0: np.ndarray):
             Y = _pcg_solve(gram, factor, np.tile(np.eye(k), (n, 1)), gram_max, diagonal)
         finally:
             gram.flat[:: n * k + 1] = diagonal
-        lam = -np.linalg.solve(Y.reshape(n, k, k).sum(axis=0), x0)
-        return (Y @ lam).reshape(n, k), lam, True
+        return (*_schur_step(Y, n, k, x0), True)
 
     min_eig, direction = _min_eigenpair(gram)
     if min_eig < -tol:
@@ -324,6 +345,61 @@ def solve_kkt(kernel: DecayKernel, grid: TimeGrid, x0) -> SolveResult:
     # lower triangle that it leaves as it was
     trades, lam, strict = _kkt_solve_gram(gram.blocks, grid.n, kernel.dimension, x0)
     return _check_result(grid, trades, lam, x0, strict, gram.impact(trades))
+
+
+def solve_state_space(kernel: DecayKernel, grid: TimeGrid, x0) -> SolveResult:
+    """Optimal liquidation of ``x0`` through the kernel's realization
+    ``G(t) = P diag(exp(-t rates)) Q^T`` (:meth:`DecayKernel.realization`),
+    in O(N) block steps and with no NK x NK Gram.
+
+    The Gram is held as a :class:`posdef.StateSpaceGram`, after a guard
+    (:func:`_check_realization`).  Strictness is decided from the block
+    Cholesky pivots of ``Gram - tau I``, ``tau = PSD_REL_TOL * (1 + M)``
+    with ``M >= max|Gram|`` the Gram's ``bound``, so the test is never
+    looser than :func:`solve_kkt`'s.  That factor preconditions the CG solve
+    of ``Gram Y = A^T`` (:func:`_pcg`), the Schur step follows as in the
+    dense core, and the certificate reads the two-scan impact.  Only strict
+    results are returned: a failed guard or pivot, a stalled CG or a failed
+    certificate raises :class:`ArithmeticError`, and :func:`solve_kkt` then
+    decides the grid (``unique``, :class:`UnboundedCostError`, minimum-norm
+    answers).  A kernel without a realization raises ``ValueError``.
+    """
+    x0 = _portfolio(kernel, x0)
+    gram = state_space_gram(kernel, grid)
+    if gram is None:
+        raise ValueError(f"the {kernel.family} kernel has no state-space realization")
+    _check_realization(kernel, gram)
+    n, k = grid.n, kernel.dimension
+    bound = gram.bound
+    factor = gram.shifted_factor(-PSD_REL_TOL * (1.0 + bound))
+    if factor is None:
+        raise ArithmeticError("a block pivot of Gram - tau I failed: the Gram is not strict")
+
+    def product(X):
+        return gram.product(X.reshape(n, k, -1)).reshape(n * k, -1)
+
+    def precondition(b):
+        return factor.solve(b.reshape(n, k, -1)).reshape(n * k, -1)
+
+    Y = _pcg(product, precondition, np.tile(np.eye(k), (n, 1)), bound)
+    trades, lam = _schur_step(Y, n, k, x0)
+    return _check_result(grid, trades, lam, x0, True, gram.impact(trades))
+
+
+def _check_realization(kernel: DecayKernel, gram) -> None:
+    """Raise :class:`ArithmeticError` unless the realization's
+    ``P diag(decays) Q^T`` matches ``kernel.at_many`` at every gap of the
+    grid to ``DIAGONAL_LEAK_TOL * (1 + max|G(gap)|)``."""
+    gaps = np.diff(gram.grid.times)
+    values = kernel.at_many(gaps)
+    realized = np.matmul(gram.P * gram.decays[:, None, :], gram.Q.T)
+    leak = np.max(np.abs(realized - values), axis=(1, 2), initial=0.0)
+    tols = DIAGONAL_LEAK_TOL * (1.0 + np.max(np.abs(values), axis=(1, 2), initial=0.0))
+    if np.any(leak > tols):
+        i = int(np.argmax(leak - tols))
+        raise ArithmeticError(
+            f"the realization misses the kernel by {leak[i]:.3e} at lag {gaps[i]!r}"
+        )
 
 
 def _exp_recursion(A: np.ndarray, x0: np.ndarray):
@@ -548,15 +624,27 @@ def basis_strategies(kernel: DecayKernel, grid: TimeGrid, seed: int = 0) -> Basi
 def solve_best(
     kernel: DecayKernel, grid: TimeGrid, x0, seed: int = 0, cross_check: bool = False
 ):
-    """Dispatch to the best applicable solver.
+    """Dispatch to the best applicable solver; returns ``(result, route)``.
 
-    Precedence: matrix-exponential closed form, then the commuting-kernel
-    route, then the generic KKT solve.  With ``cross_check=True`` the chosen
-    route is verified against the KKT solve to
-    ``CROSS_CHECK_REL_TOL * (1 + max|xi_kkt|)`` in the max norm; disagreement
-    raises with both strategies attached.  The closed form and the
-    commuting route certify in the kernel's eigenframe, so the dense Gram is
-    assembled only by :func:`solve_kkt`, as the route or the cross-check.
+    Precedence: the matrix-exponential closed form (``"closed_form"``), then
+    the commuting-kernel route (``"commuting"``).  A kernel with neither
+    takes :func:`solve_state_space` (``"state_space"``) when it has a
+    realization and the backend does not decline, else :func:`solve_kkt`
+    (``"kkt"``).
+
+    With ``cross_check=True`` the closed form and the commuting route are
+    checked to ``CROSS_CHECK_REL_TOL * (1 + max|xi_ref|)`` in the max norm
+    against :func:`solve_state_space` when the kernel has a realization and
+    the backend does not decline, else against the dense :func:`solve_kkt`;
+    disagreement raises with both strategies attached.  A kernel with no
+    eigenframe route is solved once: cross-checked, it returns the dense
+    :func:`solve_kkt` answer under ``"kkt"``.
+
+    Only :func:`solve_kkt` builds the NK x NK Gram, so a Gram is assembled by
+    a cross-checked solve of a kernel with no eigenframe route, and
+    otherwise only for a kernel with no realization or one whose backend
+    declines (a Gram that is not strict).  The eigenframe routes certify in
+    the frame and the state-space backend on its two scans.
     """
     x0 = _portfolio(kernel, x0)
     result, route = None, "kkt"
@@ -574,18 +662,33 @@ def solve_best(
                 result, route = solve_commuting(kernel, grid, x0, seed=seed), "commuting"
             except (ValueError, ArithmeticError):
                 result = None
-    if result is None or cross_check:
-        reference = solve_kkt(kernel, grid, x0)
-        if result is None:
-            return reference, "kkt"
-        gap = _maxabs(result.strategy.trades - reference.strategy.trades)
-        if gap > CROSS_CHECK_REL_TOL * (1.0 + _maxabs(reference.strategy.trades)):
-            err = ArithmeticError(
-                f"solver cross-check failed: {route} and kkt disagree by {gap:.3e}"
-            )
-            err.results = (result, reference)
-            raise err
+    if result is None:
+        state_space = None if cross_check else _try_state_space(kernel, grid, x0)
+        if state_space is not None:
+            return state_space, "state_space"
+        return solve_kkt(kernel, grid, x0), "kkt"
+    if not cross_check:
+        return result, route
+    reference, name = _try_state_space(kernel, grid, x0), "state_space"
+    if reference is None:
+        reference, name = solve_kkt(kernel, grid, x0), "kkt"
+    gap = _maxabs(result.strategy.trades - reference.strategy.trades)
+    if gap > CROSS_CHECK_REL_TOL * (1.0 + _maxabs(reference.strategy.trades)):
+        err = ArithmeticError(
+            f"solver cross-check failed: {route} and {name} disagree by {gap:.3e}"
+        )
+        err.results = (result, reference)
+        raise err
     return result, route
+
+
+def _try_state_space(kernel: DecayKernel, grid: TimeGrid, x0: np.ndarray):
+    """:func:`solve_state_space`'s result, or None when the kernel has no
+    realization (``ValueError``) or the backend declines."""
+    try:
+        return solve_state_space(kernel, grid, x0)
+    except (ValueError, ArithmeticError):
+        return None
 
 
 def refine(

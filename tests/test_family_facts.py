@@ -5,6 +5,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from crossimpact import (
+    ClampedExpKernel,
+    CongruenceKernel,
     Constant,
     CrossExpKernel,
     DiagCongruenceKernel,
@@ -12,11 +14,13 @@ from crossimpact import (
     ExpDecay,
     GaussianSquared,
     JordanExpKernel,
+    LeftMultiplyKernel,
     Linear2x2Kernel,
     LinearPolya,
     MatrixExpKernel,
     MatrixFunctionKernel,
     PermanentKernel,
+    PlusTemporaryKernel,
     PowerCapped,
     ScalarTimesMatrixKernel,
     assemble_gram,
@@ -141,3 +145,59 @@ def test_closed_forms_never_contradicted(family, seed):
     if kernel.pd_class() in ("strict_pd", "pd"):
         grid = random_grid(rng, n_max=16)
         assert check_grid_pd(assemble_gram(kernel, grid)).psd
+
+
+def _sum_of_exponentials(kernel) -> bool:
+    """Whether the kernel is a sum of exponentials with closed-form terms."""
+    family = kernel.family
+    if family in ("left_multiply", "congruence", "plus_temporary"):
+        return _sum_of_exponentials(kernel.inner)
+    exponential = (ExpDecay, Constant)
+    if family == "matrix_function":
+        return isinstance(kernel.fn, exponential)
+    if family == "diag_congruence":
+        return all(isinstance(g, exponential) for g in kernel.decays)
+    if family == "scalar_times_matrix":
+        return isinstance(kernel.g, exponential)
+    return family in ("matrix_exp", "permanent", "exp2x2", "cross_exp")
+
+
+def _any_kernel(family, rng):
+    if family == "cross_exp":
+        return CrossExpKernel(*rng.uniform(0.2, 3.0, 3))
+    if family == "clamped_exp":
+        return ClampedExpKernel()
+    if family in ("left_multiply", "congruence", "plus_temporary"):
+        inner = _kernel(str(rng.choice(FAMILIES)), rng)
+        k = inner.dimension
+        if family == "plus_temporary":
+            return PlusTemporaryKernel(_psd(rng, k), inner)
+        L = np.eye(k) + rng.uniform(-0.5, 0.5, (k, k))
+        return (LeftMultiplyKernel if family == "left_multiply" else CongruenceKernel)(L, inner)
+    return _kernel(family, rng)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    family=st.sampled_from(FAMILIES + [
+        "cross_exp", "clamped_exp", "left_multiply", "congruence", "plus_temporary"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_realization_reproduces_the_kernel(family, seed):
+    """Every family and combinator that is a sum of exponentials returns a
+    realization ``(P, rates, Q)`` with ``P diag(exp(-t rates)) Q^T`` equal
+    to ``at_many`` to 1e-13 relative at positive lags; every other returns
+    None."""
+    rng = np.random.default_rng(seed)
+    kernel = _any_kernel(family, rng)
+    realization = kernel.realization()
+    assert (realization is not None) == _sum_of_exponentials(kernel)
+    if realization is None:
+        return
+    P, rates, Q = realization
+    k = kernel.dimension
+    assert P.shape == Q.shape == (k, rates.size) and np.all(rates >= 0)
+    lags = np.sort(rng.uniform(0.0, 20.0, 40)) + 1e-6
+    values = kernel.at_many(lags)
+    realized = np.einsum("ir,mr,jr->mij", P, np.exp(-np.outer(lags, rates)), Q)
+    assert np.max(np.abs(realized - values)) <= 1e-13 * max(np.max(np.abs(values)), 1e-300)

@@ -483,3 +483,28 @@ class TestLemmaNonnegativity:
                     break
             if psd_everywhere:
                 assert report.nonnegative.value is True
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 300), m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_decay_scan_matches_the_loop(n, m, seed):
+    """The doubling scan behind ``StateSpaceGram.product`` gives the running
+    sums ``a_k = terms_k + decays_{k-1} a_{k-1}`` of the sequential loop, to
+    the roundoff of its ceil(log2 N) passes; decays of exactly 0 and 1
+    included."""
+    rng = np.random.default_rng(seed)
+    decays = rng.uniform(0.0, 1.0, (n - 1, 1, 3))
+    decays[rng.random(decays.shape) < 0.2] = 0.0
+    decays[rng.random(decays.shape) < 0.2] = 1.0
+    terms = rng.standard_normal((n, m, 3))
+
+    def loop(values):
+        out = values.copy()
+        for k in range(1, n):
+            out[k] += decays[k - 1] * out[k - 1]
+        return out
+
+    scanned = posdef._decay_scan(decays, terms.copy())
+    passes = max(1, int(np.ceil(np.log2(n))))
+    bound = 4 * passes * np.finfo(float).eps * loop(np.abs(terms))
+    assert np.all(np.abs(scanned - loop(terms)) <= bound)

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from crossimpact import (
+    CongruenceKernel,
     Constant,
     CrossExpKernel,
     DiagCongruenceKernel,
@@ -35,9 +37,11 @@ from crossimpact import (
     solve_commuting,
     solve_exp_closed_form,
     solve_kkt,
+    solve_state_space,
 )
-from crossimpact import posdef, solver
-from crossimpact.posdef import PSD_REL_TOL
+from crossimpact import cli, posdef, solver
+from crossimpact.kernels import DecayKernel
+from crossimpact.posdef import PSD_REL_TOL, state_space_gram
 from crossimpact.solver import _kkt_solve_gram, _pcg_solve
 from conftest import (
     count_calls,
@@ -693,6 +697,10 @@ class TestSolveBest:
         _, route = solve_best(CrossExpKernel(1.0, 1.8, 0.3), grid, [1.0, 2.0])
         assert route == "commuting"
         _, route = solve_best(JordanLike(), grid, [1.0, 2.0])
+        assert route == "state_space"
+        _, route = solve_best(JordanLike(), grid, [1.0, 2.0], cross_check=True)
+        assert route == "kkt"
+        _, route = solve_best(JordanExpKernel(0.7), grid, [1.0, 2.0])  # no realization
         assert route == "kkt"
 
     def test_exp_profile_matrix_function_uses_closed_form(self, rng):
@@ -705,21 +713,22 @@ class TestSolveBest:
         assert np.max(np.abs(result.strategy.trades - oracle.strategy.trades)) < 1e-8
 
     def test_one_gram_per_solve(self, rng, monkeypatch):
-        """Only the KKT solve assembles a Gram, as the route or the
-        cross-check: the closed form and the commuting route certify in the
-        eigenframe and build none."""
+        """Only the dense KKT solve assembles a Gram.  Cross-checked, the
+        closed form and the commuting route take the state-space reference
+        and build none; a kernel with no eigenframe route builds one."""
         calls = count_calls(monkeypatch, posdef, "assemble_gram")
         grid = equidistant_grid(2.0, 6)
         closed = MatrixExpKernel(random_spd(rng, 2))
-        for kernel, expected in [
-            (closed, "closed_form"),
-            (CrossExpKernel(1.0, 1.8, 0.3), "commuting"),
-            (JordanLike(), "kkt"),
+        jordan_like = JordanLike()
+        for kernel, expected, grams in [
+            (closed, "closed_form", []),
+            (CrossExpKernel(1.0, 1.8, 0.3), "commuting", []),
+            (jordan_like, "kkt", [(jordan_like, grid)]),
         ]:
             calls.clear()
             _, route = solve_best(kernel, grid, [1.0, 2.0], cross_check=True)
             assert route == expected
-            assert [(args[0], args[1]) for args in calls] == [(kernel, grid)]
+            assert [(args[0], args[1]) for args in calls] == grams
         calls.clear()
         assert solve_best(closed, grid, [1.0, 2.0])[1] == "closed_form"
         solve_exp_closed_form(closed.B, grid, [1.0, 2.0])
@@ -733,6 +742,26 @@ class TestSolveBest:
             basis_strategies(kernel, grid)
             refine(kernel, 2.0, x0, max_levels=3)
         assert calls == []
+
+    def test_state_space_route_builds_no_gram(self, monkeypatch):
+        """Exp2x2 (sym.) takes the state-space route without a cross-check and
+        the dense KKT route with one; ``refine`` on it builds no Gram and
+        matches the dense solve at its finest level."""
+        calls = count_calls(monkeypatch, posdef, "assemble_gram")
+        kernel, x0 = EXP2X2_SYM, [10.0, -4.0]
+        grid = equidistant_grid(2.0, 33)
+        assert solve_best(kernel, grid, x0)[1] == "state_space"
+        assert calls == []
+        assert solve_best(kernel, grid, x0, cross_check=True)[1] == "kkt"
+        assert [(args[0], args[1]) for args in calls] == [(kernel, grid)]
+        calls.clear()
+        result = refine(kernel, 2.0, x0, max_levels=8)
+        assert calls == []
+        assert result.finest.unique is True
+        dense = solve_kkt(kernel, equidistant_grid(2.0, 257), x0)
+        assert result.finest.cost == pytest.approx(dense.cost, rel=1e-12)
+        gap = np.max(np.abs(result.finest.strategy.trades - dense.strategy.trades))
+        assert gap <= solver.CROSS_CHECK_REL_TOL * (1.0 + np.max(np.abs(dense.strategy.trades)))
 
     def test_closed_form_reuses_the_kernel_decomposition(self, rng, monkeypatch):
         kernel = MatrixFunctionKernel(random_spd(rng, 2), ExpDecay(1.7))
@@ -928,8 +957,163 @@ def test_refinement_never_raises_the_cost(family, levels, seed):
     assert all(b <= a + solver.REFINE_MONOTONE_SLACK * abs(a) for a, b in zip(costs, costs[1:]))
 
 
+# the symmetric, non-commuting Exp2x2 kernel of the benchmark's exp2x2 slot kind
+EXP2X2_SYM = Exp2x2Kernel(1.0, 0.15, 0.15, 1.1, 0.7, 1.5, 1.5, 1.6)
+
+
 def JordanLike():
-    # symmetric-but-not-commuting kernel to force the generic route
+    # symmetric-but-not-commuting kernel: no eigenframe route
     from crossimpact import Exp2x2Kernel
 
     return Exp2x2Kernel(1.0, 0.5, 0.5, 2.0, 1.0, 1.6, 1.6, 1.2)
+
+
+class RealizedKernel(DecayKernel):
+    """``G(t) = P diag(exp(-t rates)) Q^T`` from its generators."""
+
+    family = "realized"
+
+    def __init__(self, P, rates, Q):
+        self.P, self.rates, self.Q = P, rates, Q
+        self.dimension = P.shape[0]
+
+    def _values(self, ts):
+        with np.errstate(over="ignore"):
+            decays = np.exp(-np.outer(ts, self.rates))
+        return np.matmul(self.P * decays[:, None, :], self.Q.T)
+
+    def realization(self):
+        return self.P, self.rates, self.Q
+
+
+class OffRateCrossExp(CrossExpKernel):
+    """CrossExp whose realization gets one rate wrong by 1e-3."""
+
+    def realization(self):
+        P, rates, Q = super().realization()
+        rates[1] += 1e-3
+        return P, rates, Q
+
+
+class TestStateSpace:
+    @pytest.mark.parametrize("kernel", [
+        EXP2X2_SYM,
+        # a nonsymmetric Exp2x2, not PD alone, made strict by a temporary jump
+        PlusTemporaryKernel(0.5 * np.eye(2), Exp2x2Kernel(1.0, 0.1, 0.3, 1.2, 0.8, 1.6, 1.4, 1.5)),
+        CrossExpKernel(1.0, 1.8, 0.3),
+        MatrixExpKernel(np.array([[1.0, 0.3, 0.0], [0.3, 2.0, 0.4], [0.0, 0.4, 0.8]])),
+        DiagCongruenceKernel(np.array([[0.6, 0.8], [-0.8, 0.6]]), [ExpDecay(0.5), ExpDecay(2.0)]),
+        CongruenceKernel(np.array([[1.0, 0.5], [0.0, 2.0]]), EXP2X2_SYM),
+    ], ids=["exp2x2_sym", "exp2x2_nonsym_plus_temporary", "cross_exp", "matrix_exp",
+            "diag_congruence", "congruence"])
+    @pytest.mark.parametrize("spacing", ["equidistant", "geometric"])
+    def test_matches_dense(self, kernel, spacing):
+        grid = (equidistant_grid(3.0, 65) if spacing == "equidistant"
+                else geometric_grid(3.0, 65, 1.05))
+        x0 = np.arange(1.0, kernel.dimension + 1) * [1.0, -2.0, 3.0][: kernel.dimension]
+        result = solve_state_space(kernel, grid, x0)
+        dense = solve_kkt(kernel, grid, x0)
+        assert result.unique is dense.unique is True
+        gap = np.max(np.abs(result.strategy.trades - dense.strategy.trades))
+        assert gap <= 1e-10 * (1.0 + np.max(np.abs(dense.strategy.trades)))
+        assert result.cost == pytest.approx(dense.cost, rel=1e-12)
+        trades = np.random.default_rng(5).standard_normal((grid.n, kernel.dimension))
+        impact = state_space_gram(kernel, grid).impact(trades)
+        gram = assemble_gram(kernel, grid)
+        assert np.max(np.abs(impact - gram.impact(trades))) <= 1e-13 * grid.n * gram.norm
+
+    @pytest.mark.parametrize("kernel, grid, verdict", [
+        (PermanentKernel(np.eye(2)), equidistant_grid(1.0, 4), "singular"),
+        (Exp2x2Kernel(1.0, 2.5, 0.1, 1.0, 1.0, 1.0, 1.0, 1.0), equidistant_grid(5.0, 20),
+         "indefinite"),
+    ], ids=["singular", "indefinite"])
+    def test_declines_what_is_not_strict(self, kernel, grid, verdict):
+        """The backend returns only strict results; the dense solve decides
+        the rest, also as the fallback of ``solve_best``."""
+        x0 = [1.0, -1.0]
+        with pytest.raises(ArithmeticError, match="not strict"):
+            solve_state_space(kernel, grid, x0)
+        if verdict == "singular":
+            assert solve_kkt(kernel, grid, x0).unique is False
+            return
+        with pytest.raises(UnboundedCostError):
+            solve_kkt(kernel, grid, x0)
+        with pytest.raises(UnboundedCostError):
+            solve_best(kernel, grid, x0)
+
+    def test_no_realization(self):
+        with pytest.raises(ValueError, match="no state-space realization"):
+            solve_state_space(JordanExpKernel(0.7), equidistant_grid(1.0, 5), [1.0, 0.0])
+
+    def test_guard_rejects_a_wrong_realization(self, tmp_path, capsys, monkeypatch):
+        """A realization with one rate off by 1e-3 fails the guard, and the
+        cross-check falls back to the dense reference; without the guard, the
+        cross-check itself catches the wrong reference and the CLI exits 4."""
+        kernel = OffRateCrossExp(1.0, 1.8, 0.3)
+        grid = equidistant_grid(5.0, 11)
+        with pytest.raises(ArithmeticError, match="misses the kernel"):
+            solve_state_space(kernel, grid, [-50.0, 1.0])
+        assert solve_best(kernel, grid, [-50.0, 1.0], cross_check=True)[1] == "commuting"
+
+        monkeypatch.setattr(solver, "DIAGONAL_LEAK_TOL", np.inf)
+        monkeypatch.setattr(cli, "_build_kernel", lambda config: kernel)
+        config = tmp_path / "off_rate.json"
+        config.write_text(json.dumps({
+            "kernel": {"family": "cross_exp", "kappa": 1.0, "kappa_tilde": 1.8, "rho": 0.3},
+            "grid": {"horizon": 5.0, "count": 11, "spacing": "equidistant"},
+            "portfolio": [-50.0, 1.0],
+        }))
+        assert cli.main(["solve", "--config", str(config)]) == 4
+        assert "commuting and state_space disagree" in capsys.readouterr().err
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(1, 4),
+    r=st.integers(1, 6),
+    n=st.integers(1, 64),
+    geometric=st.booleans(),
+    kind=st.sampled_from(["symmetric", "perturbed", "random"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_state_space_agrees_with_dense(k, r, n, geometric, kind, seed):
+    """On generated realizations (random P and Q, rates >= 0), whenever the
+    state-space backend returns, the dense KKT solve is unique and its
+    trades agree within the cross-check tolerance; whenever the dense solve
+    finds the cost unbounded, the backend declines.
+
+    On an ill-conditioned Gram (condition number kappa about 1e8 here, one
+    draw in a thousand) a one-ulp change of the Gram moves the exact optimum
+    by up to about ``kappa * NK * eps``, so the trades are compared within
+    that bound when it exceeds the cross-check tolerance; a 60-digit solve
+    of such draws put the state-space trades as close to the optimum as the
+    dense ones, or closer."""
+    rng = np.random.default_rng(seed)
+    P = rng.standard_normal((k, r))
+    rates = rng.uniform(0.0, 3.0, r) * (rng.random(r) < 0.9)  # some rates are 0
+    Q = {"symmetric": P, "perturbed": P + 0.3 * rng.standard_normal((k, r)),
+         "random": rng.standard_normal((k, r))}[kind]
+    horizon = float(rng.uniform(0.5, 10.0))
+    grid = geometric_grid(horizon, n, 1.08) if geometric else equidistant_grid(horizon, n)
+    kernel = RealizedKernel(P, rates, Q)
+    x0 = rng.uniform(-10.0, 10.0, k)
+    try:
+        dense = solve_kkt(kernel, grid, x0)
+    except UnboundedCostError:
+        dense = "unbounded"
+    except ArithmeticError:  # a near-singular Gram whose dense certificate fails
+        dense = None
+    try:
+        result = solve_state_space(kernel, grid, x0)
+    except ArithmeticError:
+        result = None
+    if dense == "unbounded":
+        assert result is None
+    elif result is not None and dense is not None:
+        assert dense.unique is True
+        reference = dense.strategy.trades
+        gap = np.max(np.abs(result.strategy.trades - reference))
+        eigs = np.linalg.eigvalsh(assemble_gram(kernel, grid).blocks)
+        roundoff = 10.0 * (eigs[-1] / eigs[0]) * n * k * np.finfo(float).eps
+        tol = max(solver.CROSS_CHECK_REL_TOL, roundoff)
+        assert gap <= tol * (1.0 + np.max(np.abs(reference)))
