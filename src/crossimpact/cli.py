@@ -2,8 +2,9 @@
 
 Subcommands
 -----------
-solve     optimal strategy for the configured model (best applicable solver,
-          cross-checked against the generic KKT solve)
+solve     optimal strategy for the configured model (best applicable solver;
+          the closed form and the commuting route cross-checked against the
+          state-space or the dense KKT solve)
 check     structure / shape property report plus the PD classification
 gram      sorted Gram eigenvalues and the PSD verdict on the configured grid
 refine    dyadic grid refinement: (N, cost) sequence and the finest strategy
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -454,8 +456,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The :func:`build_parser` parser, built once per process: parsing
+    leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -51,6 +51,9 @@ EVIDENCE_N_MAX = 12
 # many lags each (at least one row), so that the kernel values it holds next
 # to the Gram stay bounded; a grid of up to 255 times takes a single run
 GRAM_CHUNK_LAGS = 1 << 15
+# StateSpaceGram.shifted_factor pivots on chunks of max(1, STATE_SPACE_CHUNK_ROWS // K)
+# grid steps: one dense block of at most this many rows per LAPACK call
+STATE_SPACE_CHUNK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -93,19 +96,21 @@ class StateSpaceGram:
     (:meth:`DecayKernel.realization`) on a grid, held as O(N R) generators.
 
     Block (k, l), ``k > l``, is ``P Phi(k, l) Q^T`` with the diagonal
-    propagator ``Phi(k, l) = diag(decays[l] * ... * decays[k - 1])`` and the
-    gap decays ``decays[j] = exp(-(t_{j+1} - t_j) rates)``; block (l, k) is its
-    transpose and block (k, k) is ``diagonal = tilde(0)``, temporary jump
-    included.  So the Gram is quasiseparable of order R: a product is two
-    scans over the grid and the block Cholesky of :meth:`shifted_factor`
-    takes N steps of R x R work.  With ``rates >= 0`` every propagator
-    entry lies in [0, 1], so nothing overflows.
+    propagator ``Phi(k, l) = diag(exp(-(t_k - t_l) rates))``, the product of
+    the gap decays ``decays[j] = exp(-(t_{j+1} - t_j) rates)``, ``l <= j < k``;
+    block (l, k) is its transpose and block (k, k) is ``diagonal = tilde(0)``,
+    temporary jump included.  So the Gram is quasiseparable of order R: a
+    product is two scans over the grid and the block Cholesky of
+    :meth:`shifted_factor` takes one R x R update per chunk of steps.  With
+    ``rates >= 0`` every propagator entry lies in [0, 1], so nothing
+    overflows.
     """
 
     grid: TimeGrid
     diagonal: np.ndarray  # (K, K)
     P: np.ndarray  # (K, R)
     Q: np.ndarray  # (K, R)
+    rates: np.ndarray  # (R,)
     decays: np.ndarray  # (N - 1, R)
 
     @property
@@ -120,6 +125,11 @@ class StateSpaceGram:
     def bound(self) -> float:
         """``max(max|tilde(0)|, max_ij sum_r |P_ir| |Q_jr|)``, at least max|Gram|."""
         return max(_maxabs(self.diagonal), _maxabs(np.abs(self.P) @ np.abs(self.Q).T))
+
+    def propagators(self, lags: np.ndarray) -> np.ndarray:
+        """``exp(-lag rates)`` for lags >= 0, shape (*lags.shape, R), in [0, 1]."""
+        with np.errstate(over="ignore"):  # lag * rate = inf near the float limit: exp(-inf) = 0
+            return np.exp(-lags[..., None] * self.rates)
 
     def product(self, X: np.ndarray) -> np.ndarray:
         """``Gram X`` for X of shape (N, K, m): ``tilde(0) x_k + P f_k + Q h_k``
@@ -149,38 +159,72 @@ class StateSpaceGram:
         """Block Cholesky ``L L^T`` of ``Gram + shift * I``, or None when a
         pivot fails (the leading blocks are not positive definite).
 
-        Below the diagonal ``L_kl = P Phi(k, l) g_l``.  With ``W_0 = 0`` and
-        ``W_l = D_l (W_{l-1} + g_{l-1} g_{l-1}^T) D_l`` (``D_l`` the gap decay
-        into time l), ``L_ll = chol(tilde(0) + shift I - P W_l P^T)`` and
-        ``g_l^T = L_ll^-1 (Q - P W_l)``.
+        The pivots are chunks C of ``s = max(1, STATE_SPACE_CHUNK_ROWS // K)``
+        consecutive steps ``a <= k < b``; the last chunk holds the rest.
+        With the generators ``Pt_C = [P Phi(k, a)]_k`` (sK x R) and
+        ``Qt_C = [Phi(b, l) Q^T]_l`` (R x sK), the Gram below chunk C is
+        ``P Phi(k, b) Qt_C``, ``k >= b``, and so is ``L_kC = P Phi(k, b) g_C``.
+        With ``W_0 = 0`` and ``W_{C+1} = Phi(b, a) W_C Phi(b, a) + g_C g_C^T``,
+        ``L_CC = chol(Gram_CC + shift I - Pt_C W_C Pt_C^T)`` and
+        ``g_C^T = L_CC^-1 (Qt_C^T - Pt_C W_C Phi(b, a))``.  Every propagator
+        is ``exp(-lag rates)`` at a lag >= 0; at s = 1 this is the
+        step-by-step block Cholesky.  The generators and the diagonal blocks
+        of all chunks are formed at once, so only the R x R updates, one
+        ``dpotrf`` and one ``dtrtri`` per chunk are sequential.
         """
         n, k = self.size, self.dimension
         P, Q = self.P, self.Q
-        r = P.shape[1]
-        head = self.diagonal + shift * np.eye(k)
-        inverses = np.empty((n, k, k))  # L_ll^-1
-        gT = np.empty((n, k, r))
-        W = np.zeros((r, r))
-        # the rows of the (n, ...) arrays as a list of views: indexing a list
-        # costs less than indexing an array, in a loop of n small steps
-        spread = [*(self.decays[:, :, None] * self.decays[:, None, :])]
-        inverse_rows, gT_rows = [*inverses], [*gT]
+        steps = max(1, STATE_SPACE_CHUNK_ROWS // k)
+        count = -(-n // steps)
+        width = steps * k
+        # the times padded with t_{N-1} to count * steps + 1 entries; a padded
+        # step is cut out of its chunk below, a decoupled identity pivot
+        times = np.full(count * steps + 1, self.grid.times[-1])
+        times[:n] = self.grid.times
+        local = times[:-1].reshape(count, steps)  # chunk c's times t_a .. t_{b-1}
+        starts, ends = local[:, 0], times[steps::steps]
+        span = self.propagators(ends - starts)  # Phi(b, a), (count, R)
+        into = self.propagators(local - starts[:, None])  # Phi(k, a), (count, steps, R)
+        out_of = self.propagators(ends[:, None] - local)  # Phi(b, l)
+        Pt = (into[:, :, None, :] * P).reshape(count, width, -1)
+        QtT = (out_of[:, :, None, :] * Q).reshape(count, width, -1)
+        # block (i, j) of chunk c: P Phi(i, j) Q^T below the diagonal and
+        # tilde(0) + shift I on it; dpotrf reads the lower triangle only, so
+        # the blocks above the diagonal are left as they come (lag 0)
+        lags = np.maximum(local[:, :, None] - local[:, None, :], 0.0)
+        pairs = (P[:, None, :] * Q).reshape(k * k, -1)  # row (a, b): P[a] * Q[b]
+        values = self.propagators(lags).reshape(-1, P.shape[1]) @ pairs.T
+        blocks = values.reshape(count, steps, steps, k, k).transpose(0, 1, 3, 2, 4)
+        blocks = blocks.reshape(count, width, width)  # a copy: the transpose is not contiguous
+        diagonal = np.arange(steps)
+        blocks.reshape(count, steps, k, steps, k)[:, diagonal, :, diagonal, :] = (
+            self.diagonal + shift * np.eye(k)
+        )
+        real = (n - (count - 1) * steps) * k  # rows of the last chunk that are grid steps
+        if real < width:
+            blocks[-1, real:] = blocks[-1, :, real:] = 0.0
+            blocks[-1, real:, real:] = np.eye(width - real)
+            Pt[-1, real:] = QtT[-1, real:] = 0.0
+
+        inverses = np.empty((count, width, width))  # L_CC^-1
+        gT = np.empty(QtT.shape)
+        W = np.zeros((P.shape[1],) * 2)
+        spread = span[:, :, None] * span[:, None, :]
         dpotrf, dtrtri = scipy.linalg.lapack.dpotrf, scipy.linalg.lapack.dtrtri
-        for i in range(n):
-            if i:
-                g = gT_rows[i - 1]
-                W += g.T @ g
-                W *= spread[i - 1]
-            PW = P @ W
-            pivot, info = dpotrf(head - PW @ P.T, lower=1, clean=1, overwrite_a=1)
+        for c in range(count):
+            if c:
+                W *= spread[c - 1]
+                W += gT[c - 1].T @ gT[c - 1]
+            PW = Pt[c] @ W
+            pivot, info = dpotrf(blocks[c] - PW @ Pt[c].T, lower=1, clean=1, overwrite_a=1)
             if info > 0:
                 return None
             inverse, info2 = dtrtri(pivot, lower=1, overwrite_c=1)
             if info or info2:  # an illegal argument, or a zero on a positive diagonal
-                raise ValueError(f"LAPACK failed on pivot block {i}: info {info}, {info2}")
-            inverse_rows[i][...] = inverse
-            np.matmul(inverse, Q - PW, out=gT_rows[i])
-        return StateSpaceFactor(self, inverses, gT)
+                raise ValueError(f"LAPACK failed on pivot chunk {c}: info {info}, {info2}")
+            inverses[c] = inverse
+            np.matmul(inverse, QtT[c] - PW * span[c], out=gT[c])
+        return StateSpaceFactor(Pt, span, inverses, gT)
 
 
 def _decay_scan(decays: np.ndarray, terms: np.ndarray) -> np.ndarray:
@@ -201,48 +245,56 @@ def _decay_scan(decays: np.ndarray, terms: np.ndarray) -> np.ndarray:
 
 class StateSpaceFactor:
     """The block Cholesky of :meth:`StateSpaceGram.shifted_factor`, as the
-    pivot inverses ``L_ll^-1`` and the generators ``g_l^T``.
+    chunk generators ``Pt_C``, the pivot inverses ``L_CC^-1`` and the
+    generators ``g_C^T``, each (chunks, sK, ...), zero or identity on the
+    padded steps of the last chunk.
 
     :meth:`solve` runs the forward and backward substitutions as two
-    recurrences on R-vectors, ``s_{l+1} = A_l s_l + B_l b_l`` and
-    ``r_l = C_l r_{l+1} + E_l z_{l+1}``, whose R x R and R x K coefficients
-    are formed here for all l at once; only the recurrences are sequential.
+    recurrences on R-vectors, one step per chunk,
+    ``s_{C+1} = T_C s_C + M_C b_C`` and ``r_{C-1} = T_C^T r_C + E_C z_C``
+    with ``E_C = Pt_C^T L_CC^-T``, whose coefficients are formed here for
+    all chunks at once; only the recurrences are sequential.
     """
 
-    def __init__(self, gram: StateSpaceGram, inverses: np.ndarray, gT: np.ndarray):
-        d = gram.decays[:, :, None]
-        # M_l = g_l L_ll^-1 and T_l = I - M_l P: the forward update of s is
-        # s_{l+1} = D_l (T_l s_l + M_l b_l), the backward one of r uses T_{l+1}^T
+    def __init__(self, Pt: np.ndarray, span: np.ndarray, inverses: np.ndarray, gT: np.ndarray):
+        # M_C = g_C L_CC^-1 and T_C = Phi(b, a) - M_C Pt_C: the forward update
+        # of s is s_{C+1} = T_C s_C + M_C b_C, the backward one of r uses T_C^T
         M = np.matmul(gT.transpose(0, 2, 1), inverses)
-        T = np.eye(gram.P.shape[1]) - np.matmul(M, gram.P)
-        self.P = gram.P
+        T = np.eye(span.shape[1]) * span[:, None, :] - np.matmul(M, Pt)
+        self.Pt = Pt
         self.inverses = inverses
         self.gT = gT
-        # lists of views, as in the factor loop
-        self.forward = [*(d * T[:-1])]
-        self.feed = d * M[:-1]
-        self.backward = [*(d * T[1:].transpose(0, 2, 1))]
-        self.back_feed = d * np.matmul(gram.P.T, inverses[1:].transpose(0, 2, 1))
+        # lists of views: indexing a list costs less than indexing an array,
+        # in a loop of small steps
+        self.forward = [*T[:-1]]
+        self.feed = M[:-1]
+        self.backward = [*T[1:].transpose(0, 2, 1)]
+        self.back_feed = np.matmul(Pt[1:].transpose(0, 2, 1), inverses[1:].transpose(0, 2, 1))
 
     def solve(self, B: np.ndarray) -> np.ndarray:
         """``(Gram + shift I)^-1 B`` for B of shape (N, K, m)."""
-        n = B.shape[0]
+        n, k, m = B.shape
+        count, width = self.inverses.shape[:2]
+        rhs = np.zeros((count, width, m))  # B in chunks, zero on the padded steps
+        rhs.reshape(-1, m)[: n * k] = B.reshape(n * k, m)
         forward, backward = self.forward, self.backward
-        # forward L z = b: z_l = L_ll^-1 (b_l - P s_l), s_{l+1} = D_l (s_l + g_l z_l)
-        s = np.empty((n, self.P.shape[1], B.shape[2]))
+        # forward L z = b: z_C = L_CC^-1 (b_C - Pt_C s_C),
+        # s_{C+1} = Phi(b, a) s_C + g_C z_C
+        s = np.empty((count, self.Pt.shape[2], m))
         s[0] = 0.0
-        s[1:] = np.matmul(self.feed, B[:-1])
+        s[1:] = np.matmul(self.feed, rhs[:-1])
         rows = [*s]
-        for i in range(1, n):
+        for i in range(1, count):
             rows[i] += forward[i - 1] @ rows[i - 1]
-        z = np.matmul(self.inverses, B - np.matmul(self.P, s))
-        # backward L^T y = z: y_l = L_ll^-T (z_l - g_l^T r_l),
-        # r_l = D_l (P^T y_{l+1} + r_{l+1}), written over s
+        z = np.matmul(self.inverses, rhs - np.matmul(self.Pt, s))
+        # backward L^T y = z: y_C = L_CC^-T (z_C - g_C^T r_C),
+        # r_{C-1} = Pt_C^T y_C + Phi(b, a) r_C, written over s
         s[-1] = 0.0
         s[:-1] = np.matmul(self.back_feed, z[1:])
-        for i in range(n - 2, -1, -1):
+        for i in range(count - 2, -1, -1):
             rows[i] += backward[i] @ rows[i + 1]
-        return np.matmul(self.inverses.transpose(0, 2, 1), z - np.matmul(self.gT, s))
+        y = np.matmul(self.inverses.transpose(0, 2, 1), z - np.matmul(self.gT, s))
+        return y.reshape(-1, m)[: n * k].reshape(n, k, m)
 
 
 def state_space_gram(kernel: DecayKernel, grid: TimeGrid) -> Optional[StateSpaceGram]:
@@ -256,7 +308,7 @@ def state_space_gram(kernel: DecayKernel, grid: TimeGrid) -> Optional[StateSpace
         raise ValueError("a realization needs finite rates >= 0")
     with np.errstate(over="ignore"):  # gap * rate = inf near the float limit: exp(-inf) = 0
         decays = np.exp(-np.outer(np.diff(grid.times), rates))
-    return StateSpaceGram(grid, kernel.tilde(0.0), P, Q, decays)
+    return StateSpaceGram(grid, kernel.tilde(0.0), P, Q, rates, decays)
 
 
 @dataclass(frozen=True)

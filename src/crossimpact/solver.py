@@ -353,7 +353,7 @@ def solve_state_space(kernel: DecayKernel, grid: TimeGrid, x0) -> SolveResult:
     in O(N) block steps and with no NK x NK Gram.
 
     The Gram is held as a :class:`posdef.StateSpaceGram`, after a guard
-    (:func:`_check_realization`).  Strictness is decided from the block
+    (:func:`_guarded_gram`).  Strictness is decided from the block
     Cholesky pivots of ``Gram - tau I``, ``tau = PSD_REL_TOL * (1 + M)``
     with ``M >= max|Gram|`` the Gram's ``bound``, so the test is never
     looser than :func:`solve_kkt`'s.  That factor preconditions the CG solve
@@ -365,10 +365,7 @@ def solve_state_space(kernel: DecayKernel, grid: TimeGrid, x0) -> SolveResult:
     answers).  A kernel without a realization raises ``ValueError``.
     """
     x0 = _portfolio(kernel, x0)
-    gram = state_space_gram(kernel, grid)
-    if gram is None:
-        raise ValueError(f"the {kernel.family} kernel has no state-space realization")
-    _check_realization(kernel, gram)
+    gram = _guarded_gram(kernel, grid)
     n, k = grid.n, kernel.dimension
     bound = gram.bound
     factor = gram.shifted_factor(-PSD_REL_TOL * (1.0 + bound))
@@ -386,20 +383,29 @@ def solve_state_space(kernel: DecayKernel, grid: TimeGrid, x0) -> SolveResult:
     return _check_result(grid, trades, lam, x0, True, gram.impact(trades))
 
 
-def _check_realization(kernel: DecayKernel, gram) -> None:
-    """Raise :class:`ArithmeticError` unless the realization's
-    ``P diag(decays) Q^T`` matches ``kernel.at_many`` at every gap of the
-    grid to ``DIAGONAL_LEAK_TOL * (1 + max|G(gap)|)``."""
-    gaps = np.diff(gram.grid.times)
-    values = kernel.at_many(gaps)
-    realized = np.matmul(gram.P * gram.decays[:, None, :], gram.Q.T)
+def _guarded_gram(kernel: DecayKernel, grid: TimeGrid):
+    """The kernel's :class:`posdef.StateSpaceGram` on the grid, after a guard:
+    the realization's ``P diag(exp(-t rates)) Q^T`` must match
+    ``kernel.at_many`` to ``DIAGONAL_LEAK_TOL * (1 + max|G(t)|)`` at every
+    gap ``t_{k+1} - t_k`` of the grid and at every lag ``t_k - t_0`` (on an
+    equidistant grid the gaps are a single lag, which alone passes a
+    realization exact only there), else :class:`ArithmeticError`.  A kernel
+    without a realization raises ``ValueError``."""
+    gram = state_space_gram(kernel, grid)
+    if gram is None:
+        raise ValueError(f"the {kernel.family} kernel has no state-space realization")
+    times = grid.times
+    lags = np.concatenate([np.diff(times), times[2:] - times[0]])
+    values = kernel.at_many(lags)
+    realized = np.matmul(gram.P * gram.propagators(lags)[:, None, :], gram.Q.T)
     leak = np.max(np.abs(realized - values), axis=(1, 2), initial=0.0)
     tols = DIAGONAL_LEAK_TOL * (1.0 + np.max(np.abs(values), axis=(1, 2), initial=0.0))
     if np.any(leak > tols):
         i = int(np.argmax(leak - tols))
         raise ArithmeticError(
-            f"the realization misses the kernel by {leak[i]:.3e} at lag {gaps[i]!r}"
+            f"the realization misses the kernel by {leak[i]:.3e} at lag {lags[i]!r}"
         )
+    return gram
 
 
 def _exp_recursion(A: np.ndarray, x0: np.ndarray):
@@ -447,8 +453,8 @@ def solve_exp_closed_form(B, grid: TimeGrid, x0) -> SolveResult:
 
     Evaluates the general closed-form recursion (see :func:`_exp_recursion`)
     with ``A_n = exp(-(t_n - t_{n-1}) B)`` on any grid, equidistant or not,
-    and certifies the result in the kernel's eigenframe, like the commuting
-    route.
+    and certifies the result on the two-scan impact of the kernel's
+    realization, in O(N).
     """
     kernel = MatrixExpKernel(B)  # validates symmetry and shape
     low = kernel.eigenvalues[0]  # eigenvalues ascend
@@ -463,10 +469,10 @@ def solve_exp_closed_form(B, grid: TimeGrid, x0) -> SolveResult:
 def _solve_exp(kernel: DecayKernel, grid: TimeGrid, x0: np.ndarray) -> SolveResult:
     """The closed form for ``G(t) = exp(-t B)``, ``B`` positive definite,
     with ``A_n = G(t_n - t_{n-1})`` from the kernel, certified on the impact
-    computed in the kernel's closed-form eigenframe (:func:`_frame_impact`)."""
+    of the kernel's realization (:meth:`posdef.StateSpaceGram.impact`, after
+    the guard of :func:`_guarded_gram`)."""
     trades, lam = _exp_recursion(kernel.at_many(np.diff(grid.times)), x0)
-    O, decays, _ = _frame_decays(kernel, grid, seed=0)
-    impact = _frame_impact(decays, trades @ O.T) @ O
+    impact = _guarded_gram(kernel, grid).impact(trades)
     return _check_result(grid, trades, lam, x0, True, impact)
 
 
@@ -637,14 +643,13 @@ def solve_best(
     against :func:`solve_state_space` when the kernel has a realization and
     the backend does not decline, else against the dense :func:`solve_kkt`;
     disagreement raises with both strategies attached.  A kernel with no
-    eigenframe route is solved once: cross-checked, it returns the dense
-    :func:`solve_kkt` answer under ``"kkt"``.
+    eigenframe route is solved once, as without the cross-check.
 
-    Only :func:`solve_kkt` builds the NK x NK Gram, so a Gram is assembled by
-    a cross-checked solve of a kernel with no eigenframe route, and
-    otherwise only for a kernel with no realization or one whose backend
-    declines (a Gram that is not strict).  The eigenframe routes certify in
-    the frame and the state-space backend on its two scans.
+    Only :func:`solve_kkt` builds the NK x NK Gram, so a Gram is assembled
+    only for a kernel with no realization or one whose backend declines (a
+    Gram that is not strict).  The commuting route certifies in its frame,
+    the closed form and the state-space backend on the realization's two
+    scans.
     """
     x0 = _portfolio(kernel, x0)
     result, route = None, "kkt"
@@ -663,7 +668,7 @@ def solve_best(
             except (ValueError, ArithmeticError):
                 result = None
     if result is None:
-        state_space = None if cross_check else _try_state_space(kernel, grid, x0)
+        state_space = _try_state_space(kernel, grid, x0)
         if state_space is not None:
             return state_space, "state_space"
         return solve_kkt(kernel, grid, x0), "kkt"

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from crossimpact import cli
 from crossimpact.cli import main, read_strategy_table
 from conftest import count_calls
 
@@ -396,3 +397,33 @@ class TestFigures:
         strategy = read_strategy_table(tmp_path / "fig2_round_trip.csv")
         assert strategy.trades.shape == (11, 2)
         assert strategy.trades[:, 1].sum() == pytest.approx(-1.0, abs=1e-10)
+
+
+class TestParser:
+    def test_built_once_per_process(self, tmp_path, capsys, monkeypatch):
+        """Two subcommands and one bad argv (exit 2) in one process build the
+        parser once, and print byte for byte what a parser built for each
+        call prints."""
+        config = tmp_path / "fig2.json"
+        write_config(config)
+        argvs = [["solve", "--config", str(config)], ["gram", "--config", str(config)],
+                 ["gram", "--config", str(config), "--paths", "5"]]
+
+        def run_all():
+            outputs = []
+            for argv in argvs:
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                outputs.append((code, *capsys.readouterr()))
+            return outputs
+
+        cli._parser.cache_clear()
+        builds = count_calls(monkeypatch, cli, "build_parser")
+        cached = run_all()
+        assert len(builds) == 1
+        assert [code for code, _, _ in cached] == [0, 0, 2]
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert run_all() == cached
+        assert len(builds) == 4

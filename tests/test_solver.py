@@ -699,7 +699,7 @@ class TestSolveBest:
         _, route = solve_best(JordanLike(), grid, [1.0, 2.0])
         assert route == "state_space"
         _, route = solve_best(JordanLike(), grid, [1.0, 2.0], cross_check=True)
-        assert route == "kkt"
+        assert route == "state_space"
         _, route = solve_best(JordanExpKernel(0.7), grid, [1.0, 2.0])  # no realization
         assert route == "kkt"
 
@@ -714,8 +714,9 @@ class TestSolveBest:
 
     def test_one_gram_per_solve(self, rng, monkeypatch):
         """Only the dense KKT solve assembles a Gram.  Cross-checked, the
-        closed form and the commuting route take the state-space reference
-        and build none; a kernel with no eigenframe route builds one."""
+        closed form and the commuting route take the state-space reference,
+        and a kernel with no eigenframe route the state-space route: none
+        builds a Gram."""
         calls = count_calls(monkeypatch, posdef, "assemble_gram")
         grid = equidistant_grid(2.0, 6)
         closed = MatrixExpKernel(random_spd(rng, 2))
@@ -723,7 +724,7 @@ class TestSolveBest:
         for kernel, expected, grams in [
             (closed, "closed_form", []),
             (CrossExpKernel(1.0, 1.8, 0.3), "commuting", []),
-            (jordan_like, "kkt", [(jordan_like, grid)]),
+            (jordan_like, "state_space", []),
         ]:
             calls.clear()
             _, route = solve_best(kernel, grid, [1.0, 2.0], cross_check=True)
@@ -744,17 +745,15 @@ class TestSolveBest:
         assert calls == []
 
     def test_state_space_route_builds_no_gram(self, monkeypatch):
-        """Exp2x2 (sym.) takes the state-space route without a cross-check and
-        the dense KKT route with one; ``refine`` on it builds no Gram and
-        matches the dense solve at its finest level."""
+        """Exp2x2 (sym.) takes the state-space route with or without a
+        cross-check; neither solve nor ``refine`` on it builds a Gram, and
+        ``refine`` matches the dense solve at its finest level."""
         calls = count_calls(monkeypatch, posdef, "assemble_gram")
         kernel, x0 = EXP2X2_SYM, [10.0, -4.0]
         grid = equidistant_grid(2.0, 33)
         assert solve_best(kernel, grid, x0)[1] == "state_space"
+        assert solve_best(kernel, grid, x0, cross_check=True)[1] == "state_space"
         assert calls == []
-        assert solve_best(kernel, grid, x0, cross_check=True)[1] == "kkt"
-        assert [(args[0], args[1]) for args in calls] == [(kernel, grid)]
-        calls.clear()
         result = refine(kernel, 2.0, x0, max_levels=8)
         assert calls == []
         assert result.finest.unique is True
@@ -995,6 +994,20 @@ class OffRateCrossExp(CrossExpKernel):
         return P, rates, Q
 
 
+class GapExactCrossExp(CrossExpKernel):
+    """CrossExp whose realization is exact at the lag ``GAP`` and nowhere
+    else: the cross terms decay 0.2 faster, their weights scaled up by
+    ``exp(0.2 GAP)``."""
+
+    GAP = 0.5
+
+    def realization(self):
+        P, rates, Q = super().realization()
+        rates[1:3] += 0.2  # terms (0, 1) and (1, 0)
+        Q[:, 1:3] *= np.exp(0.2 * self.GAP)
+        return P, rates, Q
+
+
 class TestStateSpace:
     @pytest.mark.parametrize("kernel", [
         EXP2X2_SYM,
@@ -1044,6 +1057,22 @@ class TestStateSpace:
     def test_no_realization(self):
         with pytest.raises(ValueError, match="no state-space realization"):
             solve_state_space(JordanExpKernel(0.7), equidistant_grid(1.0, 5), [1.0, 0.0])
+
+    def test_guard_checks_lags_beyond_the_gap(self):
+        """On an equidistant grid the gaps are one lag; a realization exact
+        there but wrong at twice the gap fails the guard at the lags
+        ``t_k - t_0``, and the cross-checked solve falls back to the dense
+        reference."""
+        kernel = GapExactCrossExp(1.0, 1.8, 0.3)
+        grid = equidistant_grid(5.0, 11)
+        gram = state_space_gram(kernel, grid)
+        at_gap = (gram.P * gram.propagators(np.array(kernel.GAP))) @ gram.Q.T
+        assert np.max(np.abs(at_gap - kernel.at(kernel.GAP))) <= 1e-15
+        at_twice = (gram.P * gram.propagators(np.array(2 * kernel.GAP))) @ gram.Q.T
+        assert np.max(np.abs(at_twice - kernel.at(2 * kernel.GAP))) > 1e-3
+        with pytest.raises(ArithmeticError, match="misses the kernel"):
+            solve_state_space(kernel, grid, [-50.0, 1.0])
+        assert solve_best(kernel, grid, [-50.0, 1.0], cross_check=True)[1] == "commuting"
 
     def test_guard_rejects_a_wrong_realization(self, tmp_path, capsys, monkeypatch):
         """A realization with one rate off by 1e-3 fails the guard, and the
@@ -1117,3 +1146,57 @@ def test_state_space_agrees_with_dense(k, r, n, geometric, kind, seed):
         roundoff = 10.0 * (eigs[-1] / eigs[0]) * n * k * np.finfo(float).eps
         tol = max(solver.CROSS_CHECK_REL_TOL, roundoff)
         assert gap <= tol * (1.0 + np.max(np.abs(reference)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(1, 4),
+    r=st.integers(1, 6),
+    chunks=st.integers(0, 3),
+    tail=st.integers(0, 31),
+    off=st.sampled_from([None, -1, 1]),
+    geometric=st.booleans(),
+    kind=st.sampled_from(["symmetric", "perturbed", "random"]),
+    strictness=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chunked_factor_matches_dense(k, r, chunks, tail, off, geometric, kind, strictness,
+                                      seed):
+    """The state-space block Cholesky pivots on chunks of
+    ``max(1, STATE_SPACE_CHUNK_ROWS // K)`` steps.  On generated realizations
+    (rates of 0 included) and grids of one to three chunks plus a ragged
+    tail, or one step off a chunk multiple, it fails exactly when the dense
+    Cholesky of the same shifted Gram fails, except within roundoff of the
+    boundary, and its solve matches ``cho_solve`` on the dense factor within
+    ``10 kappa NK eps``.  The shift is the solve's strictness shift
+    ``-tau`` or a positive one that makes more Grams definite."""
+    rng = np.random.default_rng(seed)
+    steps = max(1, posdef.STATE_SPACE_CHUNK_ROWS // k)
+    n = max(1, chunks * steps + (tail % steps if off is None else off))
+    P = rng.standard_normal((k, r))
+    rates = rng.uniform(0.0, 3.0, r) * (rng.random(r) < 0.8)
+    Q = {"symmetric": P, "perturbed": P + 0.3 * rng.standard_normal((k, r)),
+         "random": rng.standard_normal((k, r))}[kind]
+    horizon = float(rng.uniform(0.5, 10.0))
+    grid = geometric_grid(horizon, n, 1.08) if geometric else equidistant_grid(horizon, n)
+    kernel = RealizedKernel(P, rates, Q)
+    gram = state_space_gram(kernel, grid)
+    tau = PSD_REL_TOL * (1.0 + gram.bound)
+    shift = -tau if strictness else float(rng.uniform(0.0, 2.0)) * gram.bound
+    factor = gram.shifted_factor(shift)
+
+    dense = assemble_gram(kernel, grid).blocks
+    eigs = np.linalg.eigvalsh(dense) + shift
+    nk = n * k
+    roundoff = 100.0 * nk * np.finfo(float).eps * (1.0 + gram.bound)
+    reference = posdef._shifted_cholesky(dense, shift)
+    if abs(eigs[0]) > roundoff:
+        assert (factor is None) == (reference is None)
+    if factor is None or reference is None:
+        return
+    B = rng.standard_normal((n, k, 3))
+    solved = factor.solve(B).reshape(nk, 3)
+    expected = scipy.linalg.cho_solve(reference, B.reshape(nk, 3))
+    kappa = eigs[-1] / eigs[0]
+    gap = np.max(np.abs(solved - expected))
+    assert gap <= 10.0 * kappa * nk * np.finfo(float).eps * np.max(np.abs(expected))
