@@ -62,8 +62,8 @@ class GramMatrix:
 
     Block (k, l) equals ``tilde(t_k - t_l)``; the storage is exactly
     symmetric because the extension transposes mirrored lags bit-for-bit.
-    ``impact`` and ``quadratic_form`` read the lower triangle only, so they
-    still hold once the KKT core has factored the upper triangle in place
+    The products read the lower triangle only, so they still hold once the
+    KKT core has factored the upper triangle in place
     (:func:`_shifted_cholesky`).
     """
 
@@ -84,6 +84,15 @@ class GramMatrix:
         v = np.asarray(trades, dtype=float).reshape(-1)
         impact = scipy.linalg.blas.dsymv(1.0, self.blocks.T, v, lower=0)
         return impact.reshape(self.size, self.dimension)
+
+    def causal_impact(self, trades: np.ndarray) -> np.ndarray:
+        """Impact of strictly earlier trades ``sum_{l<k} tilde(t_k - t_l) xi_l``,
+        shape (N, K), for trades of shape (N, K): one ``dtrmv`` on the lower
+        triangle, less the ``tril(tilde(0)) xi_k`` that its diagonal blocks add."""
+        trades = np.asarray(trades, dtype=float)
+        k = self.dimension
+        causal = scipy.linalg.blas.dtrmv(self.blocks.T, trades.reshape(-1), lower=0, trans=1)
+        return causal.reshape(self.size, k) - trades @ np.tril(self.blocks[:k, :k]).T
 
     def quadratic_form(self, trades: np.ndarray) -> float:
         """``xi . Gram . xi`` for trades of shape (N, K)."""

@@ -15,7 +15,7 @@ import numpy as np
 
 from .grids import TimeGrid
 from .kernels import DecayKernel, _maxabs, _symmetric_psd_eig
-from .posdef import GramMatrix, assemble_gram
+from .posdef import assemble_gram
 from .solver import LIQUIDATION_TOL, _kernel_trades
 
 __all__ = [
@@ -92,18 +92,6 @@ def sample_paths(model: MartingaleModel, grid: TimeGrid, n_paths: int, seed: int
     return paths
 
 
-def _execution_shift(kernel: DecayKernel, gram: GramMatrix, trades: np.ndarray) -> np.ndarray:
-    """Path-independent part of the execution prices: the impact of earlier
-    trades, ``sum_{l<k} G(t_k - t_l) xi_l``, plus half the trade's own (lag-0)
-    impact.  The earlier impact is read from the Gram's strictly lower blocks,
-    which hold ``tilde(t_k - t_l) = G(t_k - t_l)`` for ``k > l``."""
-    n, k = trades.shape
-    blocks = gram.blocks.reshape(n, k, n, k)
-    lower = np.tril(np.ones((n, n)), k=-1)
-    earlier = np.einsum("kl,kilj,lj->ki", lower, blocks, trades, optimize=True)
-    return earlier + 0.5 * trades @ kernel.at(0.0).T
-
-
 def impacted_price(
     kernel: DecayKernel, grid: TimeGrid, strategy, path: np.ndarray, k: int
 ) -> np.ndarray:
@@ -122,15 +110,17 @@ def impacted_price(
 def revenues(kernel: DecayKernel, grid: TimeGrid, strategy, path: np.ndarray) -> float:
     """Realized proceeds of a strategy along one price path.
 
-    Each trade executes at its pre-trade impacted price shifted by half its
-    own (lag-0) impact, so temporary-impact jumps are priced consistently
-    with the cost functional.
+    Each trade executes at its pre-trade :func:`impacted_price` shifted by
+    half its own (lag-0) impact, so temporary-impact jumps are priced
+    consistently with the cost functional.  No Gram is built: this is the
+    per-path reference for :func:`estimate_expected_cost`.
     """
     trades = _kernel_trades(kernel, grid, strategy)
     path = np.asarray(path, dtype=float)
     if path.shape != trades.shape:
         raise ValueError(f"path has shape {path.shape}, the trades {trades.shape}")
-    exec_prices = path + _execution_shift(kernel, assemble_gram(kernel, grid), trades)
+    before = np.array([impacted_price(kernel, grid, trades, path, k) for k in range(grid.n)])
+    exec_prices = before + 0.5 * trades @ kernel.at(0.0).T
     return float(-np.sum(trades * exec_prices))
 
 
@@ -160,6 +150,11 @@ def estimate_expected_cost(
     as ``sample_paths(model, grid, n_paths, seed)``; the sampling then needs
     32 MiB plus 8 bytes per path, whatever N and K.  ``analytic_stderr`` is
     the exact ``|w| / sqrt(n_paths)`` that ``stderr`` estimates.
+
+    The drift's earlier-trade impact is :meth:`posdef.GramMatrix.causal_impact`;
+    with half the lag-0 impact, ``sum_k xi_k . shift_k = 1/2 xi . Gram . xi``,
+    so ``mean_shortfall - analytic_cost`` is the noise's mean: the estimate
+    checks that causal-vs-symmetric identity and the noise law.
     """
     if n_paths < 1:
         raise ValueError("need at least one path")
@@ -190,7 +185,7 @@ def estimate_expected_cost(
         noise[start : start + m] = rng.standard_normal((m, weights.size)) @ weights
 
     gram = assemble_gram(kernel, grid)
-    shift = _execution_shift(kernel, gram, trades)
+    shift = gram.causal_impact(trades) + 0.5 * trades @ kernel.at(0.0).T
     drift_revenue = -float(trades.sum(axis=0) @ model.s0) - float(np.sum(trades * shift))
     mean = float(x0 @ model.s0) - drift_revenue + float(np.mean(noise))
     stderr = float(np.std(noise, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0

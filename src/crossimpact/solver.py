@@ -31,6 +31,8 @@ from .kernels import (
 )
 from .posdef import (
     PSD_REL_TOL,
+    GramMatrix,
+    StateSpaceGram,
     _fill_gram,
     _gram_lags,
     _shifted_cholesky,
@@ -213,24 +215,21 @@ def _check_result(grid, trades, lam, x0, unique, impact: np.ndarray, slack=0.0) 
 
 
 def _pcg_solve(
-    gram: np.ndarray, factor, rhs: np.ndarray, gram_max: float, diagonal=None
+    gram: np.ndarray, factor, rhs: np.ndarray, gram_max: float, diagonal: np.ndarray
 ) -> np.ndarray:
     """Solve a dense ``gram Y = rhs`` by :func:`_pcg`, preconditioned with
     the Cholesky ``factor`` of ``gram - tau I``.
 
-    ``gram`` is read from its strictly lower triangle and ``diagonal``
-    (default: its own diagonal), so its upper triangle and diagonal may hold
-    the factor: the product is one ``dsymm`` on the lower triangle plus the
-    correction ``(diagonal - gram's diagonal) Y``.
+    ``gram`` is read from its strictly lower triangle and ``diagonal``, so
+    its upper triangle and diagonal may hold the factor: the product is one
+    ``dsymm`` on the lower triangle plus the correction
+    ``(diagonal - gram's diagonal) Y``.
     """
-    correction = None if diagonal is None else (diagonal - gram.diagonal())[:, None]
+    correction = (diagonal - gram.diagonal())[:, None]
 
     def product(X):
         # gram.T is gram's memory in Fortran order; its upper triangle is gram's lower
-        out = scipy.linalg.blas.dsymm(1.0, gram.T, X, lower=0)
-        if correction is not None:
-            out += correction * X
-        return out
+        return scipy.linalg.blas.dsymm(1.0, gram.T, X, lower=0) + correction * X
 
     def precondition(b):
         return scipy.linalg.cho_solve(factor, b, check_finite=False)
@@ -365,8 +364,12 @@ def solve_state_space(kernel: DecayKernel, grid: TimeGrid, x0) -> SolveResult:
     answers).  A kernel without a realization raises ``ValueError``.
     """
     x0 = _portfolio(kernel, x0)
-    gram = _guarded_gram(kernel, grid)
-    n, k = grid.n, kernel.dimension
+    return _solve_state_space(_guarded_gram(kernel, grid), x0)
+
+
+def _solve_state_space(gram: StateSpaceGram, x0: np.ndarray) -> SolveResult:
+    """:func:`solve_state_space` on a guarded realization (:func:`_guarded_gram`)."""
+    grid, n, k = gram.grid, gram.size, gram.dimension
     bound = gram.bound
     factor = gram.shifted_factor(-PSD_REL_TOL * (1.0 + bound))
     if factor is None:
@@ -463,17 +466,16 @@ def solve_exp_closed_form(B, grid: TimeGrid, x0) -> SolveResult:
     if grid.n < 2:
         raise ValueError("the closed form needs at least two trade times")
     x0 = _portfolio(kernel, x0)
-    return _solve_exp(kernel, grid, x0)
+    return _solve_exp(kernel, _guarded_gram(kernel, grid), x0)
 
 
-def _solve_exp(kernel: DecayKernel, grid: TimeGrid, x0: np.ndarray) -> SolveResult:
+def _solve_exp(kernel: DecayKernel, gram: StateSpaceGram, x0: np.ndarray) -> SolveResult:
     """The closed form for ``G(t) = exp(-t B)``, ``B`` positive definite,
     with ``A_n = G(t_n - t_{n-1})`` from the kernel, certified on the impact
-    of the kernel's realization (:meth:`posdef.StateSpaceGram.impact`, after
-    the guard of :func:`_guarded_gram`)."""
-    trades, lam = _exp_recursion(kernel.at_many(np.diff(grid.times)), x0)
-    impact = _guarded_gram(kernel, grid).impact(trades)
-    return _check_result(grid, trades, lam, x0, True, impact)
+    (:meth:`posdef.StateSpaceGram.impact`) of the kernel's realization
+    ``gram`` on the grid, which has passed the guard of :func:`_guarded_gram`."""
+    trades, lam = _exp_recursion(kernel.at_many(np.diff(gram.grid.times)), x0)
+    return _check_result(gram.grid, trades, lam, x0, True, gram.impact(trades))
 
 
 def _frame_decays(kernel: DecayKernel, grid: TimeGrid, seed: int):
@@ -487,20 +489,6 @@ def _frame_decays(kernel: DecayKernel, grid: TimeGrid, seed: int):
         return O, gs.T, leak
     O, decays = frame
     return O, decays(lags), 0.0
-
-
-def _frame_impact(decays: np.ndarray, trades_rot: np.ndarray) -> np.ndarray:
-    """The impact (N, K) of eigenframe trades: per direction i, the N x N Gram
-    of ``decays[:, i]`` times ``trades_rot[:, i]``.  The ``_gram_lags`` order
-    (lower triangle, row by row) is LAPACK's packed upper storage, so that is
-    one ``dspmv`` and no Gram is filled."""
-    n, k = trades_rot.shape
-    if decays.shape != (n * (n + 1) // 2, k):  # dspmv reads n(n+1)/2 entries unchecked
-        raise ValueError(f"decays of shape {decays.shape} do not pack {k} N x N Grams, N = {n}")
-    impact = np.empty((n, k))
-    for i in range(k):
-        impact[:, i] = scipy.linalg.blas.dspmv(n, 1.0, decays[:, i], trades_rot[:, i])
-    return impact
 
 
 def simultaneous_diagonalize(kernel: DecayKernel, sample_times, seed: int = 0):
@@ -554,13 +542,15 @@ def _diagonalize(kernel: DecayKernel, sample_times, seed: int):
 def _unit_frame_solves(kernel: DecayKernel, grid: TimeGrid, seed: int):
     """Liquidate one unit along each direction i of the eigenframe
     (:func:`_frame_decays`) on the N x N Gram of its decay; no NK x NK Gram is
-    built.  Returns ``(O, decays, leak, etas, lams, unique)``, with direction
-    i's trades ``etas[:, i]`` and multiplier ``lams[i]``; an indefinite
+    built.  Returns ``(O, leak, etas, lams, impacts, unique)``, with direction
+    i's trades ``etas[:, i]``, multiplier ``lams[i]`` and their impact
+    ``impacts[:, i]`` on the Gram the solve leaves intact; an indefinite
     direction raises :class:`UnboundedCostError` naming the component."""
     n, k = grid.n, kernel.dimension
     O, decays, leak = _frame_decays(kernel, grid, seed)
     etas = np.empty((n, k))
     lams = np.empty(k)
+    impacts = np.empty((n, k))
     unique = True
     for i in range(k):
         gram = _fill_gram(decays[:, i, None, None], n)
@@ -574,25 +564,26 @@ def _unit_frame_solves(kernel: DecayKernel, grid: TimeGrid, seed: int):
             ) from exc
         etas[:, i] = eta[:, 0]
         lams[i] = lam_i[0]
+        impacts[:, i] = GramMatrix(grid, gram, 1, n).impact(eta)[:, 0]
         unique = unique and strict
-    return O, decays, leak, etas, lams, unique
+    return O, leak, etas, lams, impacts, unique
 
 
 def solve_commuting(kernel: DecayKernel, grid: TimeGrid, x0, seed: int = 0) -> SolveResult:
     """Optimal liquidation for a symmetric commuting kernel.
 
-    Scales the unit liquidations of :func:`_unit_frame_solves` by the
-    rotated portfolio ``y = O x0`` (the KKT answer is linear in it) and
-    certifies in the frame (:func:`_frame_impact`), independent of
-    :func:`solve_kkt`; a sampled frame's leak ``e`` moves each impact entry
-    by at most ``sqrt(K) e sum|eta|``, which the residual includes.
+    Scales the unit liquidations of :func:`_unit_frame_solves` and their
+    impacts by the rotated portfolio ``y = O x0`` (both are linear in it) and
+    certifies on ``(impacts * y) @ O``, independent of :func:`solve_kkt`; a
+    sampled frame's leak ``e`` moves each impact entry by at most
+    ``sqrt(K) e sum|eta|``, which the residual includes.
     """
     x0 = _portfolio(kernel, x0)
-    O, decays, leak, etas, lams, unique = _unit_frame_solves(kernel, grid, seed)
+    O, leak, etas, lams, impacts, unique = _unit_frame_solves(kernel, grid, seed)
     y = O @ x0
     trades_rot = etas * y
     slack = np.sqrt(kernel.dimension) * leak * float(np.abs(trades_rot).sum())
-    impact = _frame_impact(decays, trades_rot) @ O
+    impact = (impacts * y) @ O
     return _check_result(grid, trades_rot @ O, O.T @ (lams * y), x0, unique, impact, slack)
 
 
@@ -622,7 +613,7 @@ def basis_strategies(kernel: DecayKernel, grid: TimeGrid, seed: int = 0) -> Basi
             stacklevel=2,
         )
 
-    O, _, _, etas, _, _ = _unit_frame_solves(kernel, grid, seed)
+    O, _, etas, _, _, _ = _unit_frame_solves(kernel, grid, seed)
     strategies = tuple(Strategy(np.outer(etas[:, i], O[i]), grid) for i in range(kernel.dimension))
     return BasisDecomposition(vectors=O.copy(), strategies=strategies, rotation=O)
 
@@ -652,11 +643,13 @@ def solve_best(
     scans.
     """
     x0 = _portfolio(kernel, x0)
-    result, route = None, "kkt"
+    result, route, realization = None, "kkt", None
     # MatrixExpKernel included, at rate 1; its eigenvalues ascend
     exp_decay = isinstance(kernel, MatrixFunctionKernel) and isinstance(kernel.fn, ExpDecay)
     if grid.n >= 2 and exp_decay and kernel.fn.rate * kernel.eigenvalues[0] > RATE_FLOOR:
-        result, route = _solve_exp(kernel, grid, x0), "closed_form"
+        # guarded once: it certifies the closed form and serves the cross-check
+        realization = _guarded_gram(kernel, grid)
+        result, route = _solve_exp(kernel, realization, x0), "closed_form"
     if result is None:
         try:
             sym, comm = check_structure(kernel, grid.times)
@@ -674,7 +667,7 @@ def solve_best(
         return solve_kkt(kernel, grid, x0), "kkt"
     if not cross_check:
         return result, route
-    reference, name = _try_state_space(kernel, grid, x0), "state_space"
+    reference, name = _try_state_space(kernel, grid, x0, realization), "state_space"
     if reference is None:
         reference, name = solve_kkt(kernel, grid, x0), "kkt"
     gap = _maxabs(result.strategy.trades - reference.strategy.trades)
@@ -687,11 +680,12 @@ def solve_best(
     return result, route
 
 
-def _try_state_space(kernel: DecayKernel, grid: TimeGrid, x0: np.ndarray):
+def _try_state_space(kernel: DecayKernel, grid: TimeGrid, x0: np.ndarray, gram=None):
     """:func:`solve_state_space`'s result, or None when the kernel has no
-    realization (``ValueError``) or the backend declines."""
+    realization (``ValueError``) or the backend declines; ``gram`` is the
+    guarded realization when the caller has already built it."""
     try:
-        return solve_state_space(kernel, grid, x0)
+        return _solve_state_space(_guarded_gram(kernel, grid) if gram is None else gram, x0)
     except (ValueError, ArithmeticError):
         return None
 

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from crossimpact import (
     CongruenceKernel,
@@ -245,7 +245,7 @@ class TestSolveKKT:
         factor = scipy.linalg.cho_factor(gram - tau * np.eye(nk), lower=True)
         gram_max = np.max(np.abs(gram))
 
-        Y = _pcg_solve(gram, factor, rhs, gram_max)
+        Y = _pcg_solve(gram, factor, rhs, gram_max, gram.diagonal())
         bound = solver.PCG_RES_FACTOR * nk * np.finfo(float).eps * (1.0 + gram_max)
         assert np.max(np.abs(rhs - gram @ Y)) <= bound * (1.0 + np.max(np.abs(Y)))
 
@@ -769,6 +769,16 @@ class TestSolveBest:
         assert route == "closed_form"
         assert eigh == []
 
+    def test_cross_checked_closed_form_builds_one_realization(self, rng, monkeypatch):
+        """A cross-checked MatrixExp solve builds and guards the realization
+        once: it certifies the closed form and is the state-space reference."""
+        calls = count_calls(monkeypatch, posdef, "state_space_gram")
+        kernel = MatrixExpKernel(random_spd(rng, 3))
+        grid = equidistant_grid(2.0, 17)
+        _, route = solve_best(kernel, grid, [1.0, -2.0, 0.5], cross_check=True)
+        assert route == "closed_form"
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("x0, message", [([1.0, 2.0, 3.0], "x0 must have 2 components"),
                                              ([1.0, np.nan], "x0 must be finite")])
     @pytest.mark.parametrize("route", ["kkt", "closed_form", "commuting", "best"])
@@ -873,22 +883,26 @@ SAMPLED_FRAMES = ("scalar_times_matrix", "permanent", "exp2x2_equal_rates")
     seed=st.integers(0, 2**32 - 1),
 )
 def test_frame_impact_matches_dense(family, gaps, seed):
-    """The eigenframe routes' impact, one packed N x N product per direction
-    (``solver._frame_impact``), is the dense Gram's impact up to roundoff and
-    the sampled frame's measured leak; a closed-form frame reproduces the
-    kernel's values."""
+    """The commuting route's impact, the unit impacts of
+    ``solver._unit_frame_solves`` (one N x N ``GramMatrix.impact`` per
+    direction) scaled by the rotated portfolio and rotated back, is the dense
+    Gram's impact of the same trades up to roundoff and the sampled frame's
+    measured leak; a closed-form frame reproduces the kernel's values."""
     rng = np.random.default_rng(seed)
     kernel = _commuting_kernel(family, rng)
     assert (kernel.eigenframe() is None) == (family in SAMPLED_FRAMES)
     grid = TimeGrid(np.concatenate([[0.0], np.cumsum(gaps)]))
     n, k = grid.n, kernel.dimension
-    trades = rng.standard_normal((n, k))
-    O, decays, leak = solver._frame_decays(kernel, grid, seed=0)
+    try:
+        O, leak, etas, _, impacts, _ = solver._unit_frame_solves(kernel, grid, seed=0)
+    except UnboundedCostError:
+        assume(False)  # an indefinite direction has no unit solve to certify
     assert leak == 0.0 or family in SAMPLED_FRAMES
-    rotated = trades @ O.T
-    impact_rot = solver._frame_impact(decays, rotated)
+    y = O @ rng.standard_normal(k)
+    rotated = etas * y
+    trades = rotated @ O
     gram = assemble_gram(kernel, grid)
-    gap = np.max(np.abs(impact_rot @ O - gram.impact(trades)))
+    gap = np.max(np.abs((impacts * y) @ O - gram.impact(trades)))
     slack = np.sqrt(k) * leak * np.abs(rotated).sum()
     assert gap <= slack + 1e-12 * (1.0 + gram.norm) * n * np.max(np.abs(trades))
 
