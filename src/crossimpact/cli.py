@@ -234,9 +234,7 @@ def cmd_check(args) -> int:
     config = load_config(args.config)
     kernel = _build_kernel(config)
     try:
-        report = check_shape_properties(
-            kernel, t_max=args.tmax, n_samples=args.samples, seed=args.seed or 0
-        )
+        report = check_shape_properties(kernel, t_max=args.tmax, n_samples=args.samples)
     except ValueError as exc:  # --tmax or --samples out of range
         raise ConfigError(f"check: {exc}") from exc
     pd_report = classify_positive_definite(kernel, seed=args.seed or 0)

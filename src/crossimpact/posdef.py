@@ -11,12 +11,11 @@ searches for explicit violations otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg.blas
-import scipy.linalg.lapack
+import scipy.linalg
 
 from .grids import TimeGrid
 from .kernels import (
@@ -62,25 +61,39 @@ class GramMatrix:
 
     Block (k, l) equals ``tilde(t_k - t_l)``; the storage is exactly
     symmetric because the extension transposes mirrored lags bit-for-bit.
-    The products read the lower triangle only, so they still hold once the
-    KKT core has factored the upper triangle in place
-    (:func:`_shifted_cholesky`).
+    ``diagonal`` is a copy of the Gram's diagonal.  :meth:`shifted_factor`
+    writes its factor over the upper triangle and the diagonal; every
+    product reads the lower triangle, so the Gram survives its factor:
+    :meth:`product` corrects for a factor's diagonal, and the impacts need
+    the diagonal that leaving the factor's ``with`` block writes back.
     """
 
     grid: TimeGrid
     blocks: np.ndarray  # (N*K, N*K)
     dimension: int
     size: int
+    diagonal: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "diagonal", self.blocks.diagonal().copy())
 
     @property
-    def norm(self) -> float:
+    def bound(self) -> float:
+        """max|Gram|; it reads both triangles, so it is taken before a factor."""
         return _maxabs(self.blocks)
+
+    def product(self, X: np.ndarray) -> np.ndarray:
+        """``Gram X`` for X of shape (NK, m): one ``dsymm`` on the lower
+        triangle (``blocks.T`` is the same memory in Fortran order, its upper
+        triangle the lower one) plus ``(diagonal - blocks' diagonal) X``, zero
+        unless a factor holds the diagonal."""
+        correction = (self.diagonal - self.blocks.diagonal())[:, None]
+        return scipy.linalg.blas.dsymm(1.0, self.blocks.T, X, lower=0) + correction * X
 
     def impact(self, trades: np.ndarray) -> np.ndarray:
         """Accumulated impact ``sum_l tilde(t_k - t_l) xi_l`` at every trade
         time, shape (N, K), for trades of shape (N, K): one ``dsymv`` on the
-        lower triangle (the upper triangle of ``blocks.T``, the same memory in
-        Fortran order)."""
+        lower triangle."""
         v = np.asarray(trades, dtype=float).reshape(-1)
         impact = scipy.linalg.blas.dsymv(1.0, self.blocks.T, v, lower=0)
         return impact.reshape(self.size, self.dimension)
@@ -97,6 +110,48 @@ class GramMatrix:
     def quadratic_form(self, trades: np.ndarray) -> float:
         """``xi . Gram . xi`` for trades of shape (N, K)."""
         return float(np.vdot(trades, self.impact(trades)))
+
+    def shifted_factor(self, shift: float) -> Optional["GramFactor"]:
+        """Cholesky factor of ``Gram + shift * I``, written in place, or None
+        when that matrix is not positive definite (some eigenvalue is at most
+        ``-shift``, up to roundoff).
+
+        LAPACK factors ``blocks.T``, the same memory in Fortran order, so the
+        factor reads the upper triangle and overwrites it and the diagonal;
+        the strictly lower triangle is never written.  On None the diagonal
+        is restored.  The factor holds the diagonal until its ``with`` block
+        ends; a caller that drops it unused leaves the Gram to
+        :meth:`product` and the eigensolvers of its lower triangle alone."""
+        blocks = self.blocks
+        blocks.flat[:: blocks.shape[0] + 1] += shift
+        factor, info = scipy.linalg.lapack.dpotrf(blocks.T, lower=1, overwrite_a=1, clean=0)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK dpotrf")
+        if info > 0:
+            blocks.flat[:: blocks.shape[0] + 1] = self.diagonal
+            return None
+        return GramFactor(self, factor)
+
+
+class GramFactor:
+    """The Cholesky factor of :meth:`GramMatrix.shifted_factor`, held in the
+    Gram's upper triangle and diagonal; leaving its ``with`` block writes the
+    Gram's diagonal back."""
+
+    def __init__(self, gram: GramMatrix, factor: np.ndarray):
+        self.gram = gram
+        self.factor = factor
+
+    def solve(self, B: np.ndarray) -> np.ndarray:
+        """``(Gram + shift I)^-1 B`` for B of shape (NK, m)."""
+        return scipy.linalg.cho_solve((self.factor, True), B, check_finite=False)
+
+    def __enter__(self) -> "GramFactor":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        blocks = self.gram.blocks
+        blocks.flat[:: blocks.shape[0] + 1] = self.gram.diagonal
 
 
 @dataclass(frozen=True)
@@ -141,14 +196,14 @@ class StateSpaceGram:
             return np.exp(-lags[..., None] * self.rates)
 
     def product(self, X: np.ndarray) -> np.ndarray:
-        """``Gram X`` for X of shape (N, K, m): ``tilde(0) x_k + P f_k + Q h_k``
-        with ``f_k = sum_{l<k} Phi(k, l) Q^T x_l`` and
-        ``h_k = sum_{l>k} Phi(l, k) P^T x_l``, one scan each way.  The work
+        """``Gram X`` for X of shape (NK, m), block k its rows ``x_k``:
+        ``tilde(0) x_k + P f_k + Q h_k`` with ``f_k = sum_{l<k} Phi(k, l) Q^T x_l``
+        and ``h_k = sum_{l>k} Phi(l, k) P^T x_l``, one scan each way.  The work
         is done on rows, ``x_k^T`` stacked as an (N m, K) matrix, so every
         product with P, Q or ``tilde(0)`` is one GEMM."""
-        n, k, m = X.shape
+        n, k, m = self.size, self.dimension, X.shape[1]
         r = self.P.shape[1]
-        rows = np.ascontiguousarray(X.transpose(0, 2, 1)).reshape(n * m, k)
+        rows = np.ascontiguousarray(X.reshape(n, k, m).transpose(0, 2, 1)).reshape(n * m, k)
         d = self.decays[:, None, :]
         # running sums with the current term: ahead[k] = f_k + Q^T x_k
         ahead = _decay_scan(d, (rows @ self.Q).reshape(n, m, r))
@@ -156,13 +211,13 @@ class StateSpaceGram:
         out = rows @ self.diagonal.T
         out[m:] += (d * ahead[:-1]).reshape((n - 1) * m, r) @ self.P.T
         out[: (n - 1) * m] += (d * behind[1:]).reshape((n - 1) * m, r) @ self.Q.T
-        return out.reshape(n, m, k).transpose(0, 2, 1)
+        return out.reshape(n, m, k).transpose(0, 2, 1).reshape(n * k, m)
 
     def impact(self, trades: np.ndarray) -> np.ndarray:
         """Accumulated impact ``sum_l tilde(t_k - t_l) xi_l``, shape (N, K),
         as :meth:`GramMatrix.impact` computes it, in O(N R K)."""
         trades = np.asarray(trades, dtype=float)
-        return self.product(trades[:, :, None])[:, :, 0]
+        return self.product(trades.reshape(-1, 1)).reshape(trades.shape)
 
     def shifted_factor(self, shift: float) -> Optional["StateSpaceFactor"]:
         """Block Cholesky ``L L^T`` of ``Gram + shift * I``, or None when a
@@ -281,11 +336,11 @@ class StateSpaceFactor:
         self.back_feed = np.matmul(Pt[1:].transpose(0, 2, 1), inverses[1:].transpose(0, 2, 1))
 
     def solve(self, B: np.ndarray) -> np.ndarray:
-        """``(Gram + shift I)^-1 B`` for B of shape (N, K, m)."""
-        n, k, m = B.shape
+        """``(Gram + shift I)^-1 B`` for B of shape (NK, m)."""
+        nk, m = B.shape
         count, width = self.inverses.shape[:2]
         rhs = np.zeros((count, width, m))  # B in chunks, zero on the padded steps
-        rhs.reshape(-1, m)[: n * k] = B.reshape(n * k, m)
+        rhs.reshape(-1, m)[:nk] = B
         forward, backward = self.forward, self.backward
         # forward L z = b: z_C = L_CC^-1 (b_C - Pt_C s_C),
         # s_{C+1} = Phi(b, a) s_C + g_C z_C
@@ -303,7 +358,13 @@ class StateSpaceFactor:
         for i in range(count - 2, -1, -1):
             rows[i] += backward[i] @ rows[i + 1]
         y = np.matmul(self.inverses.transpose(0, 2, 1), z - np.matmul(self.gT, s))
-        return y.reshape(-1, m)[: n * k].reshape(n, k, m)
+        return y.reshape(-1, m)[:nk]
+
+    def __enter__(self) -> "StateSpaceFactor":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        return None
 
 
 def state_space_gram(kernel: DecayKernel, grid: TimeGrid) -> Optional[StateSpaceGram]:
@@ -403,33 +464,10 @@ def check_grid_pd(gram: GramMatrix) -> GridPDResult:
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(f"eigensolver failed on a {gram.blocks.shape} Gram") from exc
     min_eig = float(eigs[0])
-    tol = PSD_REL_TOL * (1.0 + gram.norm)
+    tol = PSD_REL_TOL * (1.0 + gram.bound)
     return GridPDResult(
         psd=min_eig >= -tol, strict=min_eig > tol, min_eig=min_eig, eigenvalues=eigs
     )
-
-
-def _shifted_cholesky(matrix: np.ndarray, shift: float):
-    """Factor ``matrix + shift * I`` in place, for ``scipy.linalg.cho_solve``.
-
-    LAPACK factors ``matrix.T``, for a C-ordered ``matrix`` the same memory
-    in Fortran order, so the factor reads ``matrix``'s upper triangle and
-    overwrites it and the diagonal; the strictly lower triangle is never
-    written.  Returns ``(factor, True)``, the factor sharing ``matrix``'s
-    memory, or None if ``matrix + shift * I`` is not positive definite (for a
-    symmetric matrix: some eigenvalue is at most ``-shift``, up to roundoff).
-    On None the diagonal is restored, so the lower triangle is ``matrix``
-    again; after a success the diagonal holds the factor's, and a caller that
-    reads ``matrix`` later writes back the diagonal it saved before."""
-    diagonal = matrix.diagonal().copy()
-    matrix.flat[:: matrix.shape[0] + 1] += shift
-    factor, info = scipy.linalg.lapack.dpotrf(matrix.T, lower=1, overwrite_a=1, clean=0)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of LAPACK dpotrf")
-    if info > 0:
-        matrix.flat[:: matrix.shape[0] + 1] = diagonal
-        return None
-    return factor, True
 
 
 def _random_search_grid(rng, span_max: float, n_max: int) -> TimeGrid:
@@ -474,13 +512,13 @@ def search_violation(
     for _ in range(budget):
         grid = _random_search_grid(rng, span_max, n_max)
         gram = assemble_gram(kernel, grid)
-        norm = gram.norm
+        bound = gram.bound
         # only Grams that fail the in-place probe pay for an eigendecomposition
         # of the lower triangle it leaves, and the unit min-eigenvector is the
         # witness
-        if _shifted_cholesky(gram.blocks, WITNESS_REL_TOL * norm) is None:
+        if gram.shifted_factor(WITNESS_REL_TOL * bound) is None:
             value, xi = _min_eigenpair(gram.blocks)
-            if value < -WITNESS_REL_TOL * norm:
+            if value < -WITNESS_REL_TOL * bound:
                 return GramWitness(grid, xi.reshape(grid.n, kernel.dimension), value)
     return None
 
@@ -495,7 +533,7 @@ def _spectral_evidence(kernel: DecayKernel, rng):
         gram = assemble_gram(kernel, _random_search_grid(rng, EVIDENCE_SPAN, EVIDENCE_N_MAX))
         value, xi = _min_eigenpair(gram.blocks)
         worst = min(worst, value)
-        if witness is None and value < -PSD_REL_TOL * (1.0 + gram.norm):
+        if witness is None and value < -PSD_REL_TOL * (1.0 + gram.bound):
             witness = GramWitness(gram.grid, xi.reshape(gram.size, gram.dimension), value)
     return worst, witness
 
@@ -553,7 +591,7 @@ def classify_positive_definite(kernel: DecayKernel, seed: int = 0) -> PosDefRepo
             trades = trades / scale
             gram = assemble_gram(kernel, inner.witness.grid)
             value = gram.quadratic_form(trades)
-            if value < -WITNESS_REL_TOL * gram.norm:
+            if value < -WITNESS_REL_TOL * gram.bound:
                 witness = GramWitness(inner.witness.grid, trades, value)
                 return PosDefReport("not_pd", value, witness, inner.method)
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 import numpy as np
-import scipy.linalg
 
 from .grids import TimeGrid, equidistant_grid
 from .kernels import (
@@ -35,7 +34,6 @@ from .posdef import (
     StateSpaceGram,
     _fill_gram,
     _gram_lags,
-    _shifted_cholesky,
     assemble_gram,
     classify_positive_definite,
     state_space_gram,
@@ -214,40 +212,17 @@ def _check_result(grid, trades, lam, x0, unique, impact: np.ndarray, slack=0.0) 
     return SolveResult(Strategy(trades, grid), lam, half_form, unique, residual)
 
 
-def _pcg_solve(
-    gram: np.ndarray, factor, rhs: np.ndarray, gram_max: float, diagonal: np.ndarray
-) -> np.ndarray:
-    """Solve a dense ``gram Y = rhs`` by :func:`_pcg`, preconditioned with
-    the Cholesky ``factor`` of ``gram - tau I``.
-
-    ``gram`` is read from its strictly lower triangle and ``diagonal``, so
-    its upper triangle and diagonal may hold the factor: the product is one
-    ``dsymm`` on the lower triangle plus the correction
-    ``(diagonal - gram's diagonal) Y``.
-    """
-    correction = (diagonal - gram.diagonal())[:, None]
-
-    def product(X):
-        # gram.T is gram's memory in Fortran order; its upper triangle is gram's lower
-        return scipy.linalg.blas.dsymm(1.0, gram.T, X, lower=0) + correction * X
-
-    def precondition(b):
-        return scipy.linalg.cho_solve(factor, b, check_finite=False)
-
-    return _pcg(product, precondition, rhs, gram_max)
-
-
 def _pcg(product, precondition, rhs: np.ndarray, gram_max: float) -> np.ndarray:
     """Solve ``Gram Y = rhs`` (NK x m) by conjugate gradients, one recurrence
-    per column, for a strict Gram given by its ``product`` and the
-    ``precondition`` solve with a factor of ``Gram - tau I``.
+    per column, for a strict Gram given by its ``product`` on (NK, m) columns
+    and the ``precondition`` solve with a factor of ``Gram - tau I``; in
+    :func:`_kkt_solve`, the Gram's ``product`` and its factor's ``solve``.
 
     Starts from ``Y = precondition(rhs)`` and stops on the true residual (see
-    ``PCG_RES_FACTOR``), with ``gram_max`` at least max|Gram|.  Plain
-    refinement ``Y += precondition(rhs - Gram Y)`` contracts only by
-    ``tau / (lambda_min - tau)`` and so diverges once ``lambda_min < 2 tau``;
-    CG converges for every strict Gram.  The dense core and the state-space
-    backend share this loop.
+    ``PCG_RES_FACTOR``), with ``gram_max`` at least max|Gram|, the Gram's
+    ``bound``.  Plain refinement ``Y += precondition(rhs - Gram Y)``
+    contracts only by ``tau / (lambda_min - tau)`` and so diverges once
+    ``lambda_min < 2 tau``; CG converges for every strict Gram.
     """
     floor = PCG_RES_FACTOR * rhs.shape[0] * np.finfo(float).eps * (1.0 + gram_max)
     Y = precondition(rhs)
@@ -278,40 +253,44 @@ def _schur_step(Y: np.ndarray, n: int, k: int, x0: np.ndarray):
     return (Y @ lam).reshape(n, k), lam
 
 
-def _kkt_solve_gram(gram: np.ndarray, n: int, k: int, x0: np.ndarray):
-    """Solve the equality-constrained quadratic program on an assembled Gram.
+def _kkt_solve(gram, x0: np.ndarray):
+    """Solve the equality-constrained quadratic program on a Gram.
 
     Minimizes ``1/2 xi . Gram . xi`` subject to ``A xi = -x0``, where ``A``
     sums the N trade vectors, and returns ``(trades, lam, strict)``.  The
-    Gram is strict when a Cholesky factorization of ``Gram - tau I``
-    succeeds, ``tau = PSD_REL_TOL * (1 + max|Gram|)`` (the same decision as
-    ``eigvalsh(Gram)[0] > tau``).  The factor is written over the Gram's
-    upper triangle (:func:`posdef._shifted_cholesky`), so a strict solve
-    holds no other NK x NK array, and every later step reads the lower
-    triangle; on return the strictly lower triangle and the diagonal are the
-    input's.  That factor is the only factorization of a strict Gram: it
-    preconditions the CG solve of ``Gram Y = A^T`` (k right-hand sides,
-    :func:`_pcg_solve`), then the k x k Schur complement ``S = A Y`` (the
-    sum of Y's N blocks) gives ``lam = -S^-1 x0`` and ``xi = Y lam``.
-    Otherwise the smallest eigenpair decides: an eigenvalue
-    below ``-tau`` raises :class:`UnboundedCostError` with its eigenvector as
-    the direction, and a singular-but-PSD Gram gets the minimum-norm
-    least-squares solution of the bordered system
-    ``[[Gram, A^T], [A, 0]] [xi; -lam] = [0; -x0]``.
-    """
-    gram_max = _maxabs(gram)
-    tol = PSD_REL_TOL * (1.0 + gram_max)
-    diagonal = gram.diagonal().copy()
-    # the factor reads the upper triangle; a filled Gram is exactly symmetric
-    factor = _shifted_cholesky(gram, -tol)
-    if factor is not None:
-        try:
-            Y = _pcg_solve(gram, factor, np.tile(np.eye(k), (n, 1)), gram_max, diagonal)
-        finally:
-            gram.flat[:: n * k + 1] = diagonal
-        return (*_schur_step(Y, n, k, x0), True)
+    Gram is a :class:`posdef.GramMatrix` or a :class:`posdef.StateSpaceGram`,
+    or anything with their ``bound`` (at least max|Gram|), ``product`` on
+    (NK, m) columns, ``dimension``, ``size`` and ``shifted_factor(shift)``: a
+    factor with ``solve`` on (NK, m) columns, used as a context manager for
+    the span of the solve, or None.  The Gram is strict when the factor of
+    ``Gram - tau I``, ``tau = PSD_REL_TOL * (1 + bound)``, exists (for a
+    dense Gram, the same decision as ``eigvalsh(Gram)[0] > tau``).  That
+    factor is the only factorization of a strict Gram: it preconditions the
+    CG solve of ``Gram Y = A^T`` (k right-hand sides, :func:`_pcg`), and
+    :func:`_schur_step` gives ``lam`` and ``xi``.  A dense Gram is factored
+    in place (:meth:`posdef.GramMatrix.shifted_factor`), so a strict solve
+    holds no other NK x NK array; on return its strictly lower triangle and
+    diagonal are the input's.
 
-    min_eig, direction = _min_eigenpair(gram)
+    Otherwise only a dense Gram is decided, by its smallest eigenpair: an
+    eigenvalue below ``-tau`` raises :class:`UnboundedCostError` with its
+    eigenvector as the direction, and a singular-but-PSD Gram gets the
+    minimum-norm least-squares solution of the bordered system
+    ``[[Gram, A^T], [A, 0]] [xi; -lam] = [0; -x0]``.  Any other Gram raises
+    ``ArithmeticError``.
+    """
+    n, k = gram.size, gram.dimension
+    bound = gram.bound
+    tol = PSD_REL_TOL * (1.0 + bound)
+    factor = gram.shifted_factor(-tol)
+    if factor is not None:
+        with factor:
+            Y = _pcg(gram.product, factor.solve, np.tile(np.eye(k), (n, 1)), bound)
+        return (*_schur_step(Y, n, k, x0), True)
+    if not isinstance(gram, GramMatrix):
+        raise ArithmeticError("a factor of Gram - tau I failed: the Gram is not strict")
+
+    min_eig, direction = _min_eigenpair(gram.blocks)
     if min_eig < -tol:
         raise UnboundedCostError(
             f"Gram matrix has eigenvalue {min_eig:.3e}: cost unbounded below on this grid",
@@ -321,7 +300,7 @@ def _kkt_solve_gram(gram: np.ndarray, n: int, k: int, x0: np.ndarray):
     nk = n * k
     A = np.tile(np.eye(k), n)
     M = np.zeros((nk + k, nk + k))
-    M[:nk, :nk] = np.tril(gram) + np.tril(gram, -1).T
+    M[:nk, :nk] = np.tril(gram.blocks) + np.tril(gram.blocks, -1).T
     M[:nk, nk:] = A.T
     M[nk:, :nk] = A
     rhs = np.zeros(nk + k)
@@ -330,20 +309,22 @@ def _kkt_solve_gram(gram: np.ndarray, n: int, k: int, x0: np.ndarray):
     return sol[:nk].reshape(n, k), -sol[nk:], False
 
 
+def _solve_on(gram, x0: np.ndarray) -> SolveResult:
+    """:func:`_kkt_solve` on a Gram, certified on its ``impact``."""
+    trades, lam, strict = _kkt_solve(gram, x0)
+    return _check_result(gram.grid, trades, lam, x0, strict, gram.impact(trades))
+
+
 def solve_kkt(kernel: DecayKernel, grid: TimeGrid, x0) -> SolveResult:
     """Optimal liquidation of ``x0`` on a grid by solving the KKT system.
 
-    Solves the assembled Gram with :func:`_kkt_solve_gram`.  Raises
+    Solves the assembled Gram with :func:`_kkt_solve`.  Raises
     :class:`UnboundedCostError` when the Gram is indefinite on the grid.  On
     a PSD-but-singular Gram the returned strategy is the minimum-norm
     optimizer and ``unique`` is False.
     """
     x0 = _portfolio(kernel, x0)
-    gram = assemble_gram(kernel, grid)
-    # the core factors the Gram in place; the certificate's impact reads the
-    # lower triangle that it leaves as it was
-    trades, lam, strict = _kkt_solve_gram(gram.blocks, grid.n, kernel.dimension, x0)
-    return _check_result(grid, trades, lam, x0, strict, gram.impact(trades))
+    return _solve_on(assemble_gram(kernel, grid), x0)
 
 
 def solve_state_space(kernel: DecayKernel, grid: TimeGrid, x0) -> SolveResult:
@@ -352,38 +333,17 @@ def solve_state_space(kernel: DecayKernel, grid: TimeGrid, x0) -> SolveResult:
     in O(N) block steps and with no NK x NK Gram.
 
     The Gram is held as a :class:`posdef.StateSpaceGram`, after a guard
-    (:func:`_guarded_gram`).  Strictness is decided from the block
-    Cholesky pivots of ``Gram - tau I``, ``tau = PSD_REL_TOL * (1 + M)``
-    with ``M >= max|Gram|`` the Gram's ``bound``, so the test is never
-    looser than :func:`solve_kkt`'s.  That factor preconditions the CG solve
-    of ``Gram Y = A^T`` (:func:`_pcg`), the Schur step follows as in the
-    dense core, and the certificate reads the two-scan impact.  Only strict
-    results are returned: a failed guard or pivot, a stalled CG or a failed
-    certificate raises :class:`ArithmeticError`, and :func:`solve_kkt` then
-    decides the grid (``unique``, :class:`UnboundedCostError`, minimum-norm
-    answers).  A kernel without a realization raises ``ValueError``.
+    (:func:`_guarded_gram`), and solved by :func:`_kkt_solve`: its ``bound``
+    ``M >= max|Gram|`` makes the strictness test never looser than
+    :func:`solve_kkt`'s, and the certificate reads the two-scan impact.
+    Only strict results are returned: a failed guard or pivot, a stalled CG
+    or a failed certificate raises :class:`ArithmeticError`, and
+    :func:`solve_kkt` then decides the grid (``unique``,
+    :class:`UnboundedCostError`, minimum-norm answers).  A kernel without a
+    realization raises ``ValueError``.
     """
     x0 = _portfolio(kernel, x0)
-    return _solve_state_space(_guarded_gram(kernel, grid), x0)
-
-
-def _solve_state_space(gram: StateSpaceGram, x0: np.ndarray) -> SolveResult:
-    """:func:`solve_state_space` on a guarded realization (:func:`_guarded_gram`)."""
-    grid, n, k = gram.grid, gram.size, gram.dimension
-    bound = gram.bound
-    factor = gram.shifted_factor(-PSD_REL_TOL * (1.0 + bound))
-    if factor is None:
-        raise ArithmeticError("a block pivot of Gram - tau I failed: the Gram is not strict")
-
-    def product(X):
-        return gram.product(X.reshape(n, k, -1)).reshape(n * k, -1)
-
-    def precondition(b):
-        return factor.solve(b.reshape(n, k, -1)).reshape(n * k, -1)
-
-    Y = _pcg(product, precondition, np.tile(np.eye(k), (n, 1)), bound)
-    trades, lam = _schur_step(Y, n, k, x0)
-    return _check_result(grid, trades, lam, x0, True, gram.impact(trades))
+    return _solve_on(_guarded_gram(kernel, grid), x0)
 
 
 def _guarded_gram(kernel: DecayKernel, grid: TimeGrid):
@@ -553,9 +513,9 @@ def _unit_frame_solves(kernel: DecayKernel, grid: TimeGrid, seed: int):
     impacts = np.empty((n, k))
     unique = True
     for i in range(k):
-        gram = _fill_gram(decays[:, i, None, None], n)
+        gram = GramMatrix(grid, _fill_gram(decays[:, i, None, None], n), 1, n)
         try:
-            eta, lam_i, strict = _kkt_solve_gram(gram, n, 1, np.ones(1))
+            eta, lam_i, strict = _kkt_solve(gram, np.ones(1))
         except UnboundedCostError as exc:
             raise UnboundedCostError(
                 f"decay component {i} is not positive definite on this grid "
@@ -564,7 +524,7 @@ def _unit_frame_solves(kernel: DecayKernel, grid: TimeGrid, seed: int):
             ) from exc
         etas[:, i] = eta[:, 0]
         lams[i] = lam_i[0]
-        impacts[:, i] = GramMatrix(grid, gram, 1, n).impact(eta)[:, 0]
+        impacts[:, i] = gram.impact(eta)[:, 0]
         unique = unique and strict
     return O, leak, etas, lams, impacts, unique
 
@@ -597,7 +557,7 @@ def basis_strategies(kernel: DecayKernel, grid: TimeGrid, seed: int = 0) -> Basi
     combination.
     """
     t_max = grid.span if grid.span > 0 else 1.0
-    report = check_shape_properties(kernel, t_max=t_max, seed=seed)
+    report = check_shape_properties(kernel, t_max=t_max)
     if not (report.symmetric and report.commuting):
         raise ValueError("basis strategies need a symmetric commuting kernel")
     sampled = []
@@ -636,11 +596,14 @@ def solve_best(
     disagreement raises with both strategies attached.  A kernel with no
     eigenframe route is solved once, as without the cross-check.
 
-    Only :func:`solve_kkt` builds the NK x NK Gram, so a Gram is assembled
-    only for a kernel with no realization or one whose backend declines (a
-    Gram that is not strict).  The commuting route certifies in its frame,
-    the closed form and the state-space backend on the realization's two
-    scans.
+    Every route but the closed form solves through the one KKT core,
+    :func:`_kkt_solve`: ``state_space`` on the realization's
+    :class:`posdef.StateSpaceGram`, ``commuting`` on one N x N
+    :class:`posdef.GramMatrix` per eigenframe direction and ``kkt`` on the
+    NK x NK one, which is assembled only for a kernel with no realization or
+    one whose backend declines (a Gram that is not strict).  Each certifies
+    on its own Gram's ``impact``: the commuting route in its frame, the
+    closed form and the state-space backend on the realization's two scans.
     """
     x0 = _portfolio(kernel, x0)
     result, route, realization = None, "kkt", None
@@ -685,7 +648,7 @@ def _try_state_space(kernel: DecayKernel, grid: TimeGrid, x0: np.ndarray, gram=N
     realization (``ValueError``) or the backend declines; ``gram`` is the
     guarded realization when the caller has already built it."""
     try:
-        return _solve_state_space(_guarded_gram(kernel, grid) if gram is None else gram, x0)
+        return _solve_on(_guarded_gram(kernel, grid) if gram is None else gram, x0)
     except (ValueError, ArithmeticError):
         return None
 

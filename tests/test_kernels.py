@@ -330,6 +330,22 @@ class TestShapeProperties:
         assert report.convex.value is True
         assert report.nonconstant_forms.value is False
 
+    def test_flat_form_off_the_axes(self):
+        """With decays exp(-t) and 1, the form along O's second row
+        v = (1, 2)/sqrt(5) is constant: a flat direction on no axis and no
+        axis pair, found with v as the witness; with two exponential decays
+        no form is flat."""
+        v = np.array([1.0, 2.0]) / np.sqrt(5.0)
+        O = np.array([[v[1], -v[0]], v])
+        flat = DiagCongruenceKernel(O, [ExpDecay(1.0), Constant(1.0)])
+        verdict = check_shape_properties(flat, t_max=20.0).nonconstant_forms
+        assert verdict.value is False
+        w = verdict.witness.direction
+        assert min(np.max(np.abs(w - v)), np.max(np.abs(w + v))) <= 1e-12
+        steep = DiagCongruenceKernel(O, [ExpDecay(1.0), ExpDecay(0.5)])
+        verdict = check_shape_properties(steep, t_max=20.0).nonconstant_forms
+        assert verdict == kernels.Verdict(True, "sampled")
+
     def test_sampled_witness_reevaluates(self, rng):
         # every failed property's witness, located analytically or sampled,
         # must exhibit a genuine negative form, rise or second difference:

@@ -156,8 +156,10 @@ class TestRevenues:
 
 
     def test_matches_impacted_price_reference(self, rng):
-        """Each trade executes at ``impacted_price`` (its own ``at_many``
-        evaluation) plus half its lag-0 impact, on one and on many times."""
+        """Each trade executes at the unaffected price plus the impact
+        ``sum_{l<k} G(t_k - t_l) xi_l`` of the earlier trades and half its own
+        lag-0 impact, priced here with one ``kernel.at`` per pair of times, on
+        one and on many times."""
         kernels = [
             Exp2x2Kernel(1.0, 0.4, 0.7, 1.2, 1.0, 1.3, 1.4, 1.1),
             PlusTemporaryKernel([[0.6, 0.1], [0.3, 0.5]], CrossExpKernel(1.0, 1.8, 0.3)),
@@ -165,12 +167,15 @@ class TestRevenues:
         for kernel in kernels:
             g0 = kernel.at(0.0)
             for grid in (TimeGrid([0.0]), random_grid(rng, n_max=9)):
+                t = grid.times
                 trades = rng.standard_normal((grid.n, 2))
                 path = rng.uniform(10.0, 20.0, (grid.n, 2))
-                prices = [
-                    impacted_price(kernel, grid, trades, path, k) + 0.5 * g0 @ trades[k]
-                    for k in range(grid.n)
-                ]
+                prices = []
+                for k in range(grid.n):
+                    price = path[k] + 0.5 * g0 @ trades[k]
+                    for l in range(k):
+                        price = price + kernel.at(t[k] - t[l]) @ trades[l]
+                    prices.append(price)
                 expected = -float(np.sum(trades * np.array(prices)))
                 got = revenues(kernel, grid, trades, path)
                 assert got == pytest.approx(expected, rel=0, abs=1e-12 * np.abs(trades).sum() * 20)

@@ -41,8 +41,8 @@ from crossimpact import (
 )
 from crossimpact import cli, posdef, solver
 from crossimpact.kernels import DecayKernel
-from crossimpact.posdef import PSD_REL_TOL, state_space_gram
-from crossimpact.solver import _kkt_solve_gram, _pcg_solve
+from crossimpact.posdef import PSD_REL_TOL, GramMatrix, state_space_gram
+from crossimpact.solver import _kkt_solve, _pcg
 from conftest import (
     count_calls,
     count_eigensolver_calls,
@@ -182,7 +182,7 @@ class TestSolveKKT:
             solve_kkt(kernel, grid, [1.0, 1.0])
         assert sum(map(len, calls)) == 1
         d = err.value.direction.ravel()
-        tol = d.size * np.finfo(float).eps * gram.norm
+        tol = d.size * np.finfo(float).eps * gram.bound
         assert err.value.min_eig < 0
         assert abs(np.linalg.norm(d) - 1.0) <= d.size * np.finfo(float).eps
         assert abs(d @ gram.blocks @ d - err.value.min_eig) <= tol
@@ -210,10 +210,10 @@ class TestSolveKKT:
         cases.append((PermanentKernel(random_spd(rng, 2)), equidistant_grid(1.0, 4)))
         verdicts = []
         for kernel, grid in cases:
-            gram = assemble_gram(kernel, grid).blocks
-            tau = PSD_REL_TOL * (1.0 + np.max(np.abs(gram)))
-            _, _, unique = _kkt_solve_gram(gram, grid.n, 2, np.array([10.0, 0.0]))
-            assert unique == bool(np.linalg.eigvalsh(gram)[0] > tau)
+            gram = assemble_gram(kernel, grid)
+            tau = PSD_REL_TOL * (1.0 + np.max(np.abs(gram.blocks)))
+            _, _, unique = _kkt_solve(gram, np.array([10.0, 0.0]))
+            assert unique == bool(np.linalg.eigvalsh(gram.blocks)[0] > tau)
             verdicts.append(unique)
         assert any(verdicts[:-1]) and not all(verdicts[:-1])
         assert verdicts[-1] is False
@@ -245,7 +245,9 @@ class TestSolveKKT:
         factor = scipy.linalg.cho_factor(gram - tau * np.eye(nk), lower=True)
         gram_max = np.max(np.abs(gram))
 
-        Y = _pcg_solve(gram, factor, rhs, gram_max, gram.diagonal())
+        dense = GramMatrix(equidistant_grid(1.0, n), gram.copy(), k, n)
+        with dense.shifted_factor(-tau) as held:  # the factor lives in dense's upper triangle
+            Y = _pcg(dense.product, held.solve, rhs, gram_max)
         bound = solver.PCG_RES_FACTOR * nk * np.finfo(float).eps * (1.0 + gram_max)
         assert np.max(np.abs(rhs - gram @ Y)) <= bound * (1.0 + np.max(np.abs(Y)))
 
@@ -256,7 +258,7 @@ class TestSolveKKT:
         assert np.max(np.abs(rhs - gram @ Y)) > 1e6 * start
 
         original = gram.copy()  # the core factors its Gram in place
-        trades, lam, strict = _kkt_solve_gram(gram, n, k, np.array([3.0, -1.0]))
+        trades, lam, strict = _kkt_solve(GramMatrix(dense.grid, gram, k, n), np.array([3.0, -1.0]))
         assert strict is True
         assert np.allclose(trades.sum(axis=0), [-3.0, 1.0], rtol=0, atol=1e-9)
         impact = (original @ trades.ravel()).reshape(n, k)
@@ -269,16 +271,16 @@ class TestSolveKKT:
 
     def test_solve_memory_within_one_factor(self):
         """A strict solve factors the Gram in place and holds no NK x NK copy."""
-        gram = assemble_gram(CrossExpKernel(1.0, 1.8, 0.3), equidistant_grid(5.0, 1025)).blocks
+        gram = assemble_gram(CrossExpKernel(1.0, 1.8, 0.3), equidistant_grid(5.0, 1025))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            _, _, strict = _kkt_solve_gram(gram, 1025, 2, np.array([-50.0, 1.0]))
+            _, _, strict = _kkt_solve(gram, np.array([-50.0, 1.0]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert strict is True
-        assert peak - base <= 0.05 * gram.nbytes
+        assert peak - base <= 0.05 * gram.blocks.nbytes
 
     def test_solve_kkt_memory_within_one_gram(self):
         """Assembly, factor, CG and certificate together hold one NK x NK
@@ -309,15 +311,15 @@ class TestSolveKKT:
     def test_core_leaves_the_lower_triangle(self, kernel, grid, verdict):
         """Whatever the verdict, the strictly lower triangle and the diagonal
         are the input's when the core returns or raises."""
-        gram = assemble_gram(kernel, grid).blocks
-        lower = np.tril(gram)
+        gram = assemble_gram(kernel, grid)
+        lower = np.tril(gram.blocks)
         try:
-            _, _, strict = _kkt_solve_gram(gram, grid.n, 2, np.array([1.0, -1.0]))
+            _, _, strict = _kkt_solve(gram, np.array([1.0, -1.0]))
             outcome = "strict" if strict else "singular"
         except UnboundedCostError:
             outcome = "indefinite"
         assert outcome == verdict
-        assert np.array_equal(np.tril(gram), lower)
+        assert np.array_equal(np.tril(gram.blocks), lower)
 
     def test_certificate_invariants(self, rng):
         for _ in range(10):
@@ -327,6 +329,82 @@ class TestSolveKKT:
             result = solve_kkt(kernel, grid, x0)
             assert result.residual <= 1e-8 * (1.0 + np.max(np.abs(result.lam)))
             assert np.max(np.abs(result.strategy.trades.sum(axis=0) + x0)) <= 1e-10
+
+
+class CholeskyGram:
+    """A test double of the Gram interface the KKT core solves on: a plain
+    SPD matrix, its ``np.linalg.cholesky`` factor, and the four members."""
+
+    def __init__(self, matrix, grid, k):
+        self.matrix, self.grid, self.size, self.dimension = matrix, grid, grid.n, k
+
+    @property
+    def bound(self):
+        return float(np.max(np.abs(self.matrix)))
+
+    def product(self, X):
+        return self.matrix @ X
+
+    def impact(self, trades):
+        return (self.matrix @ trades.ravel()).reshape(trades.shape)
+
+    def shifted_factor(self, shift):
+        try:
+            lower = np.linalg.cholesky(self.matrix + shift * np.eye(len(self.matrix)))
+        except np.linalg.LinAlgError:
+            return None
+        return CholeskyFactor(lower)
+
+
+class CholeskyFactor:
+    def __init__(self, lower):
+        self.lower = lower
+
+    def solve(self, B):
+        return scipy.linalg.cho_solve((self.lower, True), B)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return None
+
+
+class TestKKTCore:
+    @pytest.mark.parametrize("kernel, grid, x0", [
+        (CrossExpKernel(1.0, 1.8, 0.3), equidistant_grid(5.0, 40), [-50.0, 1.0]),
+        (Exp2x2Kernel(1.0, 0.15, 0.15, 1.1, 0.7, 1.5, 1.5, 1.6), geometric_grid(2.0, 33, 1.1),
+         [10.0, -4.0]),
+        (MatrixExpKernel([[1.0, 0.3, 0.1], [0.3, 1.8, 0.2], [0.1, 0.2, 2.5]]),
+         equidistant_grid(3.0, 17), [1.0, -2.0, 0.5]),
+    ], ids=["cross_exp", "exp2x2", "matrix_exp"])
+    def test_a_gram_double_solves_like_solve_kkt(self, kernel, grid, x0):
+        """The core reads the Gram only through ``bound``, ``product`` and
+        ``shifted_factor``: a plain matrix behind them solves like the dense
+        Gram, to roundoff, and certifies on its own ``impact``."""
+        matrix = assemble_gram(kernel, grid).blocks
+        double = CholeskyGram(matrix.copy(), grid, kernel.dimension)
+        trades, lam, strict = _kkt_solve(double, np.asarray(x0))
+        reference = solve_kkt(kernel, grid, x0)
+        assert strict is reference.unique is True
+        eigs = np.linalg.eigvalsh(matrix)
+        roundoff = 10.0 * (eigs[-1] / eigs[0]) * matrix.shape[0] * np.finfo(float).eps
+        scale = 1.0 + np.max(np.abs(reference.strategy.trades))
+        assert np.max(np.abs(trades - reference.strategy.trades)) <= roundoff * scale
+        assert np.max(np.abs(lam - reference.lam)) <= roundoff * (1.0 + np.max(np.abs(lam)))
+        certified = solver._solve_on(double, np.asarray(x0, dtype=float))
+        assert certified.cost == pytest.approx(reference.cost, rel=1e-12)
+
+    @pytest.mark.parametrize("kernel, grid", [
+        (PermanentKernel(np.eye(2)), equidistant_grid(1.0, 4)),
+        (JordanExpKernel(0.2), equidistant_grid(20.0, 65)),
+    ], ids=["singular", "indefinite"])
+    def test_a_failed_double_factor_raises(self, kernel, grid):
+        """Only a dense Gram is decided past a failed factor: any other
+        raises ``ArithmeticError``, as the state-space backend does."""
+        double = CholeskyGram(assemble_gram(kernel, grid).blocks, grid, 2)
+        with pytest.raises(ArithmeticError, match="not strict"):
+            _kkt_solve(double, np.array([1.0, -1.0]))
 
 
 class TestLagrangeResidual:
@@ -904,7 +982,7 @@ def test_frame_impact_matches_dense(family, gaps, seed):
     gram = assemble_gram(kernel, grid)
     gap = np.max(np.abs((impacts * y) @ O - gram.impact(trades)))
     slack = np.sqrt(k) * leak * np.abs(rotated).sum()
-    assert gap <= slack + 1e-12 * (1.0 + gram.norm) * n * np.max(np.abs(trades))
+    assert gap <= slack + 1e-12 * (1.0 + gram.bound) * n * np.max(np.abs(trades))
 
     if family in CLOSED_FRAMES:
         O, decays = kernel.eigenframe()
@@ -1047,7 +1125,7 @@ class TestStateSpace:
         trades = np.random.default_rng(5).standard_normal((grid.n, kernel.dimension))
         impact = state_space_gram(kernel, grid).impact(trades)
         gram = assemble_gram(kernel, grid)
-        assert np.max(np.abs(impact - gram.impact(trades))) <= 1e-13 * grid.n * gram.norm
+        assert np.max(np.abs(impact - gram.impact(trades))) <= 1e-13 * grid.n * gram.bound
 
     @pytest.mark.parametrize("kernel, grid, verdict", [
         (PermanentKernel(np.eye(2)), equidistant_grid(1.0, 4), "singular"),
@@ -1199,18 +1277,18 @@ def test_chunked_factor_matches_dense(k, r, chunks, tail, off, geometric, kind, 
     shift = -tau if strictness else float(rng.uniform(0.0, 2.0)) * gram.bound
     factor = gram.shifted_factor(shift)
 
-    dense = assemble_gram(kernel, grid).blocks
-    eigs = np.linalg.eigvalsh(dense) + shift
+    dense = assemble_gram(kernel, grid)
+    eigs = np.linalg.eigvalsh(dense.blocks) + shift
     nk = n * k
     roundoff = 100.0 * nk * np.finfo(float).eps * (1.0 + gram.bound)
-    reference = posdef._shifted_cholesky(dense, shift)
+    reference = dense.shifted_factor(shift)
     if abs(eigs[0]) > roundoff:
         assert (factor is None) == (reference is None)
     if factor is None or reference is None:
         return
-    B = rng.standard_normal((n, k, 3))
-    solved = factor.solve(B).reshape(nk, 3)
-    expected = scipy.linalg.cho_solve(reference, B.reshape(nk, 3))
+    B = rng.standard_normal((n, k, 3)).reshape(nk, 3)
+    solved = factor.solve(B)
+    expected = reference.solve(B)
     kappa = eigs[-1] / eigs[0]
     gap = np.max(np.abs(solved - expected))
     assert gap <= 10.0 * kappa * nk * np.finfo(float).eps * np.max(np.abs(expected))
