@@ -223,7 +223,7 @@ def cmd_solve(args) -> int:
     kernel = _build_kernel(config)
     grid = _build_grid(config)
     x0 = _build_portfolio(config, kernel.dimension)
-    result, route = solve_best(kernel, grid, x0, seed=args.seed or 0, cross_check=True)
+    result, route = solve_best(kernel, grid, x0, cross_check=True)
     if args.out:
         write_strategy_table(result.strategy, args.out, args.format)
     _emit({"solve": _result_summary(result, route)})
@@ -327,7 +327,7 @@ def cmd_simulate(args) -> int:
     else:
         grid = _build_grid(config)
         x0 = _build_portfolio(config, kernel.dimension)
-        strategy = solve_best(kernel, grid, x0, seed=args.seed or 0)[0].strategy
+        strategy = solve_best(kernel, grid, x0)[0].strategy
     try:
         s0 = np.asarray(sim["s0"], dtype=float).ravel()
         if s0.size != kernel.dimension:
@@ -431,7 +431,7 @@ _FLAGS = {
 
 # each subcommand accepts exactly the flags its cmd_* function reads
 _COMMANDS = {
-    "solve": (cmd_solve, ("--config", "--out", "--seed", "--format")),
+    "solve": (cmd_solve, ("--config", "--out", "--format")),
     "check": (cmd_check, ("--config", "--out", "--seed", "--tmax", "--samples")),
     "gram": (cmd_gram, ("--config", "--out")),
     "refine": (cmd_refine, ("--config", "--out", "--seed", "--levels", "--format")),

@@ -112,6 +112,15 @@ def _min_eigenpair(matrix: np.ndarray):
     return float(vals[0]), vecs[:, 0]
 
 
+def _scaled_frame(M: np.ndarray, scale) -> Optional[tuple]:
+    """The eigenframe ``(O, decays)`` of ``G(t) = scale(t) M``: the rows of
+    ``O`` are the eigenvectors of ``M``, if ``M`` is exactly symmetric."""
+    if not np.array_equal(M, M.T):
+        return None
+    vals, vecs = np.linalg.eigh(M)
+    return vecs.T, lambda ts: np.multiply.outer(scale(ts), vals)
+
+
 # ---------------------------------------------------------------------------
 # scalar decay profiles
 # ---------------------------------------------------------------------------
@@ -358,7 +367,8 @@ class DecayKernel:
 
     def eigenframe(self) -> Optional[tuple]:
         """Closed-form ``(O, decays)`` with ``G(t) = O^T diag(decays(ts)[m]) O``
-        and ``decays(ts)`` of shape (len(ts), K), or None."""
+        and ``decays(ts)`` of shape (len(ts), K), or None; the commuting
+        solve route takes exactly the kernels that have one."""
         return None
 
     def realization(self) -> Optional[tuple]:
@@ -391,6 +401,9 @@ class PermanentKernel(DecayKernel):
 
     def structure(self):
         return _is_symmetric(self.G0), True
+
+    def eigenframe(self):
+        return _scaled_frame(self.G0, np.ones_like)
 
     def realization(self):
         k = self.dimension
@@ -603,6 +616,23 @@ class Exp2x2Kernel(_Entrywise2x2Kernel):
         )
         return symmetric, commuting
 
+    def eigenframe(self):
+        a, b = self.a, self.b
+        own, cross = ExpDecay(b[0, 0]), ExpDecay(b[0, 1])
+        # a half turn leaves exactly [[own, cross], [cross, own]] unchanged
+        if np.array_equal(a, a[::-1, ::-1]) and np.array_equal(b, b[::-1, ::-1]):
+
+            def decays(ts):  # own +- cross along (1, +-1)/sqrt(2)
+                g, h, out = own(ts), cross(ts), np.empty((ts.size, 2))
+                g *= a[0, 0]  # in place: a lower max RSS than a[0, 0] * own(ts)
+                h *= a[0, 1]
+                np.add(g, h, out=out[:, 0])
+                np.subtract(g, h, out=out[:, 1])
+                return out
+
+            return np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0), decays
+        return _scaled_frame(a, own) if np.all(b == b[0, 0]) else None  # G(t) = exp(-bt) a
+
     def realization(self):
         # one term per entry (i, j) = divmod(r, 2): P[:, r] = e_i, Q[:, r] = a_ij e_j
         rows, cols = np.divmod(np.arange(4), 2)
@@ -658,17 +688,6 @@ class CrossExpKernel(Exp2x2Kernel):
         out[:, 0, 1] = cross
         out[:, 1, 0] = cross
         return out
-
-    def eigenframe(self):
-        def decays(ts):
-            with np.errstate(over="ignore"):  # as in _values
-                own, cross = np.exp(-self.kappa * ts), self.rho * np.exp(-self.kappa_tilde * ts)
-            out = np.empty((ts.size, 2))
-            np.add(own, cross, out=out[:, 0])
-            np.subtract(own, cross, out=out[:, 1])
-            return out
-
-        return np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0), decays
 
     def to_dict(self):
         return {
@@ -830,6 +849,9 @@ class ScalarTimesMatrixKernel(DecayKernel):
 
     def structure(self):
         return _is_symmetric(self.L), True
+
+    def eigenframe(self):
+        return _scaled_frame(self.L, self.g)
 
     def realization(self):
         term = self.g.exp_term()

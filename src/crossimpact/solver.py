@@ -194,9 +194,9 @@ def _portfolio(kernel: DecayKernel, x0) -> np.ndarray:
     return x0
 
 
-def _check_result(grid, trades, lam, x0, unique, impact: np.ndarray, slack=0.0) -> SolveResult:
+def _check_result(grid, trades, lam, x0, unique, impact: np.ndarray) -> SolveResult:
     """Wrap a solved strategy, enforcing the certificate tolerances on the
-    impact (N, K) it accumulates, whose entries are exact to within ``slack``;
+    impact (N, K) it accumulates, computed by the route on its own Gram;
     trades or a cost that overflowed raise instead of being returned."""
     half_form = 0.5 * float(np.vdot(trades, impact))
     if not (np.isfinite(half_form) and np.all(np.isfinite(trades))):
@@ -204,7 +204,7 @@ def _check_result(grid, trades, lam, x0, unique, impact: np.ndarray, slack=0.0) 
     colsum_err = _maxabs(trades.sum(axis=0) + x0)
     if colsum_err > LIQUIDATION_TOL * (1.0 + _maxabs(x0)):
         raise ArithmeticError(f"liquidation constraint violated by {colsum_err:.3e}")
-    residual = float(np.max(np.abs(impact - lam))) + slack
+    residual = float(np.max(np.abs(impact - lam)))
     if not residual <= RESIDUAL_REL_TOL * (1.0 + _maxabs(lam)):
         raise ArithmeticError(
             f"Lagrange residual {residual:.3e} exceeds tolerance; the solve is unreliable"
@@ -438,21 +438,9 @@ def _solve_exp(kernel: DecayKernel, gram: StateSpaceGram, x0: np.ndarray) -> Sol
     return _check_result(gram.grid, trades, lam, x0, True, gram.impact(trades))
 
 
-def _frame_decays(kernel: DecayKernel, grid: TimeGrid, seed: int):
-    """The eigenframe ``O`` (rows), the decays (m, K) at the Gram's lags
-    (:func:`posdef._gram_lags`) and the frame's largest off-diagonal entry
-    there: closed form and 0, else sampled by :func:`simultaneous_diagonalize`."""
-    lags = _gram_lags(grid)
-    frame = kernel.eigenframe()
-    if frame is None:
-        O, gs, leak = _diagonalize(kernel, lags, seed)
-        return O, gs.T, leak
-    O, decays = frame
-    return O, decays(lags), 0.0
-
-
 def simultaneous_diagonalize(kernel: DecayKernel, sample_times, seed: int = 0):
-    """Common orthogonal frame of a symmetric commuting kernel.
+    """Common orthogonal frame of a symmetric commuting kernel, from samples;
+    a standalone tool, which no solve route uses.
 
     Diagonalizes one random positive combination of the sampled kernel
     values (a generic combination splits shared eigenspaces) and verifies
@@ -461,12 +449,6 @@ def simultaneous_diagonalize(kernel: DecayKernel, sample_times, seed: int = 0):
     where ``G(t) = O^T diag(gs) O`` and ``gs[i]`` samples the i-th scalar
     decay over ``sample_times``.
     """
-    O, gs, _ = _diagonalize(kernel, sample_times, seed)
-    return O, gs
-
-
-def _diagonalize(kernel: DecayKernel, sample_times, seed: int):
-    """:func:`simultaneous_diagonalize`, also returning its largest leakage."""
     sample_times = np.atleast_1d(np.asarray(sample_times, dtype=float))
     symmetric, commuting = check_structure(kernel, sample_times)
     if not (symmetric and commuting):
@@ -489,7 +471,7 @@ def _diagonalize(kernel: DecayKernel, sample_times, seed: int):
         gaps = np.max(np.abs(off), axis=(1, 2))
         tols = DIAGONAL_LEAK_TOL * (1.0 + norms)
         if np.all(gaps <= tols):
-            return O, np.einsum("tii->it", rotated), float(gaps.max())
+            return O, np.einsum("tii->it", rotated)
         i = int(np.argmax(gaps - tols))
         if gaps[i] < worst_gap:
             worst_gap, worst_time = gaps[i], float(sample_times[i])
@@ -499,15 +481,20 @@ def _diagonalize(kernel: DecayKernel, sample_times, seed: int):
     )
 
 
-def _unit_frame_solves(kernel: DecayKernel, grid: TimeGrid, seed: int):
-    """Liquidate one unit along each direction i of the eigenframe
-    (:func:`_frame_decays`) on the N x N Gram of its decay; no NK x NK Gram is
-    built.  Returns ``(O, leak, etas, lams, impacts, unique)``, with direction
-    i's trades ``etas[:, i]``, multiplier ``lams[i]`` and their impact
-    ``impacts[:, i]`` on the Gram the solve leaves intact; an indefinite
-    direction raises :class:`UnboundedCostError` naming the component."""
+def _unit_frame_solves(kernel: DecayKernel, grid: TimeGrid):
+    """Liquidate one unit along each direction i of the kernel's closed-form
+    ``eigenframe()`` on the N x N Gram of its decay at the Gram's lags
+    (:func:`posdef._gram_lags`); no NK x NK Gram is built.  Returns
+    ``(O, etas, lams, impacts, unique)``, with direction i's trades
+    ``etas[:, i]``, multiplier ``lams[i]`` and their impact ``impacts[:, i]``
+    on the Gram the solve leaves intact.  A kernel with no frame raises
+    ``ValueError``; an indefinite direction raises
+    :class:`UnboundedCostError` naming the component."""
+    frame = kernel.eigenframe()
+    if frame is None:
+        raise ValueError(f"the {kernel.family} kernel has no closed-form eigenframe")
+    O, decays = frame[0], frame[1](_gram_lags(grid))
     n, k = grid.n, kernel.dimension
-    O, decays, leak = _frame_decays(kernel, grid, seed)
     etas = np.empty((n, k))
     lams = np.empty(k)
     impacts = np.empty((n, k))
@@ -526,35 +513,32 @@ def _unit_frame_solves(kernel: DecayKernel, grid: TimeGrid, seed: int):
         lams[i] = lam_i[0]
         impacts[:, i] = gram.impact(eta)[:, 0]
         unique = unique and strict
-    return O, leak, etas, lams, impacts, unique
+    return O, etas, lams, impacts, unique
 
 
-def solve_commuting(kernel: DecayKernel, grid: TimeGrid, x0, seed: int = 0) -> SolveResult:
-    """Optimal liquidation for a symmetric commuting kernel.
+def solve_commuting(kernel: DecayKernel, grid: TimeGrid, x0) -> SolveResult:
+    """Optimal liquidation for a kernel with a closed-form ``eigenframe()``.
 
     Scales the unit liquidations of :func:`_unit_frame_solves` and their
     impacts by the rotated portfolio ``y = O x0`` (both are linear in it) and
-    certifies on ``(impacts * y) @ O``, independent of :func:`solve_kkt`; a
-    sampled frame's leak ``e`` moves each impact entry by at most
-    ``sqrt(K) e sum|eta|``, which the residual includes.
+    certifies on ``(impacts * y) @ O``, independent of :func:`solve_kkt`.  A
+    kernel with no frame raises ``ValueError``.
     """
     x0 = _portfolio(kernel, x0)
-    O, leak, etas, lams, impacts, unique = _unit_frame_solves(kernel, grid, seed)
+    O, etas, lams, impacts, unique = _unit_frame_solves(kernel, grid)
     y = O @ x0
-    trades_rot = etas * y
-    slack = np.sqrt(kernel.dimension) * leak * float(np.abs(trades_rot).sum())
     impact = (impacts * y) @ O
-    return _check_result(grid, trades_rot @ O, O.T @ (lams * y), x0, unique, impact, slack)
+    return _check_result(grid, (etas * y) @ O, O.T @ (lams * y), x0, unique, impact)
 
 
-def basis_strategies(kernel: DecayKernel, grid: TimeGrid, seed: int = 0) -> BasisDecomposition:
+def basis_strategies(kernel: DecayKernel, grid: TimeGrid) -> BasisDecomposition:
     """Sign-constant optimal strategies along the kernel's eigendirections.
 
-    For a symmetric, nonnegative, nonincreasing, convex, commuting kernel:
-    liquidating one unit of eigendirection v_i optimally trades
-    ``eta^i_k v_i`` with single-signed ``eta^i``; any portfolio written as
-    ``sum alpha_i v_i`` is then liquidated optimally by the matching linear
-    combination.
+    For a symmetric, nonnegative, nonincreasing, convex, commuting kernel
+    with a closed-form ``eigenframe()`` (else ``ValueError``): liquidating
+    one unit of eigendirection v_i optimally trades ``eta^i_k v_i`` with
+    single-signed ``eta^i``; any portfolio written as ``sum alpha_i v_i`` is
+    then liquidated optimally by the matching linear combination.
     """
     t_max = grid.span if grid.span > 0 else 1.0
     report = check_shape_properties(kernel, t_max=t_max)
@@ -573,21 +557,20 @@ def basis_strategies(kernel: DecayKernel, grid: TimeGrid, seed: int = 0) -> Basi
             stacklevel=2,
         )
 
-    O, _, etas, _, _, _ = _unit_frame_solves(kernel, grid, seed)
+    O, etas, _, _, _ = _unit_frame_solves(kernel, grid)
     strategies = tuple(Strategy(np.outer(etas[:, i], O[i]), grid) for i in range(kernel.dimension))
     return BasisDecomposition(vectors=O.copy(), strategies=strategies, rotation=O)
 
 
-def solve_best(
-    kernel: DecayKernel, grid: TimeGrid, x0, seed: int = 0, cross_check: bool = False
-):
+def solve_best(kernel: DecayKernel, grid: TimeGrid, x0, cross_check: bool = False):
     """Dispatch to the best applicable solver; returns ``(result, route)``.
 
     Precedence: the matrix-exponential closed form (``"closed_form"``), then
-    the commuting-kernel route (``"commuting"``).  A kernel with neither
-    takes :func:`solve_state_space` (``"state_space"``) when it has a
-    realization and the backend does not decline, else :func:`solve_kkt`
-    (``"kkt"``).
+    the commuting route (``"commuting"``, :func:`solve_commuting`) for a
+    kernel whose ``eigenframe()`` is not None.  A kernel with neither takes
+    :func:`solve_state_space` (``"state_space"``) when it has a realization
+    and the backend does not decline, else :func:`solve_kkt` (``"kkt"``).
+    The route follows from these kernel facts alone: nothing is sampled.
 
     With ``cross_check=True`` the closed form and the commuting route are
     checked to ``CROSS_CHECK_REL_TOL * (1 + max|xi_ref|)`` in the max norm
@@ -613,16 +596,11 @@ def solve_best(
         # guarded once: it certifies the closed form and serves the cross-check
         realization = _guarded_gram(kernel, grid)
         result, route = _solve_exp(kernel, realization, x0), "closed_form"
-    if result is None:
+    if result is None and kernel.eigenframe() is not None:
         try:
-            sym, comm = check_structure(kernel, grid.times)
-        except RuntimeError:
-            sym = comm = False
-        if sym and comm:
-            try:
-                result, route = solve_commuting(kernel, grid, x0, seed=seed), "commuting"
-            except (ValueError, ArithmeticError):
-                result = None
+            result, route = solve_commuting(kernel, grid, x0), "commuting"
+        except (ValueError, ArithmeticError):
+            result = None
     if result is None:
         state_space = _try_state_space(kernel, grid, x0)
         if state_space is not None:
@@ -685,7 +663,7 @@ def refine(
     previous = None
     for level in range(1, max_levels + 1):
         grid = equidistant_grid(horizon, 2**level + 1)
-        finest, _ = solve_best(kernel, grid, x0, seed=seed)
+        finest, _ = solve_best(kernel, grid, x0)
         levels.append((grid.n, finest.cost))
         if previous is not None:
             if finest.cost > previous + REFINE_MONOTONE_SLACK * abs(previous):

@@ -264,6 +264,15 @@ class TestErrors:
         assert exc.value.code == 2
         assert "--paths" in capsys.readouterr().err
 
+    def test_solve_takes_no_seed(self, tmp_path, capsys):
+        # solve routes on kernel facts and samples nothing: a seed would be unused
+        config = tmp_path / "fig2.json"
+        write_config(config)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--config", str(config), "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
     @pytest.mark.parametrize("family", ["cross_exp", "matrix_exp"])
     def test_overflowing_cost_exit_4(self, tmp_path, capsys, family):
         # 1/2 xi . Gram . xi overflows: an error, not "cost": Infinity (not JSON)
