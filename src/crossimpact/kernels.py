@@ -400,7 +400,8 @@ class PermanentKernel(DecayKernel):
         return {"family": self.family, "G0": self.G0.tolist()}
 
     def structure(self):
-        return _is_symmetric(self.G0), True
+        # exactly symmetric, as the frame needs: the commuting verdict and route agree
+        return np.array_equal(self.G0, self.G0.T), True
 
     def eigenframe(self):
         return _scaled_frame(self.G0, np.ones_like)
@@ -591,6 +592,19 @@ class _Entrywise2x2Kernel(DecayKernel):
         self.b = b
         self.dimension = 2
 
+    def eigenframe(self):
+        a, b = self.a, self.b
+        # a half turn leaves exactly [[own, cross], [cross, own]] unchanged
+        if not (np.array_equal(a, a[::-1, ::-1]) and np.array_equal(b, b[::-1, ::-1])):
+            return None
+
+        def decays(ts):  # own +- cross along (1, +-1)/sqrt(2)
+            values = self._values(ts)
+            own, cross = values[:, 0, 0], values[:, 0, 1]
+            return np.stack([own + cross, own - cross], axis=1)
+
+        return np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0), decays
+
     def to_dict(self):
         values = [*self.a.flat, *self.b.flat]
         return {"family": self.family, **dict(zip(self.param_names, values))}
@@ -617,21 +631,10 @@ class Exp2x2Kernel(_Entrywise2x2Kernel):
         return symmetric, commuting
 
     def eigenframe(self):
-        a, b = self.a, self.b
-        own, cross = ExpDecay(b[0, 0]), ExpDecay(b[0, 1])
-        # a half turn leaves exactly [[own, cross], [cross, own]] unchanged
-        if np.array_equal(a, a[::-1, ::-1]) and np.array_equal(b, b[::-1, ::-1]):
-
-            def decays(ts):  # own +- cross along (1, +-1)/sqrt(2)
-                g, h, out = own(ts), cross(ts), np.empty((ts.size, 2))
-                g *= a[0, 0]  # in place: a lower max RSS than a[0, 0] * own(ts)
-                h *= a[0, 1]
-                np.add(g, h, out=out[:, 0])
-                np.subtract(g, h, out=out[:, 1])
-                return out
-
-            return np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0), decays
-        return _scaled_frame(a, own) if np.all(b == b[0, 0]) else None  # G(t) = exp(-bt) a
+        frame = super().eigenframe()
+        if frame is None and np.all(self.b == self.b[0, 0]):  # G(t) = exp(-bt) a
+            return _scaled_frame(self.a, ExpDecay(self.b[0, 0]))
+        return frame
 
     def realization(self):
         # one term per entry (i, j) = divmod(r, 2): P[:, r] = e_i, Q[:, r] = a_ij e_j
@@ -848,7 +851,8 @@ class ScalarTimesMatrixKernel(DecayKernel):
         return {"family": self.family, "g": self.g.to_dict(), "L": self.L.tolist()}
 
     def structure(self):
-        return _is_symmetric(self.L), True
+        # exactly symmetric, as the frame needs: the commuting verdict and route agree
+        return np.array_equal(self.L, self.L.T), True
 
     def eigenframe(self):
         return _scaled_frame(self.L, self.g)

@@ -349,26 +349,37 @@ def solve_state_space(kernel: DecayKernel, grid: TimeGrid, x0) -> SolveResult:
 def _guarded_gram(kernel: DecayKernel, grid: TimeGrid):
     """The kernel's :class:`posdef.StateSpaceGram` on the grid, after a guard:
     the realization's ``P diag(exp(-t rates)) Q^T`` must match
-    ``kernel.at_many`` to ``DIAGONAL_LEAK_TOL * (1 + max|G(t)|)`` at every
-    gap ``t_{k+1} - t_k`` of the grid and at every lag ``t_k - t_0`` (on an
-    equidistant grid the gaps are a single lag, which alone passes a
-    realization exact only there), else :class:`ArithmeticError`.  A kernel
-    without a realization raises ``ValueError``."""
+    ``kernel.at_many`` at the lags of :func:`_guard_lags` (:func:`_leaks`),
+    else :class:`ArithmeticError`.  A kernel without a realization raises
+    ``ValueError``."""
     gram = state_space_gram(kernel, grid)
     if gram is None:
         raise ValueError(f"the {kernel.family} kernel has no state-space realization")
-    times = grid.times
-    lags = np.concatenate([np.diff(times), times[2:] - times[0]])
-    values = kernel.at_many(lags)
+    lags = _guard_lags(grid)
     realized = np.matmul(gram.P * gram.propagators(lags)[:, None, :], gram.Q.T)
-    leak = np.max(np.abs(realized - values), axis=(1, 2), initial=0.0)
-    tols = DIAGONAL_LEAK_TOL * (1.0 + np.max(np.abs(values), axis=(1, 2), initial=0.0))
+    leak, tols = _leaks(kernel.at_many(lags), realized)
     if np.any(leak > tols):
         i = int(np.argmax(leak - tols))
         raise ArithmeticError(
             f"the realization misses the kernel by {leak[i]:.3e} at lag {lags[i]!r}"
         )
     return gram
+
+
+def _guard_lags(grid: TimeGrid) -> np.ndarray:
+    """Every gap ``t_{k+1} - t_k`` and every lag ``t_k - t_0`` of the grid (on
+    an equidistant grid the gaps are one lag, which alone passes a
+    realization exact only there)."""
+    times = grid.times
+    return np.concatenate([np.diff(times), times[2:] - times[0]])
+
+
+def _leaks(values: np.ndarray, realized: np.ndarray):
+    """``(leak, tols)`` per leading index: ``max|realized - values|`` and
+    ``DIAGONAL_LEAK_TOL * (1 + max|values|)`` over the other axes."""
+    axes = tuple(range(1, values.ndim))
+    leak = np.max(np.abs(realized - values), axis=axes, initial=0.0)
+    return leak, DIAGONAL_LEAK_TOL * (1.0 + np.max(np.abs(values), axis=axes, initial=0.0))
 
 
 def _exp_recursion(A: np.ndarray, x0: np.ndarray):
@@ -481,34 +492,79 @@ def simultaneous_diagonalize(kernel: DecayKernel, sample_times, seed: int = 0):
     )
 
 
+def _direction_grams(kernel: DecayKernel, grid: TimeGrid, O: np.ndarray, decay) -> list:
+    """One K = 1 :class:`posdef.StateSpaceGram` per direction i of the frame
+    ``(O, decay)``, or None.  With the realization ``G(t) = P diag(exp(-t
+    rates)) Q^T``, direction i decays as ``d_i(t) = sum_r c_ir exp(-t
+    rate_r)``, ``c = (O P) * (O Q)``.  Terms with ``|c_ir| <= eps sum_r
+    |c_ir|`` are dropped (an eigenbasis realization's roundoff, which would
+    keep all R terms in every direction), terms of exactly equal rates merge
+    and the lag-0 entry is ``d_i(0)``.  A kernel with no realization, and a
+    direction with no term left or whose sum misses ``decay`` at
+    :func:`_guard_lags` (:func:`_leaks`), get None."""
+    full = state_space_gram(kernel, grid)
+    if full is None:
+        return [None] * kernel.dimension
+    rates, first, index = np.unique(full.rates, return_index=True, return_inverse=True)
+    coeffs = (O @ full.P) * (O @ full.Q)
+    abs_coeffs = np.abs(coeffs)
+    coeffs[abs_coeffs <= np.finfo(float).eps * abs_coeffs.sum(axis=1, keepdims=True)] = 0.0
+    coeffs = coeffs @ (index[:, None] == np.arange(rates.size))
+    lags = _guard_lags(grid)
+    values = decay(np.concatenate([[0.0], lags]))  # (1 + lags, K)
+    realized = full.propagators(lags)[:, first] @ coeffs.T
+    leak, tols = _leaks(values[1:].T, realized.T)
+    grams = []
+    for i, c in enumerate(coeffs):
+        terms = c != 0.0
+        grams.append(None if leak[i] > tols[i] or not terms.any() else StateSpaceGram(
+            grid, values[:1, i, None], c[None, terms], np.ones((1, np.count_nonzero(terms))),
+            rates[terms], full.decays[:, first[terms]],
+        ))
+    return grams
+
+
 def _unit_frame_solves(kernel: DecayKernel, grid: TimeGrid):
     """Liquidate one unit along each direction i of the kernel's closed-form
-    ``eigenframe()`` on the N x N Gram of its decay at the Gram's lags
-    (:func:`posdef._gram_lags`); no NK x NK Gram is built.  Returns
-    ``(O, etas, lams, impacts, unique)``, with direction i's trades
-    ``etas[:, i]``, multiplier ``lams[i]`` and their impact ``impacts[:, i]``
-    on the Gram the solve leaves intact.  A kernel with no frame raises
-    ``ValueError``; an indefinite direction raises
-    :class:`UnboundedCostError` naming the component."""
+    ``eigenframe()``, each through :func:`_kkt_solve`; no NK x NK Gram is
+    built.  A direction takes its K = 1 :class:`posdef.StateSpaceGram` of
+    :func:`_direction_grams`, in O(N); a direction without one, or whose
+    state-space solve declines (a Gram that is not strict), takes the N x N
+    :class:`posdef.GramMatrix` of its decay at the Gram's lags
+    (:func:`posdef._gram_lags`, evaluated only then), which decides
+    ``unique`` and indefiniteness.  Returns ``(O, etas, lams, impacts,
+    unique)``, with direction i's trades ``etas[:, i]``, multiplier
+    ``lams[i]`` and their impact ``impacts[:, i]`` on the direction's Gram.
+    A kernel with no frame raises ``ValueError``; an indefinite direction
+    raises :class:`UnboundedCostError` naming the component."""
     frame = kernel.eigenframe()
     if frame is None:
         raise ValueError(f"the {kernel.family} kernel has no closed-form eigenframe")
-    O, decays = frame[0], frame[1](_gram_lags(grid))
+    O, decay = frame
     n, k = grid.n, kernel.dimension
     etas = np.empty((n, k))
     lams = np.empty(k)
     impacts = np.empty((n, k))
     unique = True
-    for i in range(k):
-        gram = GramMatrix(grid, _fill_gram(decays[:, i, None, None], n), 1, n)
+    dense = None  # every direction's decay at the Gram's lags, once one needs it
+    for i, gram in enumerate(_direction_grams(kernel, grid, O, decay)):
         try:
-            eta, lam_i, strict = _kkt_solve(gram, np.ones(1))
-        except UnboundedCostError as exc:
-            raise UnboundedCostError(
-                f"decay component {i} is not positive definite on this grid "
-                f"(eigenvalue {exc.min_eig:.3e})",
-                min_eig=exc.min_eig,
-            ) from exc
+            solved = None if gram is None else _kkt_solve(gram, np.ones(1))
+        except ArithmeticError:  # not strict, or CG stalled: the dense Gram decides
+            solved = None
+        if solved is None:
+            if dense is None:
+                dense = decay(_gram_lags(grid))
+            gram = GramMatrix(grid, _fill_gram(dense[:, i, None, None], n), 1, n)
+            try:
+                solved = _kkt_solve(gram, np.ones(1))
+            except UnboundedCostError as exc:
+                raise UnboundedCostError(
+                    f"decay component {i} is not positive definite on this grid "
+                    f"(eigenvalue {exc.min_eig:.3e})",
+                    min_eig=exc.min_eig,
+                ) from exc
+        eta, lam_i, strict = solved
         etas[:, i] = eta[:, 0]
         lams[i] = lam_i[0]
         impacts[:, i] = gram.impact(eta)[:, 0]
@@ -521,8 +577,10 @@ def solve_commuting(kernel: DecayKernel, grid: TimeGrid, x0) -> SolveResult:
 
     Scales the unit liquidations of :func:`_unit_frame_solves` and their
     impacts by the rotated portfolio ``y = O x0`` (both are linear in it) and
-    certifies on ``(impacts * y) @ O``, independent of :func:`solve_kkt`.  A
-    kernel with no frame raises ``ValueError``.
+    certifies on ``(impacts * y) @ O``, independent of :func:`solve_kkt`.
+    Each direction solves on a K = 1 :class:`posdef.StateSpaceGram` in O(N)
+    where the kernel's realization gives one, else on its N x N
+    :class:`posdef.GramMatrix`.  A kernel with no frame raises ``ValueError``.
     """
     x0 = _portfolio(kernel, x0)
     O, etas, lams, impacts, unique = _unit_frame_solves(kernel, grid)
@@ -581,12 +639,20 @@ def solve_best(kernel: DecayKernel, grid: TimeGrid, x0, cross_check: bool = Fals
 
     Every route but the closed form solves through the one KKT core,
     :func:`_kkt_solve`: ``state_space`` on the realization's
-    :class:`posdef.StateSpaceGram`, ``commuting`` on one N x N
-    :class:`posdef.GramMatrix` per eigenframe direction and ``kkt`` on the
+    :class:`posdef.StateSpaceGram`; ``commuting`` per eigenframe direction,
+    on a K = 1 ``StateSpaceGram`` of the direction's exponential sum when the
+    kernel has a realization (O(N)), else, or where that Gram is not strict,
+    on the direction's N x N :class:`posdef.GramMatrix`; and ``kkt`` on the
     NK x NK one, which is assembled only for a kernel with no realization or
     one whose backend declines (a Gram that is not strict).  Each certifies
     on its own Gram's ``impact``: the commuting route in its frame, the
     closed form and the state-space backend on the realization's two scans.
+
+    The commuting route's cross-check stays independent when both run on
+    the realization: the reference solves the full NK Gram from the kernel's
+    own generators, in chunks of ``max(1, STATE_SPACE_CHUNK_ROWS // K)``
+    steps; each direction has rotated, merged generators, chunks of
+    ``STATE_SPACE_CHUNK_ROWS`` steps and a guard against the frame.
     """
     x0 = _portfolio(kernel, x0)
     result, route, realization = None, "kkt", None

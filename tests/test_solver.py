@@ -15,6 +15,7 @@ from crossimpact import (
     ExpDecay,
     GaussianSquared,
     JordanExpKernel,
+    Linear2x2Kernel,
     LinearPolya,
     MatrixExpKernel,
     MatrixFunctionKernel,
@@ -26,6 +27,7 @@ from crossimpact import (
     UnboundedCostError,
     assemble_gram,
     basis_strategies,
+    check_shape_properties,
     cost,
     equidistant_grid,
     geometric_grid,
@@ -609,6 +611,78 @@ class TestSolveCommuting:
         with pytest.raises(ValueError, match="no closed-form eigenframe"):
             solve_commuting(kernel, grid, [4.0, -1.0])
 
+    def test_exponential_directions_fill_no_dense_gram(self, monkeypatch):
+        """Every direction of CrossExp has a state-space Gram, so neither the
+        commuting solve nor the basis strategies fill an N x N Gram, also at
+        N = 4097, where one would take seconds."""
+
+        def no_dense_gram(*args):
+            raise AssertionError("a dense per-direction Gram was filled")
+
+        for module in (solver, posdef):
+            monkeypatch.setattr(module, "_fill_gram", no_dense_gram)
+        kernel, grid = CrossExpKernel(1.0, 1.8, 0.3), equidistant_grid(2.0, 4097)
+        result = solve_commuting(kernel, grid, [10.0, -4.0])
+        assert result.unique is True
+        assert np.allclose(result.strategy.liquidates, [10.0, -4.0], rtol=1e-12, atol=0)
+        basis = basis_strategies(kernel, grid)
+        for i, strategy in enumerate(basis.strategies):
+            assert np.max(np.abs(strategy.liquidates - basis.vectors[i])) < 1e-10
+
+    @pytest.mark.parametrize("spacing", ["equidistant", "geometric"])
+    def test_a_missed_direction_solves_on_its_dense_gram(self, spacing, monkeypatch):
+        """A direction whose realized decay misses the frame's by more than
+        ``DIAGONAL_LEAK_TOL`` takes its dense N x N Gram, the other direction
+        its state-space one, and together they match ``solve_kkt``; so does a
+        kernel whose realization misses every direction."""
+        calls = count_calls(monkeypatch, posdef, "_fill_gram")
+        grid = (equidistant_grid(3.0, 33) if spacing == "equidistant"
+                else geometric_grid(3.0, 33, 1.08))
+        x0 = [4.0, -1.0]
+        for kernel, dense_directions in [
+            (OffRateDiagCongruence(np.array([[0.6, 0.8], [-0.8, 0.6]]),
+                                   [ExpDecay(0.5), ExpDecay(2.0)]), 1),
+            (OffRateCrossExp(1.0, 1.8, 0.3), 2),
+        ]:
+            calls.clear()
+            result = solve_commuting(kernel, grid, x0)
+            assert len(calls) == dense_directions
+            reference = solve_kkt(kernel, grid, x0)
+            assert result.unique is reference.unique is True
+            gap = np.max(np.abs(result.strategy.trades - reference.strategy.trades))
+            assert gap <= solver.CROSS_CHECK_REL_TOL * (1.0 + np.max(np.abs(reference.strategy.trades)))
+
+    @pytest.mark.parametrize("spacing", ["equidistant", "geometric"])
+    def test_circulant_linear2x2_takes_the_half_turn_frame(self, spacing):
+        """A symmetric-circulant Linear2x2 has the half-turn frame
+        ``(1, +-1)/sqrt(2)`` with decays ``own +- cross``: it takes the
+        commuting route on dense per-direction Grams and agrees with the
+        dense solve; a Linear2x2 off the circulant form has no frame."""
+        kernel = Linear2x2Kernel(1.0, 0.3, 0.3, 1.0, 0.5, 0.15, 0.15, 0.5)
+        grid = (equidistant_grid(3.0, 17) if spacing == "equidistant"
+                else geometric_grid(3.0, 17, 1.1))
+        x0 = [4.0, -1.0]
+        result, route = solve_best(kernel, grid, x0, cross_check=True)
+        assert route == "commuting"
+        reference = solve_kkt(kernel, grid, x0)
+        assert result.unique is reference.unique is True
+        gap = np.max(np.abs(result.strategy.trades - reference.strategy.trades))
+        assert gap <= solver.CROSS_CHECK_REL_TOL * (1.0 + np.max(np.abs(reference.strategy.trades)))
+        assert Linear2x2Kernel(1.0, 0.3, 0.3, 1.1, 0.5, 0.15, 0.15, 0.5).eigenframe() is None
+
+    @pytest.mark.parametrize("g", [ExpDecay(0.8), LinearPolya(1.0, 0.3)], ids=["exp", "polya"])
+    def test_check_and_route_agree_on_symmetry(self, g):
+        """``check`` calls ``g(t) L`` and a permanent ``G0`` symmetric and
+        commuting exactly when they take the commuting route: an ``L`` off
+        symmetry in the last bits is nonsymmetric for both."""
+        grid = equidistant_grid(3.0, 17)
+        for L in ([[2.0, 0.5], [0.5, 1.0]], [[2.0, 0.5], [0.5 + 1e-13, 1.0]]):
+            for kernel in (ScalarTimesMatrixKernel(g, L), PermanentKernel(L)):
+                report = check_shape_properties(kernel, t_max=3.0)
+                route = solve_best(kernel, grid, [4.0, -1.0])[1]
+                assert (report.symmetric and report.commuting) == (route == "commuting")
+                assert report.symmetric == (L[0][1] == L[1][0])
+
 
 class TestBasisStrategies:
     def test_diagonal_kernel_axes(self):
@@ -971,6 +1045,12 @@ def _commuting_kernel(family, rng, positive=False):
         if positive:
             a12 = rng.uniform(0.05, 0.95) * np.sqrt(a11 * a22)
         return Exp2x2Kernel(a11, a12, a12, a22, rate, rate, rate, rate)
+    if family == "linear2x2_circulant":
+        a11, b11, s = rng.uniform(0.5, 2.0), rng.uniform(0.2, 2.0), rng.uniform(0.05, 0.95)
+        if positive:  # decays (1 +- s) max(a11 - b11 t, 0)
+            return Linear2x2Kernel(a11, s * a11, s * a11, a11, b11, s * b11, s * b11, b11)
+        a12, b12 = rng.uniform(0.1, 2.0, 2)
+        return Linear2x2Kernel(a11, a12, a12, a11, b11, b12, b12, b11)
     # own impact a11 != 1 on both diagonals, cross impact at its own rate
     a11, a12, b11, b12 = rng.uniform(0.1, 2.0, 4)
     if positive:  # a scaled admissible cross_exp
@@ -982,7 +1062,7 @@ def _commuting_kernel(family, rng, positive=False):
 
 CLOSED_FRAMES = ("matrix_exp", "matrix_function", "diag_congruence", "cross_exp",
                  "scalar_times_matrix", "permanent", "exp2x2_equal_rates",
-                 "exp2x2_equal_diagonals")
+                 "exp2x2_equal_diagonals", "linear2x2_circulant")
 
 
 @settings(max_examples=100, deadline=None)
@@ -993,10 +1073,10 @@ CLOSED_FRAMES = ("matrix_exp", "matrix_function", "diag_congruence", "cross_exp"
 )
 def test_frame_impact_matches_dense(family, gaps, seed):
     """The commuting route's impact, the unit impacts of
-    ``solver._unit_frame_solves`` (one N x N ``GramMatrix.impact`` per
-    direction) scaled by the rotated portfolio and rotated back, is the dense
-    Gram's impact of the same trades up to roundoff; the closed-form frame
-    reproduces the kernel's values."""
+    ``solver._unit_frame_solves`` (each direction's state-space or N x N
+    dense Gram's ``impact``) scaled by the rotated portfolio and rotated
+    back, is the dense Gram's impact of the same trades up to roundoff; the
+    closed-form frame reproduces the kernel's values."""
     rng = np.random.default_rng(seed)
     kernel = _commuting_kernel(family, rng)
     O, decays = kernel.eigenframe()
@@ -1063,6 +1143,65 @@ def test_congruence_law(family, seed):
     assert gap <= solver.CROSS_CHECK_REL_TOL * (1.0 + np.max(np.abs(mapped)))
     assert downstream.cost == pytest.approx(upstream.cost, rel=1e-9, abs=1e-12)
     assert downstream.unique == upstream.unique
+
+
+def _realized_frame_kernel(family, rng):
+    """A kernel with both a closed-form frame and a realization, positive
+    definite: a DiagCongruence over ExpDecay and Constant (K 1-4, sometimes
+    two equal rates, sometimes a Constant direction), ScalarTimesMatrix over
+    ExpDecay, an admissible CrossExp, a symmetric-circulant Exp2x2, or a
+    permanent kernel of PSD ``G0``, singular on every grid of two or more
+    times; half of those ``G0`` are diagonal with some exactly zero entries,
+    directions with no exponential term."""
+    k = int(rng.integers(1, 5))
+    L = random_spd(rng, k)
+    L = 0.5 * (L + L.T)  # exactly symmetric
+    if family == "diag_congruence":
+        decays = [ExpDecay(r) for r in rng.uniform(0.2, 3.0, k)]
+        if k > 1 and rng.random() < 0.5:
+            decays[1] = decays[0]
+        if rng.random() < 0.5:
+            decays[-1] = Constant(float(rng.uniform(0.5, 2.0)))
+        return DiagCongruenceKernel(random_orthogonal(rng, k), decays)
+    if family == "scalar_times_matrix":
+        return ScalarTimesMatrixKernel(ExpDecay(rng.uniform(0.2, 3.0)), L)
+    if family == "cross_exp":
+        return random_cross_exp(rng)
+    if family == "exp2x2_circulant":
+        return _commuting_kernel("exp2x2_equal_diagonals", rng, positive=True)
+    if rng.random() < 0.5:
+        L = np.diag(rng.uniform(0.1, 3.0, k) * (rng.random(k) < 0.5))
+    return PermanentKernel(L)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    family=st.sampled_from(["diag_congruence", "scalar_times_matrix", "cross_exp",
+                            "exp2x2_circulant", "permanent"]),
+    n=st.integers(1, 64),
+    geometric=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_commuting_route_matches_dense(family, n, geometric, seed):
+    """On kernels with a closed-form frame and a realization, the commuting
+    route (a state-space Gram per direction, a dense one where that
+    declines) trades as the dense ``solve_kkt`` within the cross-check
+    tolerance, with the same ``unique``: False through the dense fallback
+    for a permanent kernel or a Constant direction on two or more times."""
+    rng = np.random.default_rng(seed)
+    kernel = _realized_frame_kernel(family, rng)
+    horizon = float(rng.uniform(0.5, 10.0))
+    grid = geometric_grid(horizon, n, 1.08) if geometric else equidistant_grid(horizon, n)
+    x0 = rng.uniform(-10.0, 10.0, kernel.dimension)
+    result, route = solve_best(kernel, grid, x0)
+    assert route == "commuting"
+    reference = solve_kkt(kernel, grid, x0)
+    assert result.unique == reference.unique
+    if family == "permanent" and n > 1:
+        assert result.unique is False
+    trades = reference.strategy.trades
+    gap = np.max(np.abs(result.strategy.trades - trades))
+    assert gap <= solver.CROSS_CHECK_REL_TOL * (1.0 + np.max(np.abs(trades)))
 
 
 def _generated_kernel(family, rng):
@@ -1156,6 +1295,16 @@ class RealizedKernel(DecayKernel):
 
 class OffRateCrossExp(CrossExpKernel):
     """CrossExp whose realization gets one rate wrong by 1e-3."""
+
+    def realization(self):
+        P, rates, Q = super().realization()
+        rates[1] += 1e-3
+        return P, rates, Q
+
+
+class OffRateDiagCongruence(DiagCongruenceKernel):
+    """DiagCongruence whose realization gets its second direction's rate
+    wrong by 1e-3."""
 
     def realization(self):
         P, rates, Q = super().realization()
