@@ -156,11 +156,11 @@ def write_strategy_table(strategy: Strategy, path, fmt: str = "csv") -> None:
     k = strategy.dimension
     header = ["t"] + [f"asset_{i + 1}" for i in range(k)]
     if fmt == "csv":
+        # the bytes csv.writer gives with _fmt cells, from one row template
+        row = ",".join(["%.17g"] * (k + 1)) + "\r\n"
+        table = np.column_stack([strategy.grid.times, strategy.trades]).tolist()
         with _output(path) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for t, row in zip(strategy.grid.times, strategy.trades):
-                writer.writerow([_fmt(t)] + [_fmt(v) for v in row])
+            fh.write(",".join(header) + "\r\n" + "".join([row % tuple(r) for r in table]))
     elif fmt == "json-like":
         doc = {
             "columns": header,

@@ -620,15 +620,13 @@ class Exp2x2Kernel(_Entrywise2x2Kernel):
             return self.a * np.exp(-ts[:, None, None] * self.b)
 
     def structure(self):
+        # exact equalities, as the frame needs: the commuting verdict and route agree
         a, b = self.a, self.b
-        symmetric = _isclose(a[0, 1], a[1, 0]) and _isclose(b[0, 1], b[1, 0])
-        all_rates_equal = all(_isclose(b.flat[0], x) for x in b.flat[1:])
-        commuting = all_rates_equal or (
-            _isclose(b[0, 0], b[1, 1])
-            and _isclose(b[0, 1], b[1, 0])
-            and _isclose(a[0, 0], a[1, 1])
+        symmetric = a[0, 1] == a[1, 0] and b[0, 1] == b[1, 0]
+        commuting = np.all(b == b[0, 0]) or (
+            b[0, 0] == b[1, 1] and b[0, 1] == b[1, 0] and a[0, 0] == a[1, 1]
         )
-        return symmetric, commuting
+        return bool(symmetric), bool(commuting)
 
     def eigenframe(self):
         frame = super().eigenframe()

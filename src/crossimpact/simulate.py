@@ -8,6 +8,8 @@ realized revenues) matches the analytic cost of the strategy.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,9 +29,14 @@ __all__ = [
     "estimate_expected_cost",
 ]
 
-# Standard normals drawn per block by ``estimate_expected_cost``: 2**22
-# doubles (32 MiB) bound its working memory whatever the path count.
+# Standard normals drawn per block by ``estimate_expected_cost``, summed over
+# its workers: 2**22 doubles (32 MiB) bound its working memory whatever the
+# path count.
 BLOCK_DOUBLES = 1 << 22
+# Paths per child stream of ``SeedSequence(seed)``: path p takes its normals
+# from child ``p // PATHS_PER_STREAM``, so the streams can be drawn on
+# separate threads and every worker count gives the same numbers.
+PATHS_PER_STREAM = 8192
 
 
 @dataclass(frozen=True)
@@ -74,19 +81,37 @@ class SimulationReport:
     analytic_stderr: float  # exact shortfall standard deviation / sqrt(n_paths)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _streams(seed: int, n_paths: int) -> list:
+    """One ``Generator(PCG64(child))`` per ``PATHS_PER_STREAM`` paths, the
+    children spawned from ``SeedSequence(seed)`` in path order."""
+    children = np.random.SeedSequence(seed).spawn(-(-n_paths // PATHS_PER_STREAM))
+    return [np.random.Generator(np.random.PCG64(child)) for child in children]
+
+
 def sample_paths(model: MartingaleModel, grid: TimeGrid, n_paths: int, seed: int) -> np.ndarray:
     """Unaffected prices at the grid times, shape (n_paths, N, K).
 
     Deterministic for a given seed; the first column is the initial price.
+    Path p takes its (N-1)K normals from child ``p // PATHS_PER_STREAM`` of
+    ``SeedSequence(seed)``, in path order within the child: the layout that
+    :func:`estimate_expected_cost` draws, on any number of workers.
     """
     if n_paths < 1:
         raise ValueError("need at least one path")
-    rng = np.random.default_rng(seed)
     n, k = grid.n, model.dimension
     paths = np.empty((n_paths, n, k))
     paths[:, 0, :] = model.s0
     if n > 1:
-        z = rng.standard_normal((n_paths, n - 1, k))
+        z = np.empty((n_paths, n - 1, k))
+        for lo, gen in zip(range(0, n_paths, PATHS_PER_STREAM), _streams(seed, n_paths)):
+            gen.standard_normal(out=z[lo : lo + PATHS_PER_STREAM])
         steps = np.sqrt(np.diff(grid.times))[None, :, None] * (z @ model._factor.T)
         paths[:, 1:, :] = model.s0 + np.cumsum(steps, axis=1)
     return paths
@@ -124,6 +149,34 @@ def revenues(kernel: DecayKernel, grid: TimeGrid, strategy, path: np.ndarray) ->
     return float(-np.sum(trades * exec_prices))
 
 
+def _path_noise(weights: np.ndarray, n_paths: int, seed: int) -> np.ndarray:
+    """``Z_p . weights`` for every path p, its normals ``Z_p`` laid out as in
+    :func:`sample_paths`, drawn by up to one worker thread per usable CPU."""
+    streams = _streams(seed, n_paths)
+    workers = min(_usable_cpus(), len(streams))
+    rows = BLOCK_DOUBLES // max(workers * weights.size, 1)
+    rows = max(1, min(rows, PATHS_PER_STREAM, n_paths))
+    # one array for all workers: blocks made on their own threads would come
+    # from per-thread malloc arenas and raise the peak
+    blocks = np.empty((workers, rows, weights.size))
+    noise = np.empty(n_paths)
+
+    def draw(j: int) -> None:
+        for s in range(j, len(streams), workers):
+            stop = min((s + 1) * PATHS_PER_STREAM, n_paths)
+            for start in range(s * PATHS_PER_STREAM, stop, rows):
+                block = blocks[j, : min(rows, stop - start)]
+                streams[s].standard_normal(out=block)
+                np.matmul(block, weights, out=noise[start : start + block.shape[0]])
+
+    if workers == 1:
+        draw(0)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(draw, range(workers)))
+    return noise
+
+
 def estimate_expected_cost(
     kernel: DecayKernel,
     grid: TimeGrid,
@@ -145,11 +198,18 @@ def estimate_expected_cost(
     part of a path's revenue into ``(sum_k xi_k).s0 + Z.w`` with
     ``w_j = sqrt(dt_j) C^T R_j``, where ``R_j = sum_{k>=j} xi_k`` is the
     trading still to come, ``C`` the covariance factor and ``Z`` the path's
-    (N-1)K normals.  The normals are drawn from ``default_rng(seed)`` in
-    blocks of at most ``BLOCK_DOUBLES`` values, which yields the same stream
-    as ``sample_paths(model, grid, n_paths, seed)``; the sampling then needs
-    32 MiB plus 8 bytes per path, whatever N and K.  ``analytic_stderr`` is
-    the exact ``|w| / sqrt(n_paths)`` that ``stderr`` estimates.
+    (N-1)K normals.  Path p draws them from child ``p // PATHS_PER_STREAM``
+    of ``SeedSequence(seed)``, as ``sample_paths(model, grid, n_paths,
+    seed)`` does.  One worker thread per usable CPU, at most one per child,
+    draws children j, j + workers, ...; worker j fills row j of one block
+    array of at most ``BLOCK_DOUBLES`` values, made before the workers
+    start and freed before the Gram is assembled, and writes ``Z.w`` for its
+    paths.  Drawing and the product both
+    release the GIL, and each path's noise lands at its own index, so the
+    report is the same for every worker count.  The sampling needs 32 MiB
+    plus 8 bytes per path, whatever N, K and the worker count.
+    ``analytic_stderr`` is the exact ``|w| / sqrt(n_paths)`` that
+    ``stderr`` estimates.
 
     The drift's earlier-trade impact is :meth:`posdef.GramMatrix.causal_impact`;
     with half the lag-0 impact, ``sum_k xi_k . shift_k = 1/2 xi . Gram . xi``,
@@ -177,13 +237,7 @@ def estimate_expected_cost(
 
     remaining = np.cumsum(trades[::-1], axis=0)[::-1][1:]  # R_j for j = 1..N-1
     weights = (np.sqrt(np.diff(grid.times))[:, None] * (remaining @ model._factor)).ravel()
-    rng = np.random.default_rng(seed)
-    rows = max(1, BLOCK_DOUBLES // max(weights.size, 1))
-    noise = np.empty(n_paths)  # the shortfall of each path minus its constant part
-    for start in range(0, n_paths, rows):
-        m = min(rows, n_paths - start)
-        noise[start : start + m] = rng.standard_normal((m, weights.size)) @ weights
-
+    noise = _path_noise(weights, n_paths, seed)  # each path's shortfall minus its constant part
     gram = assemble_gram(kernel, grid)
     shift = gram.causal_impact(trades) + 0.5 * trades @ kernel.at(0.0).T
     drift_revenue = -float(trades.sum(axis=0) @ model.s0) - float(np.sum(trades * shift))

@@ -1,9 +1,10 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from crossimpact import cli
+from crossimpact import Strategy, TimeGrid, cli
 from crossimpact.cli import main, read_strategy_table
 from conftest import count_calls
 
@@ -117,6 +118,26 @@ class TestSolve:
         doc = json.loads(out.read_text())
         assert doc["columns"] == ["t", "asset_1", "asset_2"]
         assert len(doc["rows"]) == 11
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_csv_table_matches_csv_writer(self, tmp_path, rng, k):
+        """The one-template csv table is byte for byte what ``csv.writer``
+        writes with ``_fmt`` cells, CRLF line ends, ``-0`` and 1e7-scale
+        trades included."""
+        times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 1.0, 8))])
+        trades = 1e7 * rng.standard_normal((9, k))
+        trades[0, 0], trades[1, -1], trades[2, 0] = -0.0, 1e-300, 12345678.9
+        strategy = Strategy(trades, TimeGrid(times))
+        out = tmp_path / "table.csv"
+        cli.write_strategy_table(strategy, out)
+        with open(tmp_path / "reference.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t"] + [f"asset_{i + 1}" for i in range(k)])
+            for t, row in zip(times, trades):
+                writer.writerow([cli._fmt(t)] + [cli._fmt(v) for v in row])
+        assert out.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        assert b"\r\n0,-0" in out.read_bytes() and out.read_bytes().count(b"\r\n") == 10
+        assert np.array_equal(read_strategy_table(out).trades, trades)
 
 
 class TestErrors:

@@ -38,6 +38,22 @@ def path_reference(kernel, grid, trades, model, n_paths, seed):
     return shortfalls.mean(), stderr, np.abs(trades).sum() * np.abs(paths).max()
 
 
+def readme_model_at_100k_paths(rng):
+    """The README's kernel and price model on 257 times: the 100k-path
+    report and its traced peak in bytes."""
+    kernel = CrossExpKernel(1.0, 1.8, 0.3)
+    grid = equidistant_grid(5.0, 257)
+    trades = rng.standard_normal((257, 2))
+    model = MartingaleModel([100.0, 60.0], [[0.04, 0.01], [0.01, 0.09]], horizon=5.0)
+    tracemalloc.start()
+    try:
+        report = estimate_expected_cost(kernel, grid, trades, model, 100_000, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return report, peak
+
+
 class TestSamplePaths:
     def test_zero_covariance_constant(self):
         model = flat_model([100.0, 50.0])
@@ -61,6 +77,17 @@ class TestSamplePaths:
         assert np.array_equal(a, b)
         c = sample_paths(model, grid, 50, seed=12)
         assert not np.array_equal(a, c)
+
+    def test_paths_do_not_depend_on_the_path_count(self, monkeypatch):
+        """Path p draws from child ``p // PATHS_PER_STREAM`` of the seed, so
+        fewer paths are a prefix of more, across stream boundaries."""
+        monkeypatch.setattr(simulate, "PATHS_PER_STREAM", 4)
+        model = MartingaleModel([1.0, 2.0], [[0.5, 0.1], [0.1, 0.3]], horizon=1.0)
+        grid = equidistant_grid(1.0, 5)
+        more = sample_paths(model, grid, 23, seed=6)
+        for n_paths in (1, 4, 5, 13):
+            assert np.array_equal(sample_paths(model, grid, n_paths, seed=6), more[:n_paths])
+        assert not np.array_equal(more[:4], more[4:8])
 
     def test_caller_arrays_stay_writeable(self):
         s0, cov = np.array([10.0, 20.0]), np.array([[0.1, 0.0], [0.0, 0.2]])
@@ -283,18 +310,24 @@ class TestEstimateExpectedCost:
     def test_memory_bounded_at_100k_paths(self, rng):
         """Paths are never materialized: 100k paths of 257 x 2 prices would
         take about 400 MB, and building them about 2 GB."""
-        kernel = CrossExpKernel(1.0, 1.8, 0.3)
-        grid = equidistant_grid(5.0, 257)
-        trades = rng.standard_normal((257, 2))
-        model = MartingaleModel([100.0, 60.0], [[0.04, 0.01], [0.01, 0.09]], horizon=5.0)
-        tracemalloc.start()
-        try:
-            report = estimate_expected_cost(kernel, grid, trades, model, 100_000, seed=5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        report, peak = readme_model_at_100k_paths(rng)
         assert peak < 100e6
         assert report.n_paths == 100_000
+
+    def test_memory_bounded_with_two_workers(self, rng, monkeypatch):
+        """The workers share one block array: two of them stay within the
+        one-worker bound."""
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+        report, peak = readme_model_at_100k_paths(rng)
+        assert peak < 100e6
+        assert report.n_paths == 100_000
+
+    def test_report_does_not_depend_on_the_worker_count(self, rng, monkeypatch):
+        reports = []
+        for workers in (1, 2):
+            monkeypatch.setattr(simulate, "_usable_cpus", lambda workers=workers: workers)
+            reports.append(readme_model_at_100k_paths(np.random.default_rng(3))[0])
+        assert reports[0] == reports[1]
 
     def test_validation(self, rng):
         kernel = MatrixExpKernel(random_spd(rng, 2))
@@ -319,11 +352,16 @@ class TestEstimateExpectedCost:
     n_paths=st.integers(1, 300),
     rank=st.integers(0, 3),
     budget=st.integers(1, 400),
+    per_stream=st.integers(1, 64),
+    workers=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_streamed_estimate_matches_path_reference(k, n, n_paths, rank, budget, seed):
-    """For any shape, PSD covariance (rank 0 to K) and block size, the
-    streamed estimate equals the per-path ``revenues`` reference."""
+def test_streamed_estimate_matches_path_reference(
+    k, n, n_paths, rank, budget, per_stream, workers, seed
+):
+    """For any shape, PSD covariance (rank 0 to K), block size, stream
+    length and worker count, the streamed estimate equals the per-path
+    ``revenues`` reference."""
     rng = np.random.default_rng(seed)
     kernel = MatrixExpKernel(random_spd(rng, k))
     times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, n - 1))])
@@ -333,8 +371,10 @@ def test_streamed_estimate_matches_path_reference(k, n, n_paths, rank, budget, s
     model = MartingaleModel(rng.uniform(10.0, 100.0, k), factor @ factor.T, horizon=grid.span)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate, "BLOCK_DOUBLES", budget)
+        mp.setattr(simulate, "PATHS_PER_STREAM", per_stream)
+        mp.setattr(simulate, "_usable_cpus", lambda: workers)
         report = estimate_expected_cost(kernel, grid, trades, model, n_paths, seed)
-    mean, stderr, scale = path_reference(kernel, grid, trades, model, n_paths, seed)
+        mean, stderr, scale = path_reference(kernel, grid, trades, model, n_paths, seed)
     # relative to the book value, the size of the sums both sides round
     assert abs(report.mean_shortfall - mean) <= 1e-12 * scale
     assert abs(report.stderr - stderr) <= 1e-12 * scale

@@ -672,16 +672,26 @@ class TestSolveCommuting:
 
     @pytest.mark.parametrize("g", [ExpDecay(0.8), LinearPolya(1.0, 0.3)], ids=["exp", "polya"])
     def test_check_and_route_agree_on_symmetry(self, g):
-        """``check`` calls ``g(t) L`` and a permanent ``G0`` symmetric and
-        commuting exactly when they take the commuting route: an ``L`` off
-        symmetry in the last bits is nonsymmetric for both."""
+        """``check`` calls ``g(t) L``, a permanent ``G0`` and exp2x2 kernels
+        (equal rates, or half-turn symmetric as ``EXP2X2_CLOSE_ONLY``)
+        symmetric and commuting exactly when they take the commuting route:
+        loadings off symmetry in the last bits are nonsymmetric for all."""
         grid = equidistant_grid(3.0, 17)
+        cases = [(CrossExpKernel(1.0, 1.8, 0.3), True)]
         for L in ([[2.0, 0.5], [0.5, 1.0]], [[2.0, 0.5], [0.5 + 1e-13, 1.0]]):
-            for kernel in (ScalarTimesMatrixKernel(g, L), PermanentKernel(L)):
-                report = check_shape_properties(kernel, t_max=3.0)
-                route = solve_best(kernel, grid, [4.0, -1.0])[1]
-                assert (report.symmetric and report.commuting) == (route == "commuting")
-                assert report.symmetric == (L[0][1] == L[1][0])
+            (a11, a12), (a21, a22) = L
+            cases += [(kernel, a12 == a21) for kernel in (
+                ScalarTimesMatrixKernel(g, L),
+                PermanentKernel(L),
+                Exp2x2Kernel(a11, a12, a21, a22, 0.7, 0.7, 0.7, 0.7),
+                Exp2x2Kernel(1.0, a12, a21, 1.0, 1.0, 1.8, 1.8, 1.0),
+            )]
+        for kernel, symmetric in cases:
+            report = check_shape_properties(kernel, t_max=3.0)
+            route = solve_best(kernel, grid, [4.0, -1.0])[1]
+            assert (report.symmetric and report.commuting) == (route == "commuting")
+            assert report.symmetric == symmetric
+            assert report.commuting
 
 
 class TestBasisStrategies:
