@@ -11,7 +11,7 @@ searches for explicit violations otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -61,21 +61,27 @@ class GramMatrix:
 
     Block (k, l) equals ``tilde(t_k - t_l)``; the storage is exactly
     symmetric because the extension transposes mirrored lags bit-for-bit.
-    ``diagonal`` is a copy of the Gram's diagonal.  :meth:`shifted_factor`
-    writes its factor over the upper triangle and the diagonal; every
-    product reads the lower triangle, so the Gram survives its factor:
-    :meth:`product` corrects for a factor's diagonal, and the impacts need
-    the diagonal that leaving the factor's ``with`` block writes back.
+    N is the grid's size and K is ``blocks``' side over N.  Between calls
+    the lower triangle and the diagonal hold the Gram, which every product
+    and impact reads; :meth:`shifted_factor` writes its factor over the
+    upper triangle only.
     """
 
     grid: TimeGrid
     blocks: np.ndarray  # (N*K, N*K)
-    dimension: int
-    size: int
-    diagonal: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "diagonal", self.blocks.diagonal().copy())
+        shape = np.shape(self.blocks)
+        if len(shape) != 2 or shape[0] != shape[1] or not shape[0] or shape[0] % self.grid.n:
+            raise ValueError(f"a Gram on {self.grid.n} times needs (NK, NK) blocks, not {shape}")
+
+    @property
+    def size(self) -> int:
+        return self.grid.n
+
+    @property
+    def dimension(self) -> int:
+        return self.blocks.shape[0] // self.grid.n
 
     @property
     def bound(self) -> float:
@@ -85,10 +91,8 @@ class GramMatrix:
     def product(self, X: np.ndarray) -> np.ndarray:
         """``Gram X`` for X of shape (NK, m): one ``dsymm`` on the lower
         triangle (``blocks.T`` is the same memory in Fortran order, its upper
-        triangle the lower one) plus ``(diagonal - blocks' diagonal) X``, zero
-        unless a factor holds the diagonal."""
-        correction = (self.diagonal - self.blocks.diagonal())[:, None]
-        return scipy.linalg.blas.dsymm(1.0, self.blocks.T, X, lower=0) + correction * X
+        triangle the lower one)."""
+        return scipy.linalg.blas.dsymm(1.0, self.blocks.T, X, lower=0)
 
     def impact(self, trades: np.ndarray) -> np.ndarray:
         """Accumulated impact ``sum_l tilde(t_k - t_l) xi_l`` at every trade
@@ -117,41 +121,40 @@ class GramMatrix:
         ``-shift``, up to roundoff).
 
         LAPACK factors ``blocks.T``, the same memory in Fortran order, so the
-        factor reads the upper triangle and overwrites it and the diagonal;
-        the strictly lower triangle is never written.  On None the diagonal
-        is restored.  The factor holds the diagonal until its ``with`` block
-        ends; a caller that drops it unused leaves the Gram to
-        :meth:`product` and the eigensolvers of its lower triangle alone."""
+        factor reads the upper triangle and overwrites it and the diagonal.
+        The factor's diagonal, its pivots, is then set aside and the Gram's
+        diagonal written back, whether the factor exists or not, so the Gram
+        is whole again when this returns."""
         blocks = self.blocks
+        diagonal = blocks.diagonal().copy()
         blocks.flat[:: blocks.shape[0] + 1] += shift
         factor, info = scipy.linalg.lapack.dpotrf(blocks.T, lower=1, overwrite_a=1, clean=0)
+        pivots = factor.diagonal().copy()
+        blocks.flat[:: blocks.shape[0] + 1] = diagonal
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of LAPACK dpotrf")
-        if info > 0:
-            blocks.flat[:: blocks.shape[0] + 1] = self.diagonal
-            return None
-        return GramFactor(self, factor)
+        return None if info > 0 else GramFactor(factor, pivots)
 
 
 class GramFactor:
     """The Cholesky factor of :meth:`GramMatrix.shifted_factor`, held in the
-    Gram's upper triangle and diagonal; leaving its ``with`` block writes the
-    Gram's diagonal back."""
+    Gram's upper triangle, with its diagonal kept aside as ``pivots``."""
 
-    def __init__(self, gram: GramMatrix, factor: np.ndarray):
-        self.gram = gram
+    def __init__(self, factor: np.ndarray, pivots: np.ndarray):
         self.factor = factor
+        self.pivots = pivots
 
     def solve(self, B: np.ndarray) -> np.ndarray:
-        """``(Gram + shift I)^-1 B`` for B of shape (NK, m)."""
-        return scipy.linalg.cho_solve((self.factor, True), B, check_finite=False)
-
-    def __enter__(self) -> "GramFactor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        blocks = self.gram.blocks
-        blocks.flat[:: blocks.shape[0] + 1] = self.gram.diagonal
+        """``(Gram + shift I)^-1 B`` for B of shape (NK, m), with the pivots on
+        the diagonal until it returns or raises."""
+        # factor.T is the Gram in C order, so its flat view writes through
+        flat, step = self.factor.T.flat, self.factor.shape[0] + 1
+        diagonal = self.factor.diagonal().copy()
+        flat[::step] = self.pivots
+        try:
+            return scipy.linalg.cho_solve((self.factor, True), B, check_finite=False)
+        finally:
+            flat[::step] = diagonal
 
 
 @dataclass(frozen=True)
@@ -360,12 +363,6 @@ class StateSpaceFactor:
         y = np.matmul(self.inverses.transpose(0, 2, 1), z - np.matmul(self.gT, s))
         return y.reshape(-1, m)[:nk]
 
-    def __enter__(self) -> "StateSpaceFactor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        return None
-
 
 def state_space_gram(kernel: DecayKernel, grid: TimeGrid) -> Optional[StateSpaceGram]:
     """The kernel's Gram on the grid as a :class:`StateSpaceGram`, or None
@@ -454,7 +451,7 @@ def assemble_gram(kernel: DecayKernel, grid: TimeGrid) -> GramMatrix:
         stop = min(n, max(start + 1, (math.isqrt(8 * budget + 1) - 1) // 2))
         _fill_rows(gram, kernel.tilde_many(_gram_lags(grid, start, stop)), start, stop)
         start = stop
-    return GramMatrix(grid=grid, blocks=gram.reshape(n * k, n * k), dimension=k, size=n)
+    return GramMatrix(grid, gram.reshape(n * k, n * k))
 
 
 def check_grid_pd(gram: GramMatrix) -> GridPDResult:
@@ -513,9 +510,9 @@ def search_violation(
         grid = _random_search_grid(rng, span_max, n_max)
         gram = assemble_gram(kernel, grid)
         bound = gram.bound
-        # only Grams that fail the in-place probe pay for an eigendecomposition
-        # of the lower triangle it leaves, and the unit min-eigenvector is the
-        # witness
+        # only Grams that fail the in-place probe pay for an eigendecomposition,
+        # of the Gram the probe leaves whole, and the unit min-eigenvector is
+        # the witness
         if gram.shifted_factor(WITNESS_REL_TOL * bound) is None:
             value, xi = _min_eigenpair(gram.blocks)
             if value < -WITNESS_REL_TOL * bound:

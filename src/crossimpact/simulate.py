@@ -237,7 +237,8 @@ def estimate_expected_cost(
 
     remaining = np.cumsum(trades[::-1], axis=0)[::-1][1:]  # R_j for j = 1..N-1
     weights = (np.sqrt(np.diff(grid.times))[:, None] * (remaining @ model._factor)).ravel()
-    noise = _path_noise(weights, n_paths, seed)  # each path's shortfall minus its constant part
+    # each path's shortfall minus its constant part; zero weights draw nothing
+    noise = _path_noise(weights, n_paths, seed) if np.any(weights) else np.zeros(n_paths)
     gram = assemble_gram(kernel, grid)
     shift = gram.causal_impact(trades) + 0.5 * trades @ kernel.at(0.0).T
     drift_revenue = -float(trades.sum(axis=0) @ model.s0) - float(np.sum(trades * shift))

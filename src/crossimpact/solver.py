@@ -5,9 +5,9 @@ The execution cost of a deterministic strategy is the quadratic form
 strategy is optimal for its liquidation constraint exactly when the impact
 it accumulates, ``sum_l tilde(t_k - t_l) xi_l``, is the same vector at every
 trade time (the Lagrange condition).  This module provides the generic KKT
-solve, the closed-form solution for matrix-exponential decay, the
-diagonalization route for commuting kernels, buy-only/sell-only basis
-strategies, and dyadic grid refinement toward the continuous-time optimum.
+solve, its O(N) state-space route, the closed form for matrix-exponential
+decay, the diagonalization route for commuting kernels, buy-only/sell-only
+basis strategies, and dyadic grid refinement toward the continuous-time optimum.
 """
 
 from __future__ import annotations
@@ -70,9 +70,9 @@ PCG_MAX_STEPS = 50
 CROSS_CHECK_REL_TOL = 1e-8
 # refine: a finer level may exceed the coarser cost by this fraction of it
 REFINE_MONOTONE_SLACK = 1e-10
-# simultaneous_diagonalize: largest off-diagonal leakage of a rotated sample,
-# relative to 1 + max|G(t)|; also the largest gap between a realization and
-# the kernel's values that solve_state_space accepts
+# largest sampled gap, relative to 1 + max|G(t)|: the off-diagonal leakage of
+# simultaneous_diagonalize's rotated samples, and the gap to the kernel's values
+# of a realization (_guarded_gram) or of a frame direction's sum (_direction_grams)
 DIAGONAL_LEAK_TOL = 1e-9
 
 
@@ -261,16 +261,16 @@ def _kkt_solve(gram, x0: np.ndarray):
     Gram is a :class:`posdef.GramMatrix` or a :class:`posdef.StateSpaceGram`,
     or anything with their ``bound`` (at least max|Gram|), ``product`` on
     (NK, m) columns, ``dimension``, ``size`` and ``shifted_factor(shift)``: a
-    factor with ``solve`` on (NK, m) columns, used as a context manager for
-    the span of the solve, or None.  The Gram is strict when the factor of
-    ``Gram - tau I``, ``tau = PSD_REL_TOL * (1 + bound)``, exists (for a
-    dense Gram, the same decision as ``eigvalsh(Gram)[0] > tau``).  That
-    factor is the only factorization of a strict Gram: it preconditions the
-    CG solve of ``Gram Y = A^T`` (k right-hand sides, :func:`_pcg`), and
+    factor with ``solve`` on (NK, m) columns, or None; the Gram is whole
+    between calls.  The Gram is strict when the factor of ``Gram - tau I``,
+    ``tau = PSD_REL_TOL * (1 + bound)``, exists (for a dense Gram, the same
+    decision as ``eigvalsh(Gram)[0] > tau``).  That factor is the only
+    factorization of a strict Gram: it preconditions the CG solve of
+    ``Gram Y = A^T`` (k right-hand sides, :func:`_pcg`), and
     :func:`_schur_step` gives ``lam`` and ``xi``.  A dense Gram is factored
-    in place (:meth:`posdef.GramMatrix.shifted_factor`), so a strict solve
-    holds no other NK x NK array; on return its strictly lower triangle and
-    diagonal are the input's.
+    in place, over its upper triangle
+    (:meth:`posdef.GramMatrix.shifted_factor`), so a strict solve holds no
+    other NK x NK array.
 
     Otherwise only a dense Gram is decided, by its smallest eigenpair: an
     eigenvalue below ``-tau`` raises :class:`UnboundedCostError` with its
@@ -284,8 +284,7 @@ def _kkt_solve(gram, x0: np.ndarray):
     tol = PSD_REL_TOL * (1.0 + bound)
     factor = gram.shifted_factor(-tol)
     if factor is not None:
-        with factor:
-            Y = _pcg(gram.product, factor.solve, np.tile(np.eye(k), (n, 1)), bound)
+        Y = _pcg(gram.product, factor.solve, np.tile(np.eye(k), (n, 1)), bound)
         return (*_schur_step(Y, n, k, x0), True)
     if not isinstance(gram, GramMatrix):
         raise ArithmeticError("a factor of Gram - tau I failed: the Gram is not strict")
@@ -555,7 +554,7 @@ def _unit_frame_solves(kernel: DecayKernel, grid: TimeGrid):
         if solved is None:
             if dense is None:
                 dense = decay(_gram_lags(grid))
-            gram = GramMatrix(grid, _fill_gram(dense[:, i, None, None], n), 1, n)
+            gram = GramMatrix(grid, _fill_gram(dense[:, i, None, None], n))
             try:
                 solved = _kkt_solve(gram, np.ones(1))
             except UnboundedCostError as exc:

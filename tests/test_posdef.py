@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from unittest import mock
 
@@ -109,6 +110,17 @@ class TestAssembleGram:
                 assert gram.quadratic_form(trades) == pytest.approx(
                     np.vdot(trades, expected), rel=0, abs=1e-12
                 )
+
+    def test_gram_is_its_grid_and_blocks(self):
+        """``GramMatrix(grid, blocks)`` derives N and K from its two fields,
+        and rejects blocks that no K fits."""
+        assert [f.name for f in dataclasses.fields(GramMatrix)] == ["grid", "blocks"]
+        grid = equidistant_grid(1.0, 3)
+        gram = GramMatrix(grid, np.zeros((6, 6)))
+        assert (gram.size, gram.dimension) == (3, 2)
+        for shape in [(6,), (6, 4), (5, 5), (0, 0), (6, 6, 1)]:
+            with pytest.raises(ValueError, match="blocks"):
+                GramMatrix(grid, np.zeros(shape))
 
     def test_single_time(self, rng):
         k = PermanentKernel(rng.standard_normal((2, 2)))
@@ -424,7 +436,7 @@ class TestSearchViolation:
 
     def test_cholesky_probe_decides_by_shifted_spectrum(self):
         m = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues -1 and 3
-        gram = GramMatrix(TimeGrid([0.0]), m, 2, 1)
+        gram = GramMatrix(TimeGrid([0.0]), m)
         assert gram.shifted_factor(0.0) is None
         assert gram.shifted_factor(1.5) is not None
 
@@ -447,6 +459,33 @@ class TestSearchViolation:
         b = np.random.default_rng(1).standard_normal((gram.blocks.shape[0], 1))
         x = probe.solve(b)
         assert np.max(np.abs(original @ x - b)) <= 1e-9 * np.max(np.abs(b))
+
+    def test_the_gram_stays_whole_around_its_factor(self, rng):
+        """With no other call in between, every read of the Gram gives bit
+        for bit what it gave before its factor was made: before the factor's
+        ``solve``, after it, and after a ``solve`` that raises; and the
+        factor solves the same after those reads."""
+        n = 40
+        gram = assemble_gram(CrossExpKernel(1.0, 1.8, 0.3), equidistant_grid(5.0, n))
+        trades = rng.standard_normal((n, 2))
+        X = rng.standard_normal((2 * n, 3))
+
+        def reads():
+            return (gram.impact(trades), gram.causal_impact(trades),
+                    gram.quadratic_form(trades), gram.product(X), np.tril(gram.blocks))
+
+        before = reads()
+        factor = gram.shifted_factor(-posdef.PSD_REL_TOL * (1.0 + gram.bound))
+        assert factor is not None
+        for after in ("the factor", "its solve", "a failed solve"):
+            if after == "its solve":
+                solved = factor.solve(X)
+            if after == "a failed solve":
+                with pytest.raises(ValueError):
+                    factor.solve(X[:-1])
+            for got, want in zip(reads(), before):
+                assert np.array_equal(got, want), after
+        assert np.array_equal(factor.solve(X), solved)
 
     def test_failed_probe_leaves_the_lower_triangle(self):
         gram = assemble_gram(JordanExpKernel(0.2), equidistant_grid(20.0, 65))

@@ -230,6 +230,23 @@ class TestEstimateExpectedCost:
         assert report.stderr == 0.0
         assert report.mean_shortfall == pytest.approx(report.analytic_cost, abs=1e-10)
 
+    def test_zero_covariance_draws_nothing(self, rng, monkeypatch):
+        """At zero covariance every noise weight is zero, so no normal is
+        drawn: no child stream is even made."""
+
+        def no_streams(*args):
+            raise AssertionError("a zero-covariance estimate made a noise stream")
+
+        kernel = MatrixExpKernel(random_spd(rng, 2))
+        grid = equidistant_grid(1.0, 5)
+        result = solve_kkt(kernel, grid, [4.0, -1.0])
+        monkeypatch.setattr(simulate, "_streams", no_streams)
+        report = estimate_expected_cost(
+            kernel, grid, result.strategy, flat_model([100.0, 50.0]), n_paths=10, seed=0
+        )
+        assert report.stderr == report.analytic_stderr == 0.0
+        assert report.mean_shortfall == pytest.approx(report.analytic_cost, abs=1e-10)
+
     def test_within_monte_carlo_error(self, rng):
         kernel = MatrixExpKernel(random_spd(rng, 2))
         grid = equidistant_grid(2.0, 7)

@@ -247,9 +247,9 @@ class TestSolveKKT:
         factor = scipy.linalg.cho_factor(gram - tau * np.eye(nk), lower=True)
         gram_max = np.max(np.abs(gram))
 
-        dense = GramMatrix(equidistant_grid(1.0, n), gram.copy(), k, n)
-        with dense.shifted_factor(-tau) as held:  # the factor lives in dense's upper triangle
-            Y = _pcg(dense.product, held.solve, rhs, gram_max)
+        dense = GramMatrix(equidistant_grid(1.0, n), gram.copy())
+        held = dense.shifted_factor(-tau)  # the factor lives in dense's upper triangle
+        Y = _pcg(dense.product, held.solve, rhs, gram_max)
         bound = solver.PCG_RES_FACTOR * nk * np.finfo(float).eps * (1.0 + gram_max)
         assert np.max(np.abs(rhs - gram @ Y)) <= bound * (1.0 + np.max(np.abs(Y)))
 
@@ -260,7 +260,7 @@ class TestSolveKKT:
         assert np.max(np.abs(rhs - gram @ Y)) > 1e6 * start
 
         original = gram.copy()  # the core factors its Gram in place
-        trades, lam, strict = _kkt_solve(GramMatrix(dense.grid, gram, k, n), np.array([3.0, -1.0]))
+        trades, lam, strict = _kkt_solve(GramMatrix(dense.grid, gram), np.array([3.0, -1.0]))
         assert strict is True
         assert np.allclose(trades.sum(axis=0), [-3.0, 1.0], rtol=0, atol=1e-9)
         impact = (original @ trades.ravel()).reshape(n, k)
@@ -364,12 +364,6 @@ class CholeskyFactor:
 
     def solve(self, B):
         return scipy.linalg.cho_solve((self.lower, True), B)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return None
 
 
 class TestKKTCore:
