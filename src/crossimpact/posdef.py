@@ -10,6 +10,7 @@ searches for explicit violations otherwise.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -53,6 +54,10 @@ GRAM_CHUNK_LAGS = 1 << 15
 # StateSpaceGram.shifted_factor pivots on chunks of max(1, STATE_SPACE_CHUNK_ROWS // K)
 # grid steps: one dense block of at most this many rows per LAPACK call
 STATE_SPACE_CHUNK_ROWS = 32
+# largest gap at a lag between a realization and the values it realizes
+# (StateSpaceGram.guard), relative to 1 + their max there; also the off-diagonal
+# leakage of solver.simultaneous_diagonalize's rotated samples
+DIAGONAL_LEAK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -168,9 +173,9 @@ class StateSpaceGram:
     block (l, k) is its transpose and block (k, k) is ``diagonal = tilde(0)``,
     temporary jump included.  So the Gram is quasiseparable of order R: a
     product is two scans over the grid and the block Cholesky of
-    :meth:`shifted_factor` takes one R x R update per chunk of steps.  With
-    ``rates >= 0`` every propagator entry lies in [0, 1], so nothing
-    overflows.
+    :meth:`shifted_factor` takes one R x R update per chunk of steps.  Rates
+    must be finite and ``>= 0`` (else ``ValueError``), so every propagator
+    entry lies in [0, 1] and nothing overflows.
     """
 
     grid: TimeGrid
@@ -178,7 +183,15 @@ class StateSpaceGram:
     P: np.ndarray  # (K, R)
     Q: np.ndarray  # (K, R)
     rates: np.ndarray  # (R,)
-    decays: np.ndarray  # (N - 1, R)
+
+    def __post_init__(self):
+        if not (np.all(self.rates >= 0) and np.all(np.isfinite(self.rates))):
+            raise ValueError("a realization needs finite rates >= 0")
+
+    @functools.cached_property
+    def decays(self) -> np.ndarray:
+        """The gap decays ``exp(-(t_{j+1} - t_j) rates)``, (N - 1, R)."""
+        return self.propagators(np.diff(self.grid.times))
 
     @property
     def size(self) -> int:
@@ -197,6 +210,22 @@ class StateSpaceGram:
         """``exp(-lag rates)`` for lags >= 0, shape (*lags.shape, R), in [0, 1]."""
         with np.errstate(over="ignore"):  # lag * rate = inf near the float limit: exp(-inf) = 0
             return np.exp(-lags[..., None] * self.rates)
+
+    def guard(self, values: np.ndarray) -> "StateSpaceGram":
+        """This Gram, once its realization ``P diag(exp(-lag rates)) Q^T``
+        matches ``values`` (L, K, K), the realized kernel at the L lags of
+        :func:`guard_lags`, within ``DIAGONAL_LEAK_TOL * (1 + max|values|)``
+        at every lag; a miss raises ``ArithmeticError``."""
+        lags = guard_lags(self.grid)
+        realized = np.matmul(self.P * self.propagators(lags)[:, None, :], self.Q.T)
+        leak = np.max(np.abs(realized - values), axis=(1, 2), initial=0.0)
+        tols = DIAGONAL_LEAK_TOL * (1.0 + np.max(np.abs(values), axis=(1, 2), initial=0.0))
+        if np.any(leak > tols):
+            i = int(np.argmax(leak - tols))
+            raise ArithmeticError(
+                f"the realization misses the kernel by {leak[i]:.3e} at lag {lags[i]!r}"
+            )
+        return self
 
     def product(self, X: np.ndarray) -> np.ndarray:
         """``Gram X`` for X of shape (NK, m), block k its rows ``x_k``:
@@ -364,18 +393,25 @@ class StateSpaceFactor:
         return y.reshape(-1, m)[:nk]
 
 
-def state_space_gram(kernel: DecayKernel, grid: TimeGrid) -> Optional[StateSpaceGram]:
-    """The kernel's Gram on the grid as a :class:`StateSpaceGram`, or None
-    when the kernel has no realization."""
+def guard_lags(grid: TimeGrid) -> np.ndarray:
+    """Every gap ``t_{k+1} - t_k`` and every lag ``t_k - t_0`` of the grid (on
+    an equidistant grid the gaps are one lag, which alone passes a
+    realization exact only there)."""
+    times = grid.times
+    return np.concatenate([np.diff(times), times[2:] - times[0]])
+
+
+def state_space_gram(kernel: DecayKernel, grid: TimeGrid) -> StateSpaceGram:
+    """The kernel's Gram on the grid as the :class:`StateSpaceGram` of its
+    realization, guarded (:meth:`StateSpaceGram.guard`) against
+    ``kernel.at_many`` at :func:`guard_lags`, else ``ArithmeticError``.  A
+    kernel without a realization raises ``ValueError``."""
     realization = kernel.realization()
     if realization is None:
-        return None
+        raise ValueError(f"the {kernel.family} kernel has no state-space realization")
     P, rates, Q = (np.asarray(a, dtype=float) for a in realization)
-    if not (np.all(rates >= 0) and np.all(np.isfinite(rates))):
-        raise ValueError("a realization needs finite rates >= 0")
-    with np.errstate(over="ignore"):  # gap * rate = inf near the float limit: exp(-inf) = 0
-        decays = np.exp(-np.outer(np.diff(grid.times), rates))
-    return StateSpaceGram(grid, kernel.tilde(0.0), P, Q, rates, decays)
+    gram = StateSpaceGram(grid, kernel.tilde(0.0), P, Q, rates)
+    return gram.guard(kernel.at_many(guard_lags(grid)))
 
 
 @dataclass(frozen=True)

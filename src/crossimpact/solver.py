@@ -29,6 +29,7 @@ from .kernels import (
     check_structure,
 )
 from .posdef import (
+    DIAGONAL_LEAK_TOL,
     PSD_REL_TOL,
     GramMatrix,
     StateSpaceGram,
@@ -36,6 +37,7 @@ from .posdef import (
     _gram_lags,
     assemble_gram,
     classify_positive_definite,
+    guard_lags,
     state_space_gram,
 )
 
@@ -61,19 +63,14 @@ __all__ = [
 RESIDUAL_REL_TOL = 1e-8
 LIQUIDATION_TOL = 1e-10
 # the preconditioned CG solve of a strict Gram stops once
-# max|A^T - Gram Y| <= PCG_RES_FACTOR * NK * eps * (1 + max|Gram|) * (1 + max|Y|),
+# max|A^T - Gram Y| <= NK * eps * (1 + max|Gram|) * (1 + max|Y|),
 # and raises if that takes more than PCG_MAX_STEPS steps
-PCG_RES_FACTOR = 1.0
 PCG_MAX_STEPS = 50
 # solve_best's cross-check: the route's trades may differ from the KKT
 # reference by CROSS_CHECK_REL_TOL * (1 + max|xi_kkt|) in the max norm
 CROSS_CHECK_REL_TOL = 1e-8
 # refine: a finer level may exceed the coarser cost by this fraction of it
 REFINE_MONOTONE_SLACK = 1e-10
-# largest sampled gap, relative to 1 + max|G(t)|: the off-diagonal leakage of
-# simultaneous_diagonalize's rotated samples, and the gap to the kernel's values
-# of a realization (_guarded_gram) or of a frame direction's sum (_direction_grams)
-DIAGONAL_LEAK_TOL = 1e-9
 
 
 class UnboundedCostError(ValueError):
@@ -219,12 +216,12 @@ def _pcg(product, precondition, rhs: np.ndarray, gram_max: float) -> np.ndarray:
     :func:`_kkt_solve`, the Gram's ``product`` and its factor's ``solve``.
 
     Starts from ``Y = precondition(rhs)`` and stops on the true residual (see
-    ``PCG_RES_FACTOR``), with ``gram_max`` at least max|Gram|, the Gram's
+    ``PCG_MAX_STEPS``), with ``gram_max`` at least max|Gram|, the Gram's
     ``bound``.  Plain refinement ``Y += precondition(rhs - Gram Y)``
     contracts only by ``tau / (lambda_min - tau)`` and so diverges once
     ``lambda_min < 2 tau``; CG converges for every strict Gram.
     """
-    floor = PCG_RES_FACTOR * rhs.shape[0] * np.finfo(float).eps * (1.0 + gram_max)
+    floor = rhs.shape[0] * np.finfo(float).eps * (1.0 + gram_max)
     Y = precondition(rhs)
     R = rhs - product(Y)
     P = rz_old = None
@@ -331,8 +328,8 @@ def solve_state_space(kernel: DecayKernel, grid: TimeGrid, x0) -> SolveResult:
     ``G(t) = P diag(exp(-t rates)) Q^T`` (:meth:`DecayKernel.realization`),
     in O(N) block steps and with no NK x NK Gram.
 
-    The Gram is held as a :class:`posdef.StateSpaceGram`, after a guard
-    (:func:`_guarded_gram`), and solved by :func:`_kkt_solve`: its ``bound``
+    The Gram is :func:`posdef.state_space_gram`'s, guarded there against the
+    kernel's values, and solved by :func:`_kkt_solve`: its ``bound``
     ``M >= max|Gram|`` makes the strictness test never looser than
     :func:`solve_kkt`'s, and the certificate reads the two-scan impact.
     Only strict results are returned: a failed guard or pivot, a stalled CG
@@ -342,43 +339,7 @@ def solve_state_space(kernel: DecayKernel, grid: TimeGrid, x0) -> SolveResult:
     realization raises ``ValueError``.
     """
     x0 = _portfolio(kernel, x0)
-    return _solve_on(_guarded_gram(kernel, grid), x0)
-
-
-def _guarded_gram(kernel: DecayKernel, grid: TimeGrid):
-    """The kernel's :class:`posdef.StateSpaceGram` on the grid, after a guard:
-    the realization's ``P diag(exp(-t rates)) Q^T`` must match
-    ``kernel.at_many`` at the lags of :func:`_guard_lags` (:func:`_leaks`),
-    else :class:`ArithmeticError`.  A kernel without a realization raises
-    ``ValueError``."""
-    gram = state_space_gram(kernel, grid)
-    if gram is None:
-        raise ValueError(f"the {kernel.family} kernel has no state-space realization")
-    lags = _guard_lags(grid)
-    realized = np.matmul(gram.P * gram.propagators(lags)[:, None, :], gram.Q.T)
-    leak, tols = _leaks(kernel.at_many(lags), realized)
-    if np.any(leak > tols):
-        i = int(np.argmax(leak - tols))
-        raise ArithmeticError(
-            f"the realization misses the kernel by {leak[i]:.3e} at lag {lags[i]!r}"
-        )
-    return gram
-
-
-def _guard_lags(grid: TimeGrid) -> np.ndarray:
-    """Every gap ``t_{k+1} - t_k`` and every lag ``t_k - t_0`` of the grid (on
-    an equidistant grid the gaps are one lag, which alone passes a
-    realization exact only there)."""
-    times = grid.times
-    return np.concatenate([np.diff(times), times[2:] - times[0]])
-
-
-def _leaks(values: np.ndarray, realized: np.ndarray):
-    """``(leak, tols)`` per leading index: ``max|realized - values|`` and
-    ``DIAGONAL_LEAK_TOL * (1 + max|values|)`` over the other axes."""
-    axes = tuple(range(1, values.ndim))
-    leak = np.max(np.abs(realized - values), axis=axes, initial=0.0)
-    return leak, DIAGONAL_LEAK_TOL * (1.0 + np.max(np.abs(values), axis=axes, initial=0.0))
+    return _solve_on(state_space_gram(kernel, grid), x0)
 
 
 def _exp_recursion(A: np.ndarray, x0: np.ndarray):
@@ -436,14 +397,14 @@ def solve_exp_closed_form(B, grid: TimeGrid, x0) -> SolveResult:
     if grid.n < 2:
         raise ValueError("the closed form needs at least two trade times")
     x0 = _portfolio(kernel, x0)
-    return _solve_exp(kernel, _guarded_gram(kernel, grid), x0)
+    return _solve_exp(kernel, state_space_gram(kernel, grid), x0)
 
 
 def _solve_exp(kernel: DecayKernel, gram: StateSpaceGram, x0: np.ndarray) -> SolveResult:
     """The closed form for ``G(t) = exp(-t B)``, ``B`` positive definite,
     with ``A_n = G(t_n - t_{n-1})`` from the kernel, certified on the impact
-    (:meth:`posdef.StateSpaceGram.impact`) of the kernel's realization
-    ``gram`` on the grid, which has passed the guard of :func:`_guarded_gram`."""
+    (:meth:`posdef.StateSpaceGram.impact`) of the kernel's guarded
+    realization ``gram`` on the grid (:func:`posdef.state_space_gram`)."""
     trades, lam = _exp_recursion(kernel.at_many(np.diff(gram.grid.times)), x0)
     return _check_result(gram.grid, trades, lam, x0, True, gram.impact(trades))
 
@@ -499,27 +460,28 @@ def _direction_grams(kernel: DecayKernel, grid: TimeGrid, O: np.ndarray, decay) 
     |c_ir|`` are dropped (an eigenbasis realization's roundoff, which would
     keep all R terms in every direction), terms of exactly equal rates merge
     and the lag-0 entry is ``d_i(0)``.  A kernel with no realization, and a
-    direction with no term left or whose sum misses ``decay`` at
-    :func:`_guard_lags` (:func:`_leaks`), get None."""
-    full = state_space_gram(kernel, grid)
-    if full is None:
+    direction with no term left or whose sum misses ``decay`` in the Gram's
+    own guard (:meth:`posdef.StateSpaceGram.guard`), get None."""
+    realization = kernel.realization()
+    if realization is None:
         return [None] * kernel.dimension
-    rates, first, index = np.unique(full.rates, return_index=True, return_inverse=True)
-    coeffs = (O @ full.P) * (O @ full.Q)
+    P, rates, Q = (np.asarray(a, dtype=float) for a in realization)
+    rates, index = np.unique(rates, return_inverse=True)
+    coeffs = (O @ P) * (O @ Q)
     abs_coeffs = np.abs(coeffs)
     coeffs[abs_coeffs <= np.finfo(float).eps * abs_coeffs.sum(axis=1, keepdims=True)] = 0.0
     coeffs = coeffs @ (index[:, None] == np.arange(rates.size))
-    lags = _guard_lags(grid)
-    values = decay(np.concatenate([[0.0], lags]))  # (1 + lags, K)
-    realized = full.propagators(lags)[:, first] @ coeffs.T
-    leak, tols = _leaks(values[1:].T, realized.T)
+    values = decay(np.concatenate([[0.0], guard_lags(grid)]))  # (1 + lags, K)
     grams = []
     for i, c in enumerate(coeffs):
         terms = c != 0.0
-        grams.append(None if leak[i] > tols[i] or not terms.any() else StateSpaceGram(
-            grid, values[:1, i, None], c[None, terms], np.ones((1, np.count_nonzero(terms))),
-            rates[terms], full.decays[:, first[terms]],
-        ))
+        try:
+            grams.append(StateSpaceGram(
+                grid, values[:1, i, None], c[None, terms], np.ones((1, np.count_nonzero(terms))),
+                rates[terms],
+            ).guard(values[1:, i, None, None]) if terms.any() else None)
+        except ArithmeticError:  # the direction's sum misses the frame's decay
+            grams.append(None)
     return grams
 
 
@@ -637,13 +599,13 @@ def solve_best(kernel: DecayKernel, grid: TimeGrid, x0, cross_check: bool = Fals
     eigenframe route is solved once, as without the cross-check.
 
     Every route but the closed form solves through the one KKT core,
-    :func:`_kkt_solve`: ``state_space`` on the realization's
-    :class:`posdef.StateSpaceGram`; ``commuting`` per eigenframe direction,
+    :func:`_kkt_solve`: ``state_space`` on the guarded
+    :func:`posdef.state_space_gram`; ``commuting`` per eigenframe direction,
     on a K = 1 ``StateSpaceGram`` of the direction's exponential sum when the
     kernel has a realization (O(N)), else, or where that Gram is not strict,
     on the direction's N x N :class:`posdef.GramMatrix`; and ``kkt`` on the
     NK x NK one, which is assembled only for a kernel with no realization or
-    one whose backend declines (a Gram that is not strict).  Each certifies
+    one whose backend declines (a failed guard, a Gram not strict).  Each certifies
     on its own Gram's ``impact``: the commuting route in its frame, the
     closed form and the state-space backend on the realization's two scans.
 
@@ -651,7 +613,8 @@ def solve_best(kernel: DecayKernel, grid: TimeGrid, x0, cross_check: bool = Fals
     the realization: the reference solves the full NK Gram from the kernel's
     own generators, in chunks of ``max(1, STATE_SPACE_CHUNK_ROWS // K)``
     steps; each direction has rotated, merged generators, chunks of
-    ``STATE_SPACE_CHUNK_ROWS`` steps and a guard against the frame.
+    ``STATE_SPACE_CHUNK_ROWS`` steps and the same guard against the frame's
+    decay (:meth:`posdef.StateSpaceGram.guard`) instead of ``at_many``.
     """
     x0 = _portfolio(kernel, x0)
     result, route, realization = None, "kkt", None
@@ -659,7 +622,7 @@ def solve_best(kernel: DecayKernel, grid: TimeGrid, x0, cross_check: bool = Fals
     exp_decay = isinstance(kernel, MatrixFunctionKernel) and isinstance(kernel.fn, ExpDecay)
     if grid.n >= 2 and exp_decay and kernel.fn.rate * kernel.eigenvalues[0] > RATE_FLOOR:
         # guarded once: it certifies the closed form and serves the cross-check
-        realization = _guarded_gram(kernel, grid)
+        realization = state_space_gram(kernel, grid)
         result, route = _solve_exp(kernel, realization, x0), "closed_form"
     if result is None and kernel.eigenframe() is not None:
         try:
@@ -688,10 +651,10 @@ def solve_best(kernel: DecayKernel, grid: TimeGrid, x0, cross_check: bool = Fals
 
 def _try_state_space(kernel: DecayKernel, grid: TimeGrid, x0: np.ndarray, gram=None):
     """:func:`solve_state_space`'s result, or None when the kernel has no
-    realization (``ValueError``) or the backend declines; ``gram`` is the
-    guarded realization when the caller has already built it."""
+    realization, the guard rejects it or the backend declines; ``gram`` is
+    the guarded :func:`posdef.state_space_gram` when the caller built it."""
     try:
-        return _solve_on(_guarded_gram(kernel, grid) if gram is None else gram, x0)
+        return _solve_on(state_space_gram(kernel, grid) if gram is None else gram, x0)
     except (ValueError, ArithmeticError):
         return None
 

@@ -53,6 +53,20 @@ from conftest import (
 )
 
 
+@dataclasses.dataclass(frozen=True)
+class InverseLinear(kernels.ScalarFunction):
+    """``x -> 1/(1 + x)``: nonincreasing and convex, of no known PD class."""
+
+    tag = "inverse_linear"
+    nonincreasing = True
+    convex = True
+    positive_definite = None
+    strictly_positive_definite = False
+
+    def __call__(self, x):
+        return 1.0 / (1.0 + np.asarray(x, dtype=float))
+
+
 def gaussian_1d():
     return ScalarTimesMatrixKernel(GaussianSquared(), [[1.0]])
 
@@ -392,6 +406,20 @@ class TestClassify:
         calls = count_calls(monkeypatch, kernels, "check_shape_properties")
         report = classify_positive_definite(kernel)
         assert calls == []
+        assert report.verdict in ("undetermined", "not_pd")
+
+    @pytest.mark.parametrize("build", [
+        lambda g: DiagCongruenceKernel([[0.6, 0.8], [-0.8, 0.6]], [g, ExpDecay(1.0)]),
+        lambda g: MatrixFunctionKernel([[1.0, 0.3], [0.3, 2.0]], g),
+    ], ids=["diag_congruence", "matrix_function"])
+    def test_shape_theorem_proves_a_convex_profile(self, build):
+        """A profile of unknown PD class that is nonincreasing and convex,
+        ``x -> 1/(1 + x)``, makes a symmetric kernel PD by the shape theorem,
+        with no witness search; a PowerCapped profile, not convex, does not."""
+        report = classify_positive_definite(build(InverseLinear()))
+        assert (report.verdict, report.method) == ("pd", "analytic_theorem")
+        report = classify_positive_definite(build(PowerCapped(0.5, 2.0)))
+        assert report.method != "analytic_theorem"
         assert report.verdict in ("undetermined", "not_pd")
 
     def test_spectral_evidence_draws_search_grids(self, monkeypatch):

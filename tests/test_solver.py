@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -43,7 +44,7 @@ from crossimpact import (
 )
 from crossimpact import cli, kernels, posdef, solver
 from crossimpact.kernels import CLOSE_REL_TOL, DecayKernel
-from crossimpact.posdef import PSD_REL_TOL, GramMatrix, state_space_gram
+from crossimpact.posdef import PSD_REL_TOL, GramMatrix, StateSpaceGram, state_space_gram
 from crossimpact.solver import _kkt_solve, _pcg
 from conftest import (
     count_calls,
@@ -250,7 +251,7 @@ class TestSolveKKT:
         dense = GramMatrix(equidistant_grid(1.0, n), gram.copy())
         held = dense.shifted_factor(-tau)  # the factor lives in dense's upper triangle
         Y = _pcg(dense.product, held.solve, rhs, gram_max)
-        bound = solver.PCG_RES_FACTOR * nk * np.finfo(float).eps * (1.0 + gram_max)
+        bound = nk * np.finfo(float).eps * (1.0 + gram_max)
         assert np.max(np.abs(rhs - gram @ Y)) <= bound * (1.0 + np.max(np.abs(Y)))
 
         Y = scipy.linalg.cho_solve(factor, rhs)
@@ -1330,21 +1331,28 @@ class GapExactCrossExp(CrossExpKernel):
         return P, rates, Q
 
 
+REALIZED_KERNELS = pytest.mark.parametrize("kernel", [
+    EXP2X2_SYM,
+    # a nonsymmetric Exp2x2, not PD alone, made strict by a temporary jump
+    PlusTemporaryKernel(0.5 * np.eye(2), Exp2x2Kernel(1.0, 0.1, 0.3, 1.2, 0.8, 1.6, 1.4, 1.5)),
+    CrossExpKernel(1.0, 1.8, 0.3),
+    MatrixExpKernel(np.array([[1.0, 0.3, 0.0], [0.3, 2.0, 0.4], [0.0, 0.4, 0.8]])),
+    DiagCongruenceKernel(np.array([[0.6, 0.8], [-0.8, 0.6]]), [ExpDecay(0.5), ExpDecay(2.0)]),
+    CongruenceKernel(np.array([[1.0, 0.5], [0.0, 2.0]]), EXP2X2_SYM),
+], ids=["exp2x2_sym", "exp2x2_nonsym_plus_temporary", "cross_exp", "matrix_exp",
+        "diag_congruence", "congruence"])
+
+
+def spaced_grid(spacing):
+    return (equidistant_grid(3.0, 65) if spacing == "equidistant"
+            else geometric_grid(3.0, 65, 1.05))
+
+
 class TestStateSpace:
-    @pytest.mark.parametrize("kernel", [
-        EXP2X2_SYM,
-        # a nonsymmetric Exp2x2, not PD alone, made strict by a temporary jump
-        PlusTemporaryKernel(0.5 * np.eye(2), Exp2x2Kernel(1.0, 0.1, 0.3, 1.2, 0.8, 1.6, 1.4, 1.5)),
-        CrossExpKernel(1.0, 1.8, 0.3),
-        MatrixExpKernel(np.array([[1.0, 0.3, 0.0], [0.3, 2.0, 0.4], [0.0, 0.4, 0.8]])),
-        DiagCongruenceKernel(np.array([[0.6, 0.8], [-0.8, 0.6]]), [ExpDecay(0.5), ExpDecay(2.0)]),
-        CongruenceKernel(np.array([[1.0, 0.5], [0.0, 2.0]]), EXP2X2_SYM),
-    ], ids=["exp2x2_sym", "exp2x2_nonsym_plus_temporary", "cross_exp", "matrix_exp",
-            "diag_congruence", "congruence"])
+    @REALIZED_KERNELS
     @pytest.mark.parametrize("spacing", ["equidistant", "geometric"])
     def test_matches_dense(self, kernel, spacing):
-        grid = (equidistant_grid(3.0, 65) if spacing == "equidistant"
-                else geometric_grid(3.0, 65, 1.05))
+        grid = spaced_grid(spacing)
         x0 = np.arange(1.0, kernel.dimension + 1) * [1.0, -2.0, 3.0][: kernel.dimension]
         result = solve_state_space(kernel, grid, x0)
         dense = solve_kkt(kernel, grid, x0)
@@ -1380,6 +1388,37 @@ class TestStateSpace:
         with pytest.raises(ValueError, match="no state-space realization"):
             solve_state_space(JordanExpKernel(0.7), equidistant_grid(1.0, 5), [1.0, 0.0])
 
+    @REALIZED_KERNELS
+    @pytest.mark.parametrize("spacing", ["equidistant", "geometric"])
+    def test_decays_follow_from_the_rates(self, kernel, spacing):
+        """A state-space Gram holds the grid, ``tilde(0)``, P, Q and the rates
+        alone; its gap decays are ``exp(-gap rates)``, bit for bit."""
+        grid = spaced_grid(spacing)
+        gram = state_space_gram(kernel, grid)
+        fields = [field.name for field in dataclasses.fields(StateSpaceGram)]
+        assert fields == ["grid", "diagonal", "P", "Q", "rates"]
+        expected = np.exp(-np.outer(np.diff(grid.times), gram.rates))
+        assert gram.decays.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("rate", [-0.5, np.nan, np.inf])
+    def test_rates_are_finite_and_nonnegative(self, k, rate):
+        """Every state-space Gram, a frame direction's K = 1 Gram included,
+        rejects a rate that is negative or not finite."""
+        grid = equidistant_grid(1.0, 5)
+        P = Q = np.ones((k, 2))
+        with pytest.raises(ValueError, match="finite rates >= 0"):
+            StateSpaceGram(grid, np.eye(k), P, Q, np.array([1.0, rate]))
+
+    def test_the_factory_guards(self):
+        """``posdef.state_space_gram`` returns only guarded Grams: a
+        realization off the kernel raises, and a kernel without one too."""
+        grid = equidistant_grid(5.0, 11)
+        with pytest.raises(ArithmeticError, match="misses the kernel"):
+            state_space_gram(OffRateCrossExp(1.0, 1.8, 0.3), grid)
+        with pytest.raises(ValueError, match="no state-space realization"):
+            state_space_gram(JordanExpKernel(0.7), grid)
+
     def test_guard_checks_lags_beyond_the_gap(self):
         """On an equidistant grid the gaps are one lag; a realization exact
         there but wrong at twice the gap fails the guard at the lags
@@ -1387,10 +1426,10 @@ class TestStateSpace:
         reference."""
         kernel = GapExactCrossExp(1.0, 1.8, 0.3)
         grid = equidistant_grid(5.0, 11)
-        gram = state_space_gram(kernel, grid)
-        at_gap = (gram.P * gram.propagators(np.array(kernel.GAP))) @ gram.Q.T
+        P, rates, Q = kernel.realization()
+        at_gap = (P * np.exp(-kernel.GAP * rates)) @ Q.T
         assert np.max(np.abs(at_gap - kernel.at(kernel.GAP))) <= 1e-15
-        at_twice = (gram.P * gram.propagators(np.array(2 * kernel.GAP))) @ gram.Q.T
+        at_twice = (P * np.exp(-2 * kernel.GAP * rates)) @ Q.T
         assert np.max(np.abs(at_twice - kernel.at(2 * kernel.GAP))) > 1e-3
         with pytest.raises(ArithmeticError, match="misses the kernel"):
             solve_state_space(kernel, grid, [-50.0, 1.0])
@@ -1406,7 +1445,7 @@ class TestStateSpace:
             solve_state_space(kernel, grid, [-50.0, 1.0])
         assert solve_best(kernel, grid, [-50.0, 1.0], cross_check=True)[1] == "commuting"
 
-        monkeypatch.setattr(solver, "DIAGONAL_LEAK_TOL", np.inf)
+        monkeypatch.setattr(posdef, "DIAGONAL_LEAK_TOL", np.inf)
         monkeypatch.setattr(cli, "_build_kernel", lambda config: kernel)
         config = tmp_path / "off_rate.json"
         config.write_text(json.dumps({
