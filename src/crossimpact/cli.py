@@ -37,7 +37,7 @@ from .kernels import (
 )
 from .posdef import assemble_gram, check_grid_pd, classify_positive_definite
 from .simulate import MartingaleModel, estimate_expected_cost
-from .solver import Strategy, UnboundedCostError, refine, solve_best, solve_kkt
+from .solver import Strategy, UnboundedCostError, _portfolio, refine, solve_best, solve_kkt
 
 CONFIG_ERROR, NOT_PD_ERROR, NUMERIC_ERROR = 2, 3, 4
 
@@ -135,20 +135,14 @@ def _build_grid(config: dict) -> TimeGrid:
         raise ConfigError(f"grid: {exc}") from exc
 
 
-def _build_portfolio(config: dict, dimension: int) -> np.ndarray:
+def _build_portfolio(config: dict, kernel) -> np.ndarray:
+    """The configured portfolio, checked by :func:`solver._portfolio`."""
     try:
-        x0 = np.asarray(config["portfolio"], dtype=float).ravel()
+        return _portfolio(kernel, np.ravel(config["portfolio"]))
     except KeyError as exc:
         raise ConfigError("portfolio: missing") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"portfolio: {exc}") from exc
-    if x0.size != dimension:
-        raise ConfigError(
-            f"portfolio: has {x0.size} components but the kernel is {dimension}-dimensional"
-        )
-    if not np.all(np.isfinite(x0)):
-        raise ConfigError(f"portfolio: entries must be finite, got {x0.tolist()}")
-    return x0
 
 
 def write_strategy_table(strategy: Strategy, path, fmt: str = "csv") -> None:
@@ -222,7 +216,7 @@ def cmd_solve(args) -> int:
     config = load_config(args.config)
     kernel = _build_kernel(config)
     grid = _build_grid(config)
-    x0 = _build_portfolio(config, kernel.dimension)
+    x0 = _build_portfolio(config, kernel)
     result, route = solve_best(kernel, grid, x0, cross_check=True)
     if args.out:
         write_strategy_table(result.strategy, args.out, args.format)
@@ -288,17 +282,13 @@ def cmd_gram(args) -> int:
 def cmd_refine(args) -> int:
     config = load_config(args.config)
     kernel = _build_kernel(config)
-    grid_spec = config.get("grid", {})
-    try:
-        horizon = float(grid_spec.get("horizon", 1.0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"grid.horizon: {exc}") from exc
-    if not 0 < horizon < np.inf:
-        raise ConfigError(f"grid.horizon: must be positive and finite, got {horizon!r}")
+    grid = _build_grid(config)
+    if grid.n < 2:
+        raise ConfigError(f"grid: refinement needs at least two times, got {grid.n}")
     if args.levels < 1:
         raise ConfigError(f"--levels: need at least one refinement level, got {args.levels}")
-    x0 = _build_portfolio(config, kernel.dimension)
-    result = refine(kernel, horizon, x0, max_levels=args.levels, seed=args.seed or 0)
+    x0 = _build_portfolio(config, kernel)
+    result = refine(kernel, grid.span, x0, max_levels=args.levels, seed=args.seed or 0)
     if args.out:
         write_strategy_table(result.finest.strategy, args.out, args.format)
     _emit(
@@ -326,7 +316,7 @@ def cmd_simulate(args) -> int:
         grid = strategy.grid
     else:
         grid = _build_grid(config)
-        x0 = _build_portfolio(config, kernel.dimension)
+        x0 = _build_portfolio(config, kernel)
         strategy = solve_best(kernel, grid, x0)[0].strategy
     try:
         s0 = np.asarray(sim["s0"], dtype=float).ravel()

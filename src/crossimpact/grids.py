@@ -39,13 +39,14 @@ class TimeGrid:
 
 
 def equidistant_grid(horizon: float, n: int) -> TimeGrid:
-    """N equally spaced trade times on [0, horizon]."""
+    """N equally spaced trade times on [0, horizon]; for N > 1 a horizon
+    that is not positive and finite raises ``ValueError``."""
     if n < 1:
         raise ValueError("need at least one trade time")
     if n == 1:
         return TimeGrid(np.zeros(1))
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < horizon < np.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
     return TimeGrid(np.linspace(0.0, horizon, n))
 
 
@@ -53,14 +54,16 @@ def geometric_grid(horizon: float, n: int, ratio: float = 2.0) -> TimeGrid:
     """Trade times on [0, horizon] with geometrically growing gaps.
 
     ``t_i = horizon * (ratio**i - 1) / (ratio**(n-1) - 1)``, so the first
-    time is exactly 0 and the last exactly ``horizon``.
+    time is exactly 0 and the last exactly ``horizon``.  For N > 1 a horizon
+    that is not positive and finite raises ``ValueError``, as do a ``ratio``
+    not above 1 and one whose ``ratio**(n-1)`` overflows.
     """
     if n < 1:
         raise ValueError("need at least one trade time")
     if n == 1:
         return TimeGrid(np.zeros(1))
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < horizon < np.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
     if ratio <= 1.0:
         raise ValueError("ratio must exceed 1")
     with np.errstate(over="ignore"):

@@ -587,16 +587,17 @@ def solve_best(kernel: DecayKernel, grid: TimeGrid, x0, cross_check: bool = Fals
     Precedence: the matrix-exponential closed form (``"closed_form"``), then
     the commuting route (``"commuting"``, :func:`solve_commuting`) for a
     kernel whose ``eigenframe()`` is not None.  A kernel with neither takes
+    the one state-space-else-dense step, :func:`_solve_general`:
     :func:`solve_state_space` (``"state_space"``) when it has a realization
     and the backend does not decline, else :func:`solve_kkt` (``"kkt"``).
     The route follows from these kernel facts alone: nothing is sampled.
 
     With ``cross_check=True`` the closed form and the commuting route are
     checked to ``CROSS_CHECK_REL_TOL * (1 + max|xi_ref|)`` in the max norm
-    against :func:`solve_state_space` when the kernel has a realization and
-    the backend does not decline, else against the dense :func:`solve_kkt`;
-    disagreement raises with both strategies attached.  A kernel with no
-    eigenframe route is solved once, as without the cross-check.
+    against the same step's answer (the closed form passes it the Gram it
+    already guarded); disagreement raises with both strategies attached.
+    A kernel with no eigenframe route is solved once, as without the
+    cross-check.
 
     Every route but the closed form solves through the one KKT core,
     :func:`_kkt_solve`: ``state_space`` on the guarded
@@ -617,7 +618,7 @@ def solve_best(kernel: DecayKernel, grid: TimeGrid, x0, cross_check: bool = Fals
     decay (:meth:`posdef.StateSpaceGram.guard`) instead of ``at_many``.
     """
     x0 = _portfolio(kernel, x0)
-    result, route, realization = None, "kkt", None
+    result = realization = None
     # MatrixExpKernel included, at rate 1; its eigenvalues ascend
     exp_decay = isinstance(kernel, MatrixFunctionKernel) and isinstance(kernel.fn, ExpDecay)
     if grid.n >= 2 and exp_decay and kernel.fn.rate * kernel.eigenvalues[0] > RATE_FLOOR:
@@ -630,15 +631,10 @@ def solve_best(kernel: DecayKernel, grid: TimeGrid, x0, cross_check: bool = Fals
         except (ValueError, ArithmeticError):
             result = None
     if result is None:
-        state_space = _try_state_space(kernel, grid, x0)
-        if state_space is not None:
-            return state_space, "state_space"
-        return solve_kkt(kernel, grid, x0), "kkt"
+        return _solve_general(kernel, grid, x0)
     if not cross_check:
         return result, route
-    reference, name = _try_state_space(kernel, grid, x0, realization), "state_space"
-    if reference is None:
-        reference, name = solve_kkt(kernel, grid, x0), "kkt"
+    reference, name = _solve_general(kernel, grid, x0, realization)
     gap = _maxabs(result.strategy.trades - reference.strategy.trades)
     if gap > CROSS_CHECK_REL_TOL * (1.0 + _maxabs(reference.strategy.trades)):
         err = ArithmeticError(
@@ -649,14 +645,17 @@ def solve_best(kernel: DecayKernel, grid: TimeGrid, x0, cross_check: bool = Fals
     return result, route
 
 
-def _try_state_space(kernel: DecayKernel, grid: TimeGrid, x0: np.ndarray, gram=None):
-    """:func:`solve_state_space`'s result, or None when the kernel has no
-    realization, the guard rejects it or the backend declines; ``gram`` is
-    the guarded :func:`posdef.state_space_gram` when the caller built it."""
+def _solve_general(kernel: DecayKernel, grid: TimeGrid, x0: np.ndarray, gram=None):
+    """:func:`solve_best`'s one state-space-else-dense step: ``(result,
+    "state_space")`` from the guarded state-space Gram (``gram`` when the
+    caller built it), else ``(solve_kkt's result, "kkt")`` when building or
+    solving it raises ``ValueError`` or ``ArithmeticError``."""
     try:
-        return _solve_on(state_space_gram(kernel, grid) if gram is None else gram, x0)
+        gram = state_space_gram(kernel, grid) if gram is None else gram
+        return _solve_on(gram, x0), "state_space"
     except (ValueError, ArithmeticError):
-        return None
+        pass
+    return solve_kkt(kernel, grid, x0), "kkt"
 
 
 def refine(
@@ -673,10 +672,9 @@ def refine(
     nested grids make the cost sequence nonincreasing, and refinement stops
     early once the relative cost drop falls below ``rel_tol``.  The finest
     Lagrange residual is the discrete counterpart of the continuous-time
-    optimality condition.
+    optimality condition.  A horizon that is not positive and finite raises
+    ``ValueError`` from :func:`grids.equidistant_grid` at the first level.
     """
-    if not horizon > 0:
-        raise ValueError("horizon must be positive")
     if max_levels < 1:
         raise ValueError("need at least one refinement level")
     report = classify_positive_definite(kernel, seed=seed)

@@ -13,6 +13,8 @@ FIG2_KERNEL = {"family": "cross_exp", "kappa": 1.0, "kappa_tilde": 1.8, "rho": 0
 
 
 def write_config(path, **overrides):
+    """The cross_exp model config with ``overrides``; an override of None
+    drops the field."""
     config = {
         "kernel": FIG2_KERNEL,
         "grid": {"horizon": 5.0, "count": 11, "spacing": "equidistant"},
@@ -25,6 +27,7 @@ def write_config(path, **overrides):
         },
     }
     config.update(overrides)
+    config = {key: value for key, value in config.items() if value is not None}
     path.write_text(json.dumps(config))
     return config
 
@@ -195,6 +198,12 @@ class TestErrors:
             (("refine",), {"grid": {"horizon": "abc", "count": 3}}),
             (("refine",), {"grid": {"horizon": -1.0, "count": 3}}),
             (("refine",), {"grid": {"horizon": float("inf"), "count": 3}}),
+            (("refine",), {"grid": [0.0, 1.0]}),
+            (("refine",), {"grid": None}),
+            (("refine",), {"grid": {"times": [0.0]}}),
+            # json reads 1e400 as inf, which never reaches np.linspace
+            (("solve",), {"grid": {"horizon": float("1e400"), "count": 11}}),
+            (("gram",), {"grid": {"horizon": float("1e400"), "count": 11}}),
             # ratio**(n-1) = 2**1024 overflows, and no grid has 0 times
             (("solve",), {"grid": {"horizon": 5.0, "count": 1025, "spacing": "geometric"}}),
             (("solve",), {"grid": {"horizon": 5.0, "count": 0, "spacing": "geometric"}}),
@@ -205,6 +214,8 @@ class TestErrors:
             (("simulate", "--paths", "10"), {"portfolio": [1.0, float("nan")]}),
         ],
         ids=["tmax_0", "samples_2", "levels_0", "horizon_abc", "horizon_negative", "horizon_inf",
+             "refine_grid_list", "refine_no_grid", "refine_one_time",
+             "solve_horizon_1e400", "gram_horizon_1e400",
              "geometric_overflow", "geometric_count_0", "count_not_integral",
              "solve_portfolio_nan", "refine_portfolio_nan", "simulate_portfolio_nan"],
     )
@@ -413,6 +424,19 @@ class TestRefine:
         costs = [c for _, c in doc["levels"]]
         assert all(b <= a + 1e-10 * abs(a) for a, b in zip(costs, costs[1:]))
         assert doc["levels"][-1][0] == 2**6 + 1
+
+    def test_horizon_is_the_grid_span(self, tmp_path, capsys):
+        """A grid given by its times refines on its span, as the same grid
+        given by horizon and count does."""
+        levels = []
+        for grid in ({"times": [0.5 * i for i in range(11)]}, {"horizon": 5.0, "count": 11}):
+            config = tmp_path / "fig2.json"
+            write_config(config, grid=grid)
+            code, stdout, _ = run(capsys, "refine", "--config", str(config), "--levels", "2")
+            assert code == 0
+            levels.append(json.loads(stdout)["refine"]["levels"])
+        assert levels[0] == levels[1]
+        assert levels[1][-1][1] == pytest.approx(384.6, rel=1e-3)
 
 
 class TestFigures:

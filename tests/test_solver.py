@@ -16,6 +16,7 @@ from crossimpact import (
     ExpDecay,
     GaussianSquared,
     JordanExpKernel,
+    LeftMultiplyKernel,
     Linear2x2Kernel,
     LinearPolya,
     MatrixExpKernel,
@@ -90,6 +91,14 @@ class TestTimeGrid:
         # no trade time at all, or ratio**(n-1) beyond the float range
         with pytest.raises(ValueError, match="trade time|finite"):
             geometric_grid(5.0, n, ratio)
+
+    @pytest.mark.parametrize("build", [equidistant_grid, geometric_grid])
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, float("inf"), float("nan")])
+    def test_horizon_must_be_positive_and_finite(self, build, horizon):
+        # rejected before any arithmetic: an infinite horizon raises no
+        # RuntimeWarning on its way to the ValueError
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            build(horizon, 5)
 
 
 class TestCost:
@@ -859,6 +868,30 @@ class TestSolveBest:
         assert route == "kkt"
         _, route = solve_best(EXP2X2_CLOSE_ONLY, grid, [1.0, 2.0], cross_check=True)
         assert route == "state_space"  # no closed-form frame
+        # a realization whose Gram is singular: the state-space backend
+        # declines and the dense core's non-strict branch answers
+        singular = LeftMultiplyKernel(np.eye(2), PermanentKernel([[1.0, 0.2], [0.2, 0.5]]))
+        for n in (2, 9):
+            for cross_check in (False, True):
+                result, route = solve_best(singular, equidistant_grid(2.0, n), [1.0, 2.0],
+                                           cross_check=cross_check)
+                assert (route, result.unique) == ("kkt", False)
+
+    @pytest.mark.xfail(strict=True, raises=ArithmeticError,
+                       reason="the KKT core's xi = Y lam loses digits on a graded grid")
+    @pytest.mark.parametrize(
+        "kernel",
+        [CrossExpKernel(1.0, 1.8, 0.3), MatrixExpKernel([[1.0, 0.2], [0.2, 2.0]])],
+        ids=["cross_exp", "matrix_exp"],
+    )
+    def test_cross_check_holds_on_a_graded_grid(self, kernel):
+        """Gap spread 1000 at N = 4097: the route and the state-space
+        reference must agree to the cross-check's tolerance.  Today the
+        range-space step ``xi = Y lam`` of ``_kkt_solve`` puts both routes
+        about 3e-7 apart and the cross-check raises; a refinement step on
+        the KKT residual is the fix, and its change removes this mark."""
+        grid = geometric_grid(2.0, 4097, 1.0016882)
+        solve_best(kernel, grid, [10.0, -4.0], cross_check=True)
 
     def test_exp_profile_matrix_function_uses_closed_form(self, rng):
         b = random_spd(rng, 2)
