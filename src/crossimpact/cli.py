@@ -102,20 +102,31 @@ def load_config(path) -> dict:
     return data
 
 
-def _build_kernel(config: dict):
+@contextlib.contextmanager
+def _section(name: str):
+    """Read config section ``name``: a :class:`ConfigError` passes unchanged,
+    a missing key becomes ``name: missing field 'key'`` and a TypeError,
+    ValueError or OverflowError (a number beyond the float range) ``name: ...``."""
     try:
-        return kernel_from_dict(config["kernel"])
+        yield
+    except ConfigError:
+        raise
     except KeyError as exc:
-        raise ConfigError(f"kernel: missing field {exc}") from exc
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"kernel: {exc}") from exc
+        raise ConfigError(f"{name}: missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
+def _build_kernel(config: dict):
+    with _section("kernel"):
+        return kernel_from_dict(config["kernel"])
 
 
 def _build_grid(config: dict) -> TimeGrid:
     spec = config.get("grid")
     if not isinstance(spec, dict):
         raise ConfigError("grid: must be an object")
-    try:
+    with _section("grid"):
         if "times" in spec:
             return TimeGrid(np.asarray(spec["times"], dtype=float))
         horizon, count = float(spec["horizon"]), int(spec["count"])
@@ -127,22 +138,12 @@ def _build_grid(config: dict) -> TimeGrid:
         if spacing == "geometric":
             return geometric_grid(horizon, count, ratio=float(spec.get("ratio", 2.0)))
         raise ConfigError(f"grid.spacing: unknown value {spacing!r}")
-    except ConfigError:
-        raise
-    except KeyError as exc:
-        raise ConfigError(f"grid: missing field {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"grid: {exc}") from exc
 
 
 def _build_portfolio(config: dict, kernel) -> np.ndarray:
     """The configured portfolio, checked by :func:`solver._portfolio`."""
-    try:
+    with _section("portfolio"):
         return _portfolio(kernel, np.ravel(config["portfolio"]))
-    except KeyError as exc:
-        raise ConfigError("portfolio: missing") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"portfolio: {exc}") from exc
 
 
 def write_strategy_table(strategy: Strategy, path, fmt: str = "csv") -> None:
@@ -318,7 +319,7 @@ def cmd_simulate(args) -> int:
         grid = _build_grid(config)
         x0 = _build_portfolio(config, kernel)
         strategy = solve_best(kernel, grid, x0)[0].strategy
-    try:
+    with _section("simulation"):
         s0 = np.asarray(sim["s0"], dtype=float).ravel()
         if s0.size != kernel.dimension:
             raise ConfigError(
@@ -332,12 +333,6 @@ def cmd_simulate(args) -> int:
         )
         n_paths = int(args.paths if args.paths is not None else sim.get("paths", 10_000))
         seed = int(args.seed if args.seed is not None else sim.get("seed", 0))
-    except ConfigError:
-        raise
-    except KeyError as exc:
-        raise ConfigError(f"simulation: missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"simulation: {exc}") from exc
     try:
         report = estimate_expected_cost(kernel, grid, strategy, model, n_paths, seed)
     except ValueError as exc:

@@ -10,7 +10,7 @@ function that enters the execution-cost quadratic form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -145,7 +145,8 @@ class ScalarFunction:
         raise NotImplementedError
 
     def to_dict(self) -> dict:
-        raise NotImplementedError
+        """The profile's config description: its ``tag`` and each dataclass field."""
+        return {"tag": self.tag, **{f.name: getattr(self, f.name) for f in fields(self)}}
 
     def pd_class(self) -> Optional[str]:
         """``"strict_pd"``, ``"pd"`` or None (unknown) for ``t -> g(|t|)``."""
@@ -177,9 +178,6 @@ class ExpDecay(ScalarFunction):
         with np.errstate(over="ignore"):  # rate * x = inf near the float limit: exp(-inf) = 0
             return np.exp(-self.rate * np.asarray(x, dtype=float))
 
-    def to_dict(self):
-        return {"tag": self.tag, "rate": self.rate}
-
     def exp_term(self):
         return 1.0, self.rate
 
@@ -198,9 +196,6 @@ class GaussianSquared(ScalarFunction):
         x = np.asarray(x, dtype=float)
         with np.errstate(over="ignore"):  # x * x = inf beyond 1.3e154: exp(-inf) = 0
             return np.exp(-(x * x))
-
-    def to_dict(self):
-        return {"tag": self.tag}
 
 
 @dataclass(frozen=True)
@@ -224,9 +219,6 @@ class LinearPolya(ScalarFunction):
         with np.errstate(over="ignore"):  # slope * x = inf near the float limit: the floor 0
             return np.maximum(self.level - self.slope * x, 0.0)
 
-    def to_dict(self):
-        return {"tag": self.tag, "level": self.level, "slope": self.slope}
-
 
 @dataclass(frozen=True)
 class Constant(ScalarFunction):
@@ -245,9 +237,6 @@ class Constant(ScalarFunction):
 
     def __call__(self, x):
         return np.full(np.asarray(x, dtype=float).shape, self.value)
-
-    def to_dict(self):
-        return {"tag": self.tag, "value": self.value}
 
     def exp_term(self):
         return self.value, 0.0
@@ -278,26 +267,21 @@ class PowerCapped(ScalarFunction):
         with np.errstate(divide="ignore"):  # 0 ** -exponent is inf: the cap
             return np.minimum(x ** (-self.exponent), self.cap)
 
-    def to_dict(self):
-        return {"tag": self.tag, "exponent": self.exponent, "cap": self.cap}
 
-
-_SCALAR_TAGS = {
-    "exp_decay": lambda d: ExpDecay(rate=float(d["rate"])),
-    "gaussian_sq": lambda d: GaussianSquared(),
-    "linear_polya": lambda d: LinearPolya(level=float(d["level"]), slope=float(d["slope"])),
-    "constant": lambda d: Constant(value=float(d["value"])),
-    "power_capped": lambda d: PowerCapped(exponent=float(d["exponent"]), cap=float(d["cap"])),
+_SCALAR_PROFILES = {
+    cls.tag: cls for cls in (ExpDecay, GaussianSquared, LinearPolya, Constant, PowerCapped)
 }
 
 
 def scalar_function_from_dict(d: dict) -> ScalarFunction:
+    """Rebuild a scalar profile from :meth:`ScalarFunction.to_dict`'s
+    description: the class its ``tag`` names, each field read as a float.
+    An unknown or missing tag raises ValueError, a missing field KeyError."""
     try:
-        tag = d["tag"]
-        factory = _SCALAR_TAGS[tag]
+        cls = _SCALAR_PROFILES[d["tag"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"unknown scalar function description: {d!r}") from exc
-    return factory(d)
+    return cls(**{f.name: float(d[f.name]) for f in fields(cls)})
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +294,8 @@ class DecayKernel:
 
     dimension: int
     family: str
+    # the constructor's arguments in order: the config keys, and the attributes to_dict reads
+    params: tuple = ()
 
     def _values(self, ts: np.ndarray) -> np.ndarray:
         """Kernel values at nonnegative lags, shape (len(ts), K, K)."""
@@ -347,7 +333,11 @@ class DecayKernel:
         return self.tilde_many([float(t)])[0]
 
     def to_dict(self) -> dict:
-        raise NotImplementedError
+        """The kernel's config description ``{"family": ..., **params}``, each
+        parameter read from its attribute: an array as nested lists, a kernel
+        or scalar profile (one or a tuple) as its own description."""
+        params = {key: _describe(getattr(self, key)) for key in self.params}
+        return {"family": self.family, **params}
 
     def structure(self) -> Optional[tuple]:
         """Closed-form ``(symmetric, commuting)``, or None."""
@@ -386,6 +376,7 @@ class PermanentKernel(DecayKernel):
     """Constant kernel ``G(t) = G0``: purely permanent impact."""
 
     family = "permanent"
+    params = ("G0",)
 
     def __init__(self, G0):
         G0 = _as_square(G0, "G0")
@@ -395,9 +386,6 @@ class PermanentKernel(DecayKernel):
 
     def _values(self, ts):
         return np.broadcast_to(self.G0, (ts.size, *self.G0.shape)).copy()
-
-    def to_dict(self):
-        return {"family": self.family, "G0": self.G0.tolist()}
 
     def structure(self):
         # exactly symmetric, as the frame needs: the commuting verdict and route agree
@@ -483,38 +471,36 @@ class MatrixFunctionKernel(_EigenBasisKernel):
     """
 
     family = "matrix_function"
+    params = ("B", "scalar_fn")
 
-    def __init__(self, B, fn: ScalarFunction):
+    def __init__(self, B, scalar_fn: ScalarFunction):
         B = _as_square(B, "B")
         self.eigenvalues, eigvecs = _symmetric_psd_eig(B, "B")
         self._set_eigvecs(eigvecs)
         B.setflags(write=False)
         self.B = B
-        self.fn = fn
+        self.scalar_fn = scalar_fn
         self.dimension = B.shape[0]
 
     def _diagonals(self, ts):
         with np.errstate(over="ignore"):  # t * rho = inf near the float limit: g(inf), the limit
-            return self.fn(np.outer(ts, self.eigenvalues))
+            return self.scalar_fn(np.outer(ts, self.eigenvalues))
 
     def _active_decays(self):
         # zero-rate eigendirections hold the constant g(0)
-        return [self.fn] if np.any(self.eigenvalues > RATE_FLOOR) else []
+        return [self.scalar_fn] if np.any(self.eigenvalues > RATE_FLOOR) else []
 
     def _decay_classes(self):
-        base = self.fn.pd_class()
+        base = self.scalar_fn.pd_class()
         return [base if base is None or rho > RATE_FLOOR else "pd" for rho in self.eigenvalues]
 
     def _exp_terms(self):
         # g(t rho) = c exp(-(r rho) t)
-        term = self.fn.exp_term()
+        term = self.scalar_fn.exp_term()
         if term is None:
             return None
         c, r = term
         return np.full(self.dimension, c), r * self.eigenvalues
-
-    def to_dict(self):
-        return {"family": self.family, "B": self.B.tolist(), "scalar_fn": self.fn.to_dict()}
 
 
 class MatrixExpKernel(MatrixFunctionKernel):
@@ -522,6 +508,7 @@ class MatrixExpKernel(MatrixFunctionKernel):
     matrix function of ``ExpDecay(1.0)``."""
 
     family = "matrix_exp"
+    params = ("B",)
 
     def __init__(self, B):
         super().__init__(B, ExpDecay(1.0))
@@ -532,14 +519,12 @@ class MatrixExpKernel(MatrixFunctionKernel):
         with np.errstate(over="ignore"):  # t * rho = inf near the float limit: exp(-inf) = 0
             return np.exp(-np.outer(ts, self.eigenvalues))
 
-    def to_dict(self):
-        return {"family": self.family, "B": self.B.tolist()}
-
 
 class DiagCongruenceKernel(_EigenBasisKernel):
     """``G(t) = O^T diag(g_1(t), ..., g_K(t)) O`` for orthogonal ``O``."""
 
     family = "diag_congruence"
+    params = ("O", "decays")
 
     def __init__(self, O, decays: Sequence[ScalarFunction]):
         O = _as_square(O, "O")
@@ -567,19 +552,12 @@ class DiagCongruenceKernel(_EigenBasisKernel):
         terms = [g.exp_term() for g in self.decays]
         return None if None in terms else np.array(terms).T  # rows: scales, rates
 
-    def to_dict(self):
-        return {
-            "family": self.family,
-            "O": self.O.tolist(),
-            "decays": [g.to_dict() for g in self.decays],
-        }
-
 
 class _Entrywise2x2Kernel(DecayKernel):
     """2x2 kernel whose entry (i, j) starts at ``a_ij`` and decays at rate
     ``b_ij``."""
 
-    param_names = ("a11", "a12", "a21", "a22", "b11", "b12", "b21", "b22")
+    params = ("a11", "a12", "a21", "a22", "b11", "b12", "b21", "b22")
 
     def __init__(self, a11, a12, a21, a22, b11, b12, b21, b22):
         a = np.array([[a11, a12], [a21, a22]], dtype=float)
@@ -607,7 +585,7 @@ class _Entrywise2x2Kernel(DecayKernel):
 
     def to_dict(self):
         values = [*self.a.flat, *self.b.flat]
-        return {"family": self.family, **dict(zip(self.param_names, values))}
+        return {"family": self.family, **dict(zip(self.params, values))}
 
 
 class Exp2x2Kernel(_Entrywise2x2Kernel):
@@ -667,6 +645,8 @@ class CrossExpKernel(Exp2x2Kernel):
     [kappa_tilde, kappa]]``."""
 
     family = "cross_exp"
+    params = ("kappa", "kappa_tilde", "rho")
+    to_dict = DecayKernel.to_dict
 
     def __init__(self, kappa, kappa_tilde, rho):
         for name, v in (("kappa", kappa), ("kappa_tilde", kappa_tilde), ("rho", rho)):
@@ -689,14 +669,6 @@ class CrossExpKernel(Exp2x2Kernel):
         out[:, 0, 1] = cross
         out[:, 1, 0] = cross
         return out
-
-    def to_dict(self):
-        return {
-            "family": self.family,
-            "kappa": self.kappa,
-            "kappa_tilde": self.kappa_tilde,
-            "rho": self.rho,
-        }
 
 
 class Linear2x2Kernel(_Entrywise2x2Kernel):
@@ -786,9 +758,6 @@ class ClampedExpKernel(DecayKernel):
         out[:, 1, 0] = 0.125 * np.exp(-3.0 * tau)
         return out
 
-    def to_dict(self):
-        return {"family": self.family}
-
     def structure(self):
         return False, False
 
@@ -802,6 +771,7 @@ class JordanExpKernel(DecayKernel):
     ``J = [[b, 1], [0, b]]``: equals ``exp(-tb) * [[1, -t], [0, 1]]``."""
 
     family = "jordan_exp"
+    params = ("b",)
     violation_box = (50.0, 64)
 
     def __init__(self, b):
@@ -819,9 +789,6 @@ class JordanExpKernel(DecayKernel):
         out[:, 0, 1] = -ts * e
         return out
 
-    def to_dict(self):
-        return {"family": self.family, "b": self.b}
-
     def structure(self):
         # exp(-tJ) matrices are upper-triangular Toeplitz, hence commute
         return False, True
@@ -834,6 +801,7 @@ class ScalarTimesMatrixKernel(DecayKernel):
     """Separable kernel ``G(t) = g(t) * L``."""
 
     family = "scalar_times_matrix"
+    params = ("g", "L")
 
     def __init__(self, g: ScalarFunction, L):
         L = _as_square(L, "L")
@@ -844,9 +812,6 @@ class ScalarTimesMatrixKernel(DecayKernel):
 
     def _values(self, ts):
         return self.g(ts)[:, None, None] * self.L
-
-    def to_dict(self):
-        return {"family": self.family, "g": self.g.to_dict(), "L": self.L.tolist()}
 
     def structure(self):
         # exactly symmetric, as the frame needs: the commuting verdict and route agree
@@ -879,6 +844,7 @@ class LeftMultiplyKernel(DecayKernel):
     """``G(t) = L @ G_inner(t)``."""
 
     family = "left_multiply"
+    params = ("L", "inner")
 
     def __init__(self, L, inner: DecayKernel):
         L = _as_square(L, "L", inner.dimension)
@@ -889,9 +855,6 @@ class LeftMultiplyKernel(DecayKernel):
 
     def _values(self, ts):
         return self.L @ self.inner._values(ts)
-
-    def to_dict(self):
-        return {"family": self.family, "L": self.L.tolist(), "inner": self.inner.to_dict()}
 
     def realization(self):
         inner = self.inner.realization()
@@ -905,6 +868,7 @@ class CongruenceKernel(DecayKernel):
     """``G(t) = L^T @ G_inner(t) @ L`` for invertible ``L``."""
 
     family = "congruence"
+    params = ("L", "inner")
 
     def __init__(self, L, inner: DecayKernel):
         L = _as_square(L, "L", inner.dimension)
@@ -920,9 +884,6 @@ class CongruenceKernel(DecayKernel):
     def _values(self, ts):
         return self.L.T @ self.inner._values(ts) @ self.L
 
-    def to_dict(self):
-        return {"family": self.family, "L": self.L.tolist(), "inner": self.inner.to_dict()}
-
     def realization(self):
         # L^T P D Q^T L = (L^T P) D (L^T Q)^T
         inner = self.inner.realization()
@@ -936,6 +897,7 @@ class PlusTemporaryKernel(DecayKernel):
     """Inner kernel plus a temporary-impact jump ``H0`` at lag 0 only."""
 
     family = "plus_temporary"
+    params = ("H0", "inner")
 
     def __init__(self, H0, inner: DecayKernel):
         H0 = _as_square(H0, "H0", inner.dimension)
@@ -956,45 +918,49 @@ class PlusTemporaryKernel(DecayKernel):
             out[zero] += self.H0
         return out
 
-    def to_dict(self):
-        return {"family": self.family, "H0": self.H0.tolist(), "inner": self.inner.to_dict()}
-
     def realization(self):
         # the jump sits at lag 0 only, in tilde(0)
         return self.inner.realization()
 
 
+_KERNEL_FAMILIES = {
+    cls.family: cls
+    for cls in (
+        PermanentKernel, MatrixExpKernel, MatrixFunctionKernel, DiagCongruenceKernel,
+        Exp2x2Kernel, CrossExpKernel, Linear2x2Kernel, ClampedExpKernel, JordanExpKernel,
+        ScalarTimesMatrixKernel, LeftMultiplyKernel, CongruenceKernel, PlusTemporaryKernel,
+    )
+}
+
+
+def _describe(value):
+    """A parameter's value in a config description."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_describe(v) for v in value]
+    return value.to_dict() if isinstance(value, (DecayKernel, ScalarFunction)) else value
+
+
+def _read(key: str, value):
+    """Parameter ``key`` from its value in a config description."""
+    if key == "inner":
+        return kernel_from_dict(value)
+    if key == "decays":
+        return [scalar_function_from_dict(g) for g in value]
+    return scalar_function_from_dict(value) if key in ("scalar_fn", "g") else value
+
+
 def kernel_from_dict(d: dict) -> DecayKernel:
-    """Rebuild a kernel from its serialized description."""
+    """Rebuild a kernel from :meth:`DecayKernel.to_dict`'s description: the
+    class its ``family`` names, called with each of its ``params`` read back,
+    an inner kernel or scalar profile from its own description.  An unknown
+    family raises ValueError, a missing parameter KeyError."""
     try:
-        family = d["family"]
-        factory = _KERNEL_FAMILIES[family]
+        cls = _KERNEL_FAMILIES[d["family"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"unknown kernel description: {d!r}") from exc
-    return factory(d)
-
-
-_KERNEL_FAMILIES = {
-    "permanent": lambda d: PermanentKernel(d["G0"]),
-    "matrix_exp": lambda d: MatrixExpKernel(d["B"]),
-    "matrix_function": lambda d: MatrixFunctionKernel(
-        d["B"], scalar_function_from_dict(d["scalar_fn"])
-    ),
-    "diag_congruence": lambda d: DiagCongruenceKernel(
-        d["O"], [scalar_function_from_dict(g) for g in d["decays"]]
-    ),
-    "exp2x2": lambda d: Exp2x2Kernel(*(d[p] for p in _Entrywise2x2Kernel.param_names)),
-    "cross_exp": lambda d: CrossExpKernel(d["kappa"], d["kappa_tilde"], d["rho"]),
-    "linear2x2": lambda d: Linear2x2Kernel(*(d[p] for p in _Entrywise2x2Kernel.param_names)),
-    "clamped_exp": lambda d: ClampedExpKernel(),
-    "jordan_exp": lambda d: JordanExpKernel(d["b"]),
-    "scalar_times_matrix": lambda d: ScalarTimesMatrixKernel(
-        scalar_function_from_dict(d["g"]), d["L"]
-    ),
-    "left_multiply": lambda d: LeftMultiplyKernel(d["L"], kernel_from_dict(d["inner"])),
-    "congruence": lambda d: CongruenceKernel(d["L"], kernel_from_dict(d["inner"])),
-    "plus_temporary": lambda d: PlusTemporaryKernel(d["H0"], kernel_from_dict(d["inner"])),
-}
+    return cls(*(_read(key, d[key]) for key in cls.params))
 
 
 # ---------------------------------------------------------------------------

@@ -620,8 +620,8 @@ def solve_best(kernel: DecayKernel, grid: TimeGrid, x0, cross_check: bool = Fals
     x0 = _portfolio(kernel, x0)
     result = realization = None
     # MatrixExpKernel included, at rate 1; its eigenvalues ascend
-    exp_decay = isinstance(kernel, MatrixFunctionKernel) and isinstance(kernel.fn, ExpDecay)
-    if grid.n >= 2 and exp_decay and kernel.fn.rate * kernel.eigenvalues[0] > RATE_FLOOR:
+    exp_decay = isinstance(kernel, MatrixFunctionKernel) and isinstance(kernel.scalar_fn, ExpDecay)
+    if grid.n >= 2 and exp_decay and kernel.scalar_fn.rate * kernel.eigenvalues[0] > RATE_FLOOR:
         # guarded once: it certifies the closed form and serves the cross-check
         realization = state_space_gram(kernel, grid)
         result, route = _solve_exp(kernel, realization, x0), "closed_form"

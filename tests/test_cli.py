@@ -10,6 +10,14 @@ from conftest import count_calls
 
 
 FIG2_KERNEL = {"family": "cross_exp", "kappa": 1.0, "kappa_tilde": 1.8, "rho": 0.3}
+SIMULATION = {
+    "s0": [100.0, 60.0],
+    "covariance": [[0.04, 0.01], [0.01, 0.09]],
+    "paths": 4000,
+    "seed": 11,
+}
+# an integer literal beyond the float range: float() raises OverflowError
+HUGE = 10**401
 
 
 def write_config(path, **overrides):
@@ -19,12 +27,7 @@ def write_config(path, **overrides):
         "kernel": FIG2_KERNEL,
         "grid": {"horizon": 5.0, "count": 11, "spacing": "equidistant"},
         "portfolio": [-50.0, 1.0],
-        "simulation": {
-            "s0": [100.0, 60.0],
-            "covariance": [[0.04, 0.01], [0.01, 0.09]],
-            "paths": 4000,
-            "seed": 11,
-        },
+        "simulation": dict(SIMULATION),
     }
     config.update(overrides)
     config = {key: value for key, value in config.items() if value is not None}
@@ -212,12 +215,23 @@ class TestErrors:
             (("solve",), {"portfolio": [float("nan"), 1.0]}),
             (("refine", "--levels", "2"), {"portfolio": [float("nan"), 1.0]}),
             (("simulate", "--paths", "10"), {"portfolio": [1.0, float("nan")]}),
+            (("solve",), {"portfolio": [HUGE, 1.0]}),
+            (("solve",), {"kernel": {**FIG2_KERNEL, "kappa": HUGE}}),
+            (("solve",), {"kernel": {"family": "matrix_exp", "B": [[HUGE, 0], [0, 1]]}}),
+            (("simulate", "--paths", "10"), {"simulation": {**SIMULATION, "s0": [HUGE, 60.0]}}),
+            (("simulate", "--paths", "10"),
+             {"simulation": {**SIMULATION, "covariance": [[HUGE, 0.01], [0.01, 0.09]]}}),
+            # json writes and reads a float inf as Infinity
+            (("simulate",), {"simulation": {**SIMULATION, "paths": float("inf")}}),
+            (("simulate", "--paths", "10"), {"simulation": {**SIMULATION, "seed": float("inf")}}),
         ],
         ids=["tmax_0", "samples_2", "levels_0", "horizon_abc", "horizon_negative", "horizon_inf",
              "refine_grid_list", "refine_no_grid", "refine_one_time",
              "solve_horizon_1e400", "gram_horizon_1e400",
              "geometric_overflow", "geometric_count_0", "count_not_integral",
-             "solve_portfolio_nan", "refine_portfolio_nan", "simulate_portfolio_nan"],
+             "solve_portfolio_nan", "refine_portfolio_nan", "simulate_portfolio_nan",
+             "portfolio_huge", "kappa_huge", "matrix_exp_B_huge", "s0_huge",
+             "covariance_huge", "paths_inf", "seed_inf"],
     )
     def test_invalid_value_exit_2(self, tmp_path, capsys, argv, overrides):
         config = tmp_path / "fig2.json"
@@ -226,6 +240,10 @@ class TestErrors:
         assert code == 2
         assert stdout == ""
         assert stderr.startswith("config error")
+        # an invalid kernel, portfolio or simulation value names its section
+        section = next(iter(overrides), None)
+        if section in ("kernel", "portfolio", "simulation"):
+            assert stderr.startswith(f"config error: {section}: ")
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize(

@@ -154,7 +154,7 @@ def _sum_of_exponentials(kernel) -> bool:
         return _sum_of_exponentials(kernel.inner)
     exponential = (ExpDecay, Constant)
     if family == "matrix_function":
-        return isinstance(kernel.fn, exponential)
+        return isinstance(kernel.scalar_fn, exponential)
     if family == "diag_congruence":
         return all(isinstance(g, exponential) for g in kernel.decays)
     if family == "scalar_times_matrix":

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -459,10 +461,23 @@ class TestShapeProperties:
 
 class TestSerialization:
     def test_round_trip_all_families(self, rng):
+        """Every family and every scalar profile survive a JSON round trip of
+        their description: the rebuilt kernel has the same values and the
+        same description."""
+        b = random_spd(rng, 2)
+        nested = PlusTemporaryKernel(
+            [[0.2, 0.05], [0.05, 0.1]],
+            CongruenceKernel([[1.0, 0.5], [0.0, 2.0]], MatrixFunctionKernel(
+                [[1.0, 0.3], [0.3, 1.8]], ExpDecay(2.0))),
+        )
         kernels = [
             PermanentKernel(rng.standard_normal((2, 2))),
             MatrixExpKernel(random_spd(rng, 3)),
-            MatrixFunctionKernel(random_spd(rng, 2), GaussianSquared()),
+            MatrixFunctionKernel(b, GaussianSquared()),
+            MatrixFunctionKernel(b, Constant(0.5)),
+            MatrixFunctionKernel(b, PowerCapped(0.7, 3.0)),
+            MatrixFunctionKernel(b, LinearPolya(1.0, 0.3)),
+            MatrixFunctionKernel(b, ExpDecay(1.7)),
             DiagCongruenceKernel(
                 random_orthogonal(rng, 2), [ExpDecay(1.0), LinearPolya(1.0, 0.5)]
             ),
@@ -472,13 +487,31 @@ class TestSerialization:
             ClampedExpKernel(),
             JordanExpKernel(0.4),
             ScalarTimesMatrixKernel(ExpDecay(1.0), np.eye(2)),
+            LeftMultiplyKernel(np.array([[1.0, 0.5], [0.0, 2.0]]), CrossExpKernel(1, 1.8, 0.3)),
             CongruenceKernel(np.array([[1.0, 0.2], [0.0, 0.9]]), CrossExpKernel(1, 1.8, 0.3)),
             PlusTemporaryKernel(np.eye(2), CrossExpKernel(1, 1.8, 0.3)),
+            nested,
         ]
         ts = rng.uniform(0.0, 4.0, 7)
         for kernel in kernels:
-            clone = kernel_from_dict(kernel.to_dict())
+            d = kernel.to_dict()
+            clone = kernel_from_dict(json.loads(json.dumps(d)))
             assert np.max(np.abs(clone.at_many(ts) - kernel.at_many(ts))) < 1e-15
+            assert clone.to_dict() == d
+        # the format's key names, pinned on one nested description
+        assert nested.to_dict() == {
+            "family": "plus_temporary",
+            "H0": [[0.2, 0.05], [0.05, 0.1]],
+            "inner": {
+                "family": "congruence",
+                "L": [[1.0, 0.5], [0.0, 2.0]],
+                "inner": {
+                    "family": "matrix_function",
+                    "B": [[1.0, 0.3], [0.3, 1.8]],
+                    "scalar_fn": {"tag": "exp_decay", "rate": 2.0},
+                },
+            },
+        }
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):

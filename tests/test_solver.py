@@ -1542,6 +1542,21 @@ def test_state_space_agrees_with_dense(k, r, n, geometric, kind, seed):
         assert gap <= tol * (1.0 + np.max(np.abs(reference)))
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the KKT core's xi = Y lam loses digits on an ill-conditioned Gram")
+@pytest.mark.parametrize("k, seed", [(4, 48), (3, 77971193)], ids=["k4_seed48", "k3_seed77971193"])
+def test_state_space_agrees_with_dense_on_known_draws(k, seed):
+    """Two draws of :func:`test_state_space_agrees_with_dense` (r = k, n = 2,
+    equidistant, symmetric) whose state-space and dense trades lie 1.2e-7
+    apart against a tolerance of 5.2e-8.  On seed 48 a 60-digit solve of the
+    assembled Gram puts the dense trades 4.0e-7 and the state-space trades
+    7.5e-7 off, and a bordered ``np.linalg.solve`` 1.2e-11: the range-space
+    step ``xi = Y lam`` of ``_kkt_solve`` cancels digits.  A refinement step
+    on the KKT residual is the fix, and its change removes this mark."""
+    test_state_space_agrees_with_dense.hypothesis.inner_test(
+        k=k, r=k, n=2, geometric=False, kind="symmetric", seed=seed)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     k=st.integers(1, 4),
