@@ -211,8 +211,8 @@ class LinearPolya(ScalarFunction):
     strictly_positive_definite = True
 
     def __post_init__(self):
-        if not (self.level > 0 and self.slope > 0):
-            raise ValueError("linear_polya needs positive level and slope")
+        if not all(v > 0 and math.isfinite(v) for v in (self.level, self.slope)):
+            raise ValueError("linear_polya needs finite positive level and slope")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -259,8 +259,8 @@ class PowerCapped(ScalarFunction):
     strictly_positive_definite = False
 
     def __post_init__(self):
-        if not (self.exponent > 0 and self.cap > 0):
-            raise ValueError("power_capped needs positive exponent and cap")
+        if not all(v > 0 and math.isfinite(v) for v in (self.exponent, self.cap)):
+            raise ValueError("power_capped needs finite positive exponent and cap")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -370,33 +370,6 @@ class DecayKernel:
 
     def __repr__(self):
         return f"{type(self).__name__}(K={self.dimension})"
-
-
-class PermanentKernel(DecayKernel):
-    """Constant kernel ``G(t) = G0``: purely permanent impact."""
-
-    family = "permanent"
-    params = ("G0",)
-
-    def __init__(self, G0):
-        G0 = _as_square(G0, "G0")
-        G0.setflags(write=False)
-        self.G0 = G0
-        self.dimension = G0.shape[0]
-
-    def _values(self, ts):
-        return np.broadcast_to(self.G0, (ts.size, *self.G0.shape)).copy()
-
-    def structure(self):
-        # exactly symmetric, as the frame needs: the commuting verdict and route agree
-        return np.array_equal(self.G0, self.G0.T), True
-
-    def eigenframe(self):
-        return _scaled_frame(self.G0, np.ones_like)
-
-    def realization(self):
-        k = self.dimension
-        return self.G0.copy(), np.zeros(k), np.eye(k)
 
 
 class _EigenBasisKernel(DecayKernel):
@@ -802,6 +775,7 @@ class ScalarTimesMatrixKernel(DecayKernel):
 
     family = "scalar_times_matrix"
     params = ("g", "L")
+    violation_box = (1.0, 8)
 
     def __init__(self, g: ScalarFunction, L):
         L = _as_square(L, "L")
@@ -829,15 +803,30 @@ class ScalarTimesMatrixKernel(DecayKernel):
         return c * self.L, np.full(k, r), np.eye(k)
 
     def pd_class(self):
-        # (strictly) PD when g(|t|) is and L is symmetric PSD (PD)
+        """The one PD rule for ``g(t) L``: (strictly) PD when ``g(|t|)`` is and
+        L is symmetric PSD (PD); else, with ``g(0) > 0``, not PD: a negative
+        direction of sym(L) shows on one trade, a skew part A on three close
+        trades ``(u, z, -u - z)``, of form about ``2 g(0) z^T A u``."""
         L, base = self.L, self.g.pd_class()
-        if base is None or not _is_symmetric(L):
-            return None
         tol = SYM_TOL * (1.0 + _maxabs(L))
         low = _min_eigenpair(0.5 * (L + L.T))[0]
-        if low < -tol:
+        if not (_is_symmetric(L) and low >= -tol):
+            return "not_pd" if self.g(0.0) > 0 else None
+        if base is None:
             return None
         return "strict_pd" if base == "strict_pd" and low > tol else "pd"
+
+
+class PermanentKernel(ScalarTimesMatrixKernel):
+    """Constant kernel ``G(t) = G0``, purely permanent impact: the
+    scalar-times-matrix kernel of ``Constant(1)``, PD iff G0 is symmetric PSD."""
+
+    family = "permanent"
+    params = ("G0",)
+
+    def __init__(self, G0):
+        super().__init__(Constant(1.0), _as_square(G0, "G0"))
+        self.G0 = self.L
 
 
 class LeftMultiplyKernel(DecayKernel):

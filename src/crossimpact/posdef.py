@@ -23,7 +23,6 @@ from .kernels import (
     SYM_TOL,
     CongruenceKernel,
     DecayKernel,
-    PermanentKernel,
     PlusTemporaryKernel,
     _maxabs,
     _min_eigenpair,
@@ -572,11 +571,15 @@ def _spectral_evidence(kernel: DecayKernel, rng):
 
 
 def _searched_not_pd(kernel, seed, rng) -> PosDefReport:
-    """NotPD backed by a witness searched for within the family's
-    ``violation_box``; degrades to undetermined if the violation cannot be
-    exhibited within the search budget."""
-    span_max, n_max = kernel.violation_box
-    witness = search_violation(kernel, span_max=span_max, n_max=n_max, budget=4000, seed=seed)
+    """NotPD backed by a witness checked on its own Gram: the one-trade grid's
+    (``tilde(0)``) smallest eigenpair if negative, else one searched for within
+    the family's ``violation_box``; undetermined if none is found in budget."""
+    gram = assemble_gram(kernel, TimeGrid(np.zeros(1)))
+    value, xi = _min_eigenpair(gram.blocks)
+    witness = GramWitness(gram.grid, xi.reshape(1, -1), value)
+    if not value < -WITNESS_REL_TOL * gram.bound:
+        span_max, n_max = kernel.violation_box
+        witness = search_violation(kernel, span_max=span_max, n_max=n_max, budget=4000, seed=seed)
     if witness is not None:
         return PosDefReport("not_pd", witness.value, witness, "analytic_family")
     worst, _ = _spectral_evidence(kernel, rng)
@@ -586,24 +589,17 @@ def _searched_not_pd(kernel, seed, rng) -> PosDefReport:
 def classify_positive_definite(kernel: DecayKernel, seed: int = 0) -> PosDefReport:
     """Classify a kernel as strictly PD / PD / not PD / undetermined.
 
-    Applies, in order: the family's closed-form criterion
-    (:meth:`DecayKernel.pd_class`), the congruence and temporary-impact
-    rules on the inner kernel, the shape theorem on closed-form facts
-    (symmetric + nonnegative + nonincreasing + convex implies PD; it would be
-    strict if every quadratic form were nonconstant, which is only ever
-    sampled), and finally spectral evidence on random grids.  Sampling alone
-    never yields a PD verdict; it can only falsify (with a witness) or leave
-    the kernel undetermined.
+    Applies, in order, with no other family rule: the family's closed-form
+    criterion (:meth:`DecayKernel.pd_class`; its ``"not_pd"`` stands only with
+    the witness of :func:`_searched_not_pd`), the congruence and
+    temporary-impact rules on the inner kernel, the shape theorem on
+    closed-form facts (symmetric + nonnegative + nonincreasing + convex
+    implies PD; it would be strict if every quadratic form were nonconstant,
+    which is only ever sampled), and finally spectral evidence on random
+    grids.  Sampling alone never yields a PD verdict; it can only falsify
+    (with a witness) or leave the kernel undetermined.
     """
     rng = np.random.default_rng(seed)
-
-    if isinstance(kernel, PermanentKernel):
-        sym = 0.5 * (kernel.G0 + kernel.G0.T)
-        low, xi = _min_eigenpair(sym)
-        if low < -PSD_REL_TOL * (1.0 + _maxabs(kernel.G0)):
-            witness = GramWitness(TimeGrid(np.zeros(1)), xi.reshape(1, -1), float(xi @ sym @ xi))
-            return PosDefReport("not_pd", low, witness, "analytic_family")
-        return PosDefReport("pd", low, None, "analytic_family")
 
     pd_class = kernel.pd_class()
     if pd_class in ("strict_pd", "pd"):

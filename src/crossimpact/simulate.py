@@ -55,6 +55,8 @@ class MartingaleModel:
     def __post_init__(self):
         # copies, so that freezing them leaves the caller's arrays writeable
         s0 = np.atleast_1d(np.array(self.s0, dtype=float))
+        if not np.all(np.isfinite(s0)):
+            raise ValueError("s0 must be finite")
         cov = np.array(self.covariance, dtype=float)
         if cov.shape != (s0.size, s0.size):
             raise ValueError("covariance must be KxK for K initial prices")

@@ -20,6 +20,11 @@ SIMULATION = {
 HUGE = 10**401
 
 
+def matrix_function(scalar_fn):
+    """A 2 x 2 matrix_function kernel description over the profile ``scalar_fn``."""
+    return {"family": "matrix_function", "B": [[1.0, 0.2], [0.2, 2.0]], "scalar_fn": scalar_fn}
+
+
 def write_config(path, **overrides):
     """The cross_exp model config with ``overrides``; an override of None
     drops the field."""
@@ -224,6 +229,15 @@ class TestErrors:
             # json writes and reads a float inf as Infinity
             (("simulate",), {"simulation": {**SIMULATION, "paths": float("inf")}}),
             (("simulate", "--paths", "10"), {"simulation": {**SIMULATION, "seed": float("inf")}}),
+            (("simulate", "--paths", "10"),
+             {"simulation": {**SIMULATION, "s0": [float("nan"), 60.0]}}),
+            (("simulate", "--paths", "10"),
+             {"simulation": {**SIMULATION, "s0": [float("inf"), 60.0]}}),
+            # an infinite profile parameter fails at construction, not in the solve
+            *((command, {"kernel": matrix_function(profile)}) for profile in (
+                {"tag": "linear_polya", "level": float("inf"), "slope": 0.3},
+                {"tag": "power_capped", "exponent": 0.5, "cap": float("inf")},
+            ) for command in (("solve",), ("check",))),
         ],
         ids=["tmax_0", "samples_2", "levels_0", "horizon_abc", "horizon_negative", "horizon_inf",
              "refine_grid_list", "refine_no_grid", "refine_one_time",
@@ -231,7 +245,8 @@ class TestErrors:
              "geometric_overflow", "geometric_count_0", "count_not_integral",
              "solve_portfolio_nan", "refine_portfolio_nan", "simulate_portfolio_nan",
              "portfolio_huge", "kappa_huge", "matrix_exp_B_huge", "s0_huge",
-             "covariance_huge", "paths_inf", "seed_inf"],
+             "covariance_huge", "paths_inf", "seed_inf", "s0_nan", "s0_inf",
+             "solve_level_inf", "check_level_inf", "solve_cap_inf", "check_cap_inf"],
     )
     def test_invalid_value_exit_2(self, tmp_path, capsys, argv, overrides):
         config = tmp_path / "fig2.json"

@@ -2,6 +2,7 @@
 held against sampling and spectral evidence."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossimpact import (
@@ -23,10 +24,12 @@ from crossimpact import (
     PlusTemporaryKernel,
     PowerCapped,
     ScalarTimesMatrixKernel,
+    TimeGrid,
     assemble_gram,
     check_grid_pd,
     check_shape_properties,
     classify_positive_definite,
+    search_violation,
 )
 from crossimpact.kernels import _structure_sampled
 from conftest import random_grid, random_orthogonal, random_spd
@@ -201,3 +204,52 @@ def test_realization_reproduces_the_kernel(family, seed):
     values = kernel.at_many(lags)
     realized = np.einsum("ir,mr,jr->mij", P, np.exp(-np.outer(lags, rates)), Q)
     assert np.max(np.abs(realized - values)) <= 1e-13 * max(np.max(np.abs(values)), 1e-300)
+
+
+def _loading(shape, rng, k):
+    """A K x K loading: SPD, symmetric indefinite, or SPD plus a skew part
+    of relative size 1e-4 to 1."""
+    if shape == "indefinite":
+        q = random_orthogonal(rng, k)
+        return q @ np.diag(rng.uniform(0.1, 3.0, k) * np.r_[-1.0, np.ones(k - 1)]) @ q.T
+    L = random_spd(rng, k)
+    if shape == "nonsymmetric":
+        m = rng.standard_normal((k, k))
+        skew = (m - m.T) / np.linalg.norm(m - m.T)
+        L = L + 10.0 ** rng.uniform(-4.0, 0.0) * np.linalg.norm(L) * skew
+    return L
+
+
+def test_nonsymmetric_permanent_is_not_pd():
+    kernel = PermanentKernel([[1.0, 2.0], [-2.0, 1.0]])
+    assert classify_positive_definite(kernel).verdict == "not_pd"
+    eigs = np.linalg.eigvalsh(assemble_gram(kernel, TimeGrid([0.0, 1.0])).blocks)
+    assert eigs[0] == pytest.approx(1.0 - np.sqrt(5.0), rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    base=st.sampled_from(["permanent", "scalar_times_matrix"]),
+    shape=st.sampled_from(["spd", "indefinite", "nonsymmetric"]),
+    wrap=st.sampled_from([None, "left_multiply", "congruence", "plus_temporary"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_classification_never_contradicted(base, shape, wrap, seed):
+    """``g(t) L`` kernels, constant ones included, and the combinators over
+    them: a PD verdict leaves a search without a witness, and a not-PD
+    witness has a negative form on its own Gram."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 4))
+    L = _loading(shape, rng, k)
+    kernel = PermanentKernel(L) if base == "permanent" else ScalarTimesMatrixKernel(_scalar(rng), L)
+    if wrap == "plus_temporary":
+        kernel = PlusTemporaryKernel(_psd(rng, k), kernel)
+    elif wrap is not None:
+        M = np.eye(k) + rng.uniform(-0.5, 0.5, (k, k))
+        kernel = (LeftMultiplyKernel if wrap == "left_multiply" else CongruenceKernel)(M, kernel)
+    report = classify_positive_definite(kernel, seed=seed)
+    if report.verdict in ("strict_pd", "pd"):
+        assert search_violation(kernel, 20.0, 12, budget=400, seed=seed) is None
+    if report.verdict == "not_pd":
+        witness = report.witness
+        assert assemble_gram(kernel, witness.grid).quadratic_form(witness.trades) < 0.0
