@@ -37,6 +37,7 @@ __all__ = [
     "assemble_gram",
     "check_grid_pd",
     "classify_positive_definite",
+    "gram_for",
     "search_violation",
     "state_space_gram",
 ]
@@ -61,7 +62,8 @@ DIAGONAL_LEAK_TOL = 1e-9
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """The NK x NK block matrix of two-sided kernel values at pairwise lags.
+    """The NK x NK block matrix of two-sided kernel values at pairwise lags,
+    for spectral tests and for kernels without a realization (:func:`gram_for`).
 
     Block (k, l) equals ``tilde(t_k - t_l)``; the storage is exactly
     symmetric because the extension transposes mirrored lags bit-for-bit.
@@ -105,15 +107,6 @@ class GramMatrix:
         v = np.asarray(trades, dtype=float).reshape(-1)
         impact = scipy.linalg.blas.dsymv(1.0, self.blocks.T, v, lower=0)
         return impact.reshape(self.size, self.dimension)
-
-    def causal_impact(self, trades: np.ndarray) -> np.ndarray:
-        """Impact of strictly earlier trades ``sum_{l<k} tilde(t_k - t_l) xi_l``,
-        shape (N, K), for trades of shape (N, K): one ``dtrmv`` on the lower
-        triangle, less the ``tril(tilde(0)) xi_k`` that its diagonal blocks add."""
-        trades = np.asarray(trades, dtype=float)
-        k = self.dimension
-        causal = scipy.linalg.blas.dtrmv(self.blocks.T, trades.reshape(-1), lower=0, trans=1)
-        return causal.reshape(self.size, k) - trades @ np.tril(self.blocks[:k, :k]).T
 
     def quadratic_form(self, trades: np.ndarray) -> float:
         """``xi . Gram . xi`` for trades of shape (N, K)."""
@@ -411,6 +404,15 @@ def state_space_gram(kernel: DecayKernel, grid: TimeGrid) -> StateSpaceGram:
     P, rates, Q = (np.asarray(a, dtype=float) for a in realization)
     gram = StateSpaceGram(grid, kernel.tilde(0.0), P, Q, rates)
     return gram.guard(kernel.at_many(guard_lags(grid)))
+
+
+def gram_for(kernel: DecayKernel, grid: TimeGrid) -> GramMatrix | StateSpaceGram:
+    """The kernel's Gram on the grid for a cost, impact or solve: the guarded
+    :func:`state_space_gram` where it exists, else :func:`assemble_gram`."""
+    try:
+        return state_space_gram(kernel, grid)
+    except (ValueError, ArithmeticError):
+        return assemble_gram(kernel, grid)
 
 
 @dataclass(frozen=True)

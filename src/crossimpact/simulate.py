@@ -17,8 +17,7 @@ import numpy as np
 
 from .grids import TimeGrid
 from .kernels import DecayKernel, _maxabs, _symmetric_psd_eig
-from .posdef import assemble_gram
-from .solver import LIQUIDATION_TOL, _kernel_trades
+from .solver import LIQUIDATION_TOL, _kernel_trades, cost
 
 __all__ = [
     "MartingaleModel",
@@ -200,23 +199,21 @@ def estimate_expected_cost(
     part of a path's revenue into ``(sum_k xi_k).s0 + Z.w`` with
     ``w_j = sqrt(dt_j) C^T R_j``, where ``R_j = sum_{k>=j} xi_k`` is the
     trading still to come, ``C`` the covariance factor and ``Z`` the path's
-    (N-1)K normals.  Path p draws them from child ``p // PATHS_PER_STREAM``
-    of ``SeedSequence(seed)``, as ``sample_paths(model, grid, n_paths,
-    seed)`` does.  One worker thread per usable CPU, at most one per child,
-    draws children j, j + workers, ...; worker j fills row j of one block
-    array of at most ``BLOCK_DOUBLES`` values, made before the workers
-    start and freed before the Gram is assembled, and writes ``Z.w`` for its
-    paths.  Drawing and the product both
-    release the GIL, and each path's noise lands at its own index, so the
-    report is the same for every worker count.  The sampling needs 32 MiB
+    (N-1)K normals, drawn as ``sample_paths(model, grid, n_paths, seed)``
+    draws them.  One worker thread per usable CPU (drawing and the product
+    release the GIL), at most one per child stream, draws children j, j +
+    workers, ... into row j of one block array of at most ``BLOCK_DOUBLES``
+    values and writes ``Z.w`` for its paths, each at its own index, so the
+    report is the same for every worker count and the sampling needs 32 MiB
     plus 8 bytes per path, whatever N, K and the worker count.
     ``analytic_stderr`` is the exact ``|w| / sqrt(n_paths)`` that
     ``stderr`` estimates.
 
-    The drift's earlier-trade impact is :meth:`posdef.GramMatrix.causal_impact`;
-    with half the lag-0 impact, ``sum_k xi_k . shift_k = 1/2 xi . Gram . xi``,
-    so ``mean_shortfall - analytic_cost`` is the noise's mean: the estimate
-    checks that causal-vs-symmetric identity and the noise law.
+    Every path pays the same impact, each trade that of the earlier ones
+    plus half its own, in sum ``analytic_cost = 1/2 xi . Gram . xi``
+    (:func:`solver.cost`), so ``mean_shortfall`` is ``(x0 - target) . s0 +
+    analytic_cost`` plus the noise's mean.  :func:`revenues`, which prices
+    every trade from the kernel's values, is the independent reference.
     """
     if n_paths < 1:
         raise ValueError("need at least one path")
@@ -241,16 +238,14 @@ def estimate_expected_cost(
     weights = (np.sqrt(np.diff(grid.times))[:, None] * (remaining @ model._factor)).ravel()
     # each path's shortfall minus its constant part; zero weights draw nothing
     noise = _path_noise(weights, n_paths, seed) if np.any(weights) else np.zeros(n_paths)
-    gram = assemble_gram(kernel, grid)
-    shift = gram.causal_impact(trades) + 0.5 * trades @ kernel.at(0.0).T
-    drift_revenue = -float(trades.sum(axis=0) @ model.s0) - float(np.sum(trades * shift))
-    mean = float(x0 @ model.s0) - drift_revenue + float(np.mean(noise))
+    analytic_cost = cost(kernel, grid, trades)
+    mean = float((x0 - target) @ model.s0) + analytic_cost + float(np.mean(noise))
     stderr = float(np.std(noise, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
     return SimulationReport(
         mean_shortfall=mean,
         stderr=stderr,
         n_paths=n_paths,
         seed=seed,
-        analytic_cost=0.5 * gram.quadratic_form(trades),
+        analytic_cost=analytic_cost,
         analytic_stderr=float(np.linalg.norm(weights) / np.sqrt(n_paths)),
     )

@@ -15,6 +15,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 import numpy as np
+import scipy.linalg
 
 from .grids import TimeGrid, equidistant_grid
 from .kernels import (
@@ -37,6 +38,7 @@ from .posdef import (
     _gram_lags,
     assemble_gram,
     classify_positive_definite,
+    gram_for,
     guard_lags,
     state_space_gram,
 )
@@ -161,9 +163,9 @@ def _kernel_trades(kernel: DecayKernel, grid: TimeGrid, strategy) -> np.ndarray:
 
 
 def cost(kernel: DecayKernel, grid: TimeGrid, strategy) -> float:
-    """Expected execution cost ``1/2 xi . Gram . xi`` of a strategy."""
+    """Expected execution cost ``1/2 xi . Gram . xi`` on :func:`posdef.gram_for`'s Gram."""
     trades = _kernel_trades(kernel, grid, strategy)
-    return 0.5 * assemble_gram(kernel, grid).quadratic_form(trades)
+    return 0.5 * float(np.vdot(trades, gram_for(kernel, grid).impact(trades)))
 
 
 def lagrange_residual(kernel: DecayKernel, grid: TimeGrid, strategy):
@@ -172,10 +174,11 @@ def lagrange_residual(kernel: DecayKernel, grid: TimeGrid, strategy):
     Returns ``(lambda_hat, residual)`` where ``lambda_hat`` is the mean over
     trade times of the accumulated-impact vectors and ``residual`` their
     maximum deviation from it; a residual of (numerical) zero certifies
-    optimality for the portfolio the strategy liquidates.
+    optimality for the portfolio the strategy liquidates.  The impact is
+    that of :func:`posdef.gram_for`'s Gram, as in :func:`cost`.
     """
     trades = _kernel_trades(kernel, grid, strategy)
-    impact = assemble_gram(kernel, grid).impact(trades)
+    impact = gram_for(kernel, grid).impact(trades)
     lambda_hat = impact.mean(axis=0)
     residual = float(np.max(np.abs(impact - lambda_hat))) if grid.n else 0.0
     return lambda_hat, residual
@@ -273,8 +276,8 @@ def _kkt_solve(gram, x0: np.ndarray):
     eigenvalue below ``-tau`` raises :class:`UnboundedCostError` with its
     eigenvector as the direction, and a singular-but-PSD Gram gets the
     minimum-norm least-squares solution of the bordered system
-    ``[[Gram, A^T], [A, 0]] [xi; -lam] = [0; -x0]``.  Any other Gram raises
-    ``ArithmeticError``.
+    ``[[Gram, A^T], [A, 0]] [xi; -lam] = [0; -x0]`` by LAPACK gelsd, else
+    gelss; a failure of both, or any other Gram, raises ``ArithmeticError``.
     """
     n, k = gram.size, gram.dimension
     bound = gram.bound
@@ -301,7 +304,13 @@ def _kkt_solve(gram, x0: np.ndarray):
     M[nk:, :nk] = A
     rhs = np.zeros(nk + k)
     rhs[nk:] = -x0
-    sol = np.linalg.lstsq(M, rhs, rcond=None)[0]
+    try:
+        sol = np.linalg.lstsq(M, rhs, rcond=None)[0]
+    except np.linalg.LinAlgError:  # gelsd's SVD did not converge: gelss at its cutoff
+        try:
+            sol = scipy.linalg.lstsq(M, rhs, np.finfo(float).eps * len(M), lapack_driver="gelss")[0]
+        except np.linalg.LinAlgError as exc:
+            raise ArithmeticError(f"least squares failed on the KKT system: {exc}") from exc
     return sol[:nk].reshape(n, k), -sol[nk:], False
 
 
@@ -587,10 +596,9 @@ def solve_best(kernel: DecayKernel, grid: TimeGrid, x0, cross_check: bool = Fals
     Precedence: the matrix-exponential closed form (``"closed_form"``), then
     the commuting route (``"commuting"``, :func:`solve_commuting`) for a
     kernel whose ``eigenframe()`` is not None.  A kernel with neither takes
-    the one state-space-else-dense step, :func:`_solve_general`:
-    :func:`solve_state_space` (``"state_space"``) when it has a realization
-    and the backend does not decline, else :func:`solve_kkt` (``"kkt"``).
-    The route follows from these kernel facts alone: nothing is sampled.
+    the one state-space-else-dense step, :func:`_solve_general`
+    (``"state_space"`` or ``"kkt"``).  The route follows from these kernel
+    facts alone: nothing is sampled.
 
     With ``cross_check=True`` the closed form and the commuting route are
     checked to ``CROSS_CHECK_REL_TOL * (1 + max|xi_ref|)`` in the max norm
@@ -605,9 +613,8 @@ def solve_best(kernel: DecayKernel, grid: TimeGrid, x0, cross_check: bool = Fals
     on a K = 1 ``StateSpaceGram`` of the direction's exponential sum when the
     kernel has a realization (O(N)), else, or where that Gram is not strict,
     on the direction's N x N :class:`posdef.GramMatrix`; and ``kkt`` on the
-    NK x NK one, which is assembled only for a kernel with no realization or
-    one whose backend declines (a failed guard, a Gram not strict).  Each certifies
-    on its own Gram's ``impact``: the commuting route in its frame, the
+    NK x NK one where the state-space Gram is missing or declines.  Each
+    certifies on its own Gram's ``impact``: the commuting route in its frame, the
     closed form and the state-space backend on the realization's two scans.
 
     The commuting route's cross-check stays independent when both run on
@@ -647,15 +654,16 @@ def solve_best(kernel: DecayKernel, grid: TimeGrid, x0, cross_check: bool = Fals
 
 def _solve_general(kernel: DecayKernel, grid: TimeGrid, x0: np.ndarray, gram=None):
     """:func:`solve_best`'s one state-space-else-dense step: ``(result,
-    "state_space")`` from the guarded state-space Gram (``gram`` when the
-    caller built it), else ``(solve_kkt's result, "kkt")`` when building or
-    solving it raises ``ValueError`` or ``ArithmeticError``."""
-    try:
-        gram = state_space_gram(kernel, grid) if gram is None else gram
-        return _solve_on(gram, x0), "state_space"
-    except (ValueError, ArithmeticError):
-        pass
-    return solve_kkt(kernel, grid, x0), "kkt"
+    "state_space")`` on :func:`posdef.gram_for`'s state-space Gram (``gram``
+    when the caller built it), else, or where that solve raises
+    ``ValueError`` or ``ArithmeticError``, ``(result, "kkt")`` on the dense one."""
+    gram = gram_for(kernel, grid) if gram is None else gram
+    if isinstance(gram, StateSpaceGram):
+        try:
+            return _solve_on(gram, x0), "state_space"
+        except (ValueError, ArithmeticError):
+            gram = assemble_gram(kernel, grid)
+    return _solve_on(gram, x0), "kkt"
 
 
 def refine(

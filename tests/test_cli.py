@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from crossimpact import Strategy, TimeGrid, cli
 from crossimpact.cli import main, read_strategy_table
@@ -366,6 +367,27 @@ class TestErrors:
         code, _, stderr = run(capsys, "solve", "--config", str(config))
         assert code == 4
         assert "error" in json.loads(stderr)
+
+    def test_least_squares_failure_exit_4(self, tmp_path, capsys, monkeypatch):
+        """A singular Gram on which both LAPACK least-squares drivers fail is
+        a numeric failure, not a traceback."""
+
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+        monkeypatch.setattr(np.linalg, "lstsq", no_convergence)
+        monkeypatch.setattr(scipy.linalg, "lstsq", no_convergence)
+        config = tmp_path / "permanent.json"
+        write_config(
+            config,
+            kernel={"family": "permanent", "G0": [[1.0, 0.2], [0.2, 0.5]]},
+            grid={"horizon": 1.0, "count": 9, "spacing": "equidistant"},
+            portfolio=[1.0, -1.0],
+        )
+        code, stdout, stderr = run(capsys, "solve", "--config", str(config))
+        assert code == 4
+        assert stdout == ""
+        assert "least squares failed" in json.loads(stderr)["error"]
 
     def test_not_pd_model_exit_3(self, tmp_path, capsys):
         config = tmp_path / "indefinite.json"

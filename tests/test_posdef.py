@@ -216,35 +216,6 @@ class TestAssembleGram:
         assert max(sizes) <= max(chunk, n)
         assert (len(sizes) == 1) == (n * (n + 1) // 2 <= chunk)
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        family=st.integers(0, len(FAMILY_FACTORIES) - 1),
-        n=st.integers(1, 48),
-        geometric=st.booleans(),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_causal_impact_is_the_earlier_trades_impact(self, family, n, geometric, seed):
-        """``causal_impact`` is ``sum_{l<k} G(t_k - t_l) xi_l``, summed here
-        from ``kernel.at_many``, leaves the Gram as it was, and with half the
-        lag-0 impact gives half the quadratic form."""
-        rng = np.random.default_rng(seed)
-        kernel = FAMILY_FACTORIES[family](rng)
-        grid = geometric_grid(5.0, n, 1.1) if geometric and n > 1 else equidistant_grid(5.0, n)
-        trades = rng.standard_normal((n, kernel.dimension))
-        t = grid.times
-        expected = np.zeros_like(trades)
-        for k in range(1, n):
-            expected[k] = np.einsum("lij,lj->i", kernel.at_many(t[k] - t[:k]), trades[:k])
-        gram = assemble_gram(kernel, grid)
-        blocks = gram.blocks.copy()
-        causal = gram.causal_impact(trades)
-        assert np.array_equal(gram.blocks, blocks)
-        scale = (1.0 + gram.bound) * n * np.max(np.abs(trades))
-        assert np.max(np.abs(causal - expected)) <= 1e-13 * scale, kernel.family
-        shift = causal + 0.5 * trades @ kernel.at(0.0).T
-        half_form = 0.5 * gram.quadratic_form(trades)
-        assert abs(np.vdot(trades, shift) - half_form) <= 1e-13 * scale * np.abs(trades).sum()
-
     def test_runs_split_above_one_chunk(self):
         # 255 times hold 32640 lags, the largest grid of one run
         kernel = CrossExpKernel(1.0, 1.8, 0.3)
@@ -499,8 +470,8 @@ class TestSearchViolation:
         X = rng.standard_normal((2 * n, 3))
 
         def reads():
-            return (gram.impact(trades), gram.causal_impact(trades),
-                    gram.quadratic_form(trades), gram.product(X), np.tril(gram.blocks))
+            return (gram.impact(trades), gram.quadratic_form(trades), gram.product(X),
+                    np.tril(gram.blocks))
 
         before = reads()
         factor = gram.shifted_factor(-posdef.PSD_REL_TOL * (1.0 + gram.bound))

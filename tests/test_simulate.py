@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crossimpact import simulate
+from crossimpact import posdef, simulate
 from crossimpact import (
     CrossExpKernel,
     Exp2x2Kernel,
+    JordanExpKernel,
     MartingaleModel,
     MatrixExpKernel,
     PlusTemporaryKernel,
@@ -339,6 +340,28 @@ class TestEstimateExpectedCost:
         assert peak < 100e6
         assert report.n_paths == 100_000
 
+    def test_exponential_sum_builds_no_dense_gram(self, rng, monkeypatch):
+        """Exp2x2 (sym.) at N = 4097 and K = 2, with 200 paths: the estimate
+        prices on the kernel's state-space Gram, assembles no dense one (512
+        MiB at this size) and peaks below 64 MiB traced."""
+
+        def no_gram(*args):
+            raise AssertionError("a dense Gram was assembled")
+
+        monkeypatch.setattr(posdef, "assemble_gram", no_gram)
+        kernel = Exp2x2Kernel(1.0, 0.15, 0.15, 1.1, 0.7, 1.5, 1.5, 1.6)
+        grid = equidistant_grid(2.0, 4097)
+        trades = rng.standard_normal((grid.n, 2))
+        model = MartingaleModel([100.0, 60.0], [[0.04, 0.01], [0.01, 0.09]], horizon=2.0)
+        tracemalloc.start()
+        try:
+            report = estimate_expected_cost(kernel, grid, trades, model, 200, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert abs(report.mean_shortfall - report.analytic_cost) <= 4.0 * report.analytic_stderr
+
     def test_report_does_not_depend_on_the_worker_count(self, rng, monkeypatch):
         reports = []
         for workers in (1, 2):
@@ -362,8 +385,24 @@ class TestEstimateExpectedCost:
             estimate_expected_cost(kernel, grid, trades, flat_model([1.0, 1.0, 1.0]), 10, seed=0)
 
 
+def _simulated_kernel(family, k, rng):
+    """A kernel of the family: symmetric matrix_exp of side k; a nonsymmetric
+    exp2x2, or a plus_temporary over one with a nonsymmetric jump, both of
+    which have a realization; or a jordan_exp, which has none."""
+    if family == "matrix_exp":
+        return MatrixExpKernel(random_spd(rng, k))
+    if family == "jordan_exp":
+        return JordanExpKernel(rng.uniform(0.2, 2.0))
+    exp2x2 = Exp2x2Kernel(*rng.uniform(0.1, 1.5, 4), *rng.uniform(0.2, 3.0, 4))
+    if family == "exp2x2":
+        return exp2x2
+    skew = rng.uniform(-0.5, 0.5) * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    return PlusTemporaryKernel(random_spd(rng, 2) + skew, exp2x2)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
+    family=st.sampled_from(["matrix_exp", "exp2x2", "plus_temporary", "jordan_exp"]),
     k=st.integers(1, 3),
     n=st.integers(2, 12),
     n_paths=st.integers(1, 300),
@@ -374,15 +413,20 @@ class TestEstimateExpectedCost:
     seed=st.integers(0, 2**32 - 1),
 )
 def test_streamed_estimate_matches_path_reference(
-    k, n, n_paths, rank, budget, per_stream, workers, seed
+    family, k, n, n_paths, rank, budget, per_stream, workers, seed
 ):
     """For any shape, PSD covariance (rank 0 to K), block size, stream
     length and worker count, the streamed estimate equals the per-path
-    ``revenues`` reference."""
+    ``revenues`` reference, on the state-space Gram of a kernel with a
+    realization (symmetric or not, with a temporary jump) and on the dense
+    Gram of one without."""
     rng = np.random.default_rng(seed)
-    kernel = MatrixExpKernel(random_spd(rng, k))
+    kernel = _simulated_kernel(family, k, rng)
+    k = kernel.dimension
     times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, n - 1))])
     grid = TimeGrid(times)
+    dense = isinstance(posdef.gram_for(kernel, grid), posdef.GramMatrix)
+    assert dense == (family == "jordan_exp")
     trades = rng.standard_normal((n, k))
     factor = rng.uniform(0.0, 0.5) * rng.standard_normal((k, min(rank, k)))
     model = MartingaleModel(rng.uniform(10.0, 100.0, k), factor @ factor.T, horizon=grid.span)

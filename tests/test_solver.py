@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from crossimpact import (
     CongruenceKernel,
@@ -161,6 +161,31 @@ class TestSolveKKT:
         result = solve_kkt(PermanentKernel(g0), equidistant_grid(1.0, 4), x0)
         assert result.unique is False
         assert np.allclose(result.strategy.trades, np.tile(-x0 / 4.0, (4, 1)), atol=1e-10)
+
+    def test_least_squares_falls_back_to_gelss(self, rng, monkeypatch):
+        """When gelsd's SVD does not converge, the singular branch solves the
+        bordered system once more with gelss, at the same cutoff: its answer
+        passes the certificate and is gelsd's minimum-norm optimizer up to
+        roundoff.  When gelss fails too, the solve raises ArithmeticError."""
+        kernel = PermanentKernel(random_spd(rng, 2))
+        grid = equidistant_grid(1.0, 9)
+        x0 = np.array([4.0, -2.0])
+        expected = solve_kkt(kernel, grid, x0).strategy.trades
+
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+        monkeypatch.setattr(np.linalg, "lstsq", no_convergence)
+        retries = count_calls(monkeypatch, scipy.linalg, "lstsq")
+        result = solve_kkt(kernel, grid, x0)
+        assert [call[0].shape for call in retries] == [(2 * 9 + 2,) * 2]
+        assert result.unique is False
+        gap = np.max(np.abs(result.strategy.trades - expected))
+        assert gap <= 1e-12 * (1.0 + np.max(np.abs(expected)))
+
+        monkeypatch.setattr(scipy.linalg, "lstsq", no_convergence)
+        with pytest.raises(ArithmeticError, match="least squares failed"):
+            solve_kkt(kernel, grid, x0)
 
     def test_matches_closed_form(self):
         grid = equidistant_grid(1.0, 10)
@@ -1220,6 +1245,9 @@ def _realized_frame_kernel(family, rng):
     geometric=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
+# a singular Gram on which LAPACK gelsd's SVD does not converge with two BLAS
+# threads: the non-strict branch retries with gelss
+@example(family="diag_congruence", n=60, geometric=False, seed=3950893)
 def test_commuting_route_matches_dense(family, n, geometric, seed):
     """On kernels with a closed-form frame and a realization, the commuting
     route (a state-space Gram per direction, a dense one where that
@@ -1442,6 +1470,26 @@ class TestStateSpace:
         P = Q = np.ones((k, 2))
         with pytest.raises(ValueError, match="finite rates >= 0"):
             StateSpaceGram(grid, np.eye(k), P, Q, np.array([1.0, rate]))
+
+    def test_gram_for_takes_the_guarded_realization(self, rng):
+        """``posdef.gram_for`` gives the state-space Gram of a kernel whose
+        realization passes the guard, and the dense Gram of one with no
+        realization or whose realization misses; either gives the impact
+        summed pair by pair from the kernel's values."""
+        grid = geometric_grid(2.0, 17, 1.05)
+        for kernel, backend in [
+            (CrossExpKernel(1.0, 1.8, 0.3), StateSpaceGram),
+            (EXP2X2_SYM, StateSpaceGram),
+            (PlusTemporaryKernel([[0.2, 0.05], [0.05, 0.1]], EXP2X2_SYM), StateSpaceGram),
+            (CongruenceKernel([[1.0, 0.5], [0.0, 2.0]], EXP2X2_SYM), StateSpaceGram),
+            (JordanExpKernel(0.7), GramMatrix),
+            (OffRateCrossExp(1.0, 1.8, 0.3), GramMatrix),
+        ]:
+            gram = posdef.gram_for(kernel, grid)
+            assert type(gram) is backend, kernel.family
+            trades = rng.standard_normal((grid.n, 2))
+            gap = np.max(np.abs(gram.impact(trades) - impact_loop(kernel, grid, trades)))
+            assert gap <= 1e-13 * (1.0 + gram.bound) * grid.n * np.max(np.abs(trades))
 
     def test_the_factory_guards(self):
         """``posdef.state_space_gram`` returns only guarded Grams: a
